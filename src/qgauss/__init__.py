@@ -37,7 +37,7 @@ from .maps import (
     z_map,
     z_map_derivative,
 )
-from .specfun import beta, erfc, log_gamma, q_exp, q_ln, reg_inc_beta
+from .specfun import beta, log_gamma, q_exp, q_ln
 from .stats import (
     GofResult,
     TrialRow,
@@ -55,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # specfun
-    "q_exp", "q_ln", "log_gamma", "beta", "reg_inc_beta", "erfc",
+    "q_exp", "q_ln", "log_gamma", "beta",
     # maps
     "CirclePoint", "MapConfig", "chebyshev_pair", "tri_map",
     "z_map", "z_map_derivative",

@@ -1,4 +1,4 @@
-"""Command line front end: gen, gof, table, diag, bench.
+"""Command line front end: gen, gof, table, diag.
 
 All subcommands validate their arguments up front, emit machine-readable
 errors as single-line JSON on stderr, and use three exit codes: 0 for
@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, TextIO
 
@@ -323,34 +322,6 @@ def cmd_diag(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    spec = make_spec(cfg.q_out)
-    report = {"count": cfg.count, "repeats": args.repeats,
-              "reliable": bool(cfg.count >= 10 ** 6)}
-    for method in ("chaotic", "gbmm"):
-        rates = []
-        for rep in range(args.repeats):
-            t0 = time.perf_counter()
-            if method == "chaotic":
-                state = init(spec, cfg.map_config(), v0=cfg.v0, z0=cfg.z0)
-                generate(state, cfg.count)
-            else:
-                stream = UniformStream(cfg.master_seed + rep)
-                gbmm_generate(spec, stream, cfg.count)
-            dt = time.perf_counter() - t0
-            rates.append(cfg.count / dt)
-        report[method + "_samples_per_s"] = float(np.median(rates))
-    fh, close = _open_out(args.out)
-    try:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
-    return EXIT_OK
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qgauss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
@@ -404,13 +375,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_diag)
 
-    p = sub.add_parser("bench",
-                       help="wall-clock throughput of both generators")
-    _add_generator_args(p)
-    p.add_argument("--count", type=int, default=10 ** 7)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 

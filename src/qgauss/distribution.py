@@ -7,11 +7,10 @@ always used here at unit shape scale:
 * q_out = 1   standard Gaussian
 * 1 < q_out < 3  Student-t with nu = (3-q_out)/(q_out-1) degrees of freedom
 
-The scalar functions route through the in-package special functions and are
-arranged so that both tails are computed without cancellation: everything
-funnels through the upper tail probability of |x|.  cdf_array is a separate
-vectorized path over scipy.special used by the statistics layer for bulk
-work; the tests pin it against the scalar route.
+cdf_array is the one cdf implementation: it evaluates the upper tail
+probability of |x| through scipy.special, so both tails are computed without
+cancellation, and the scalar cdf/ccdf call it.  quantile inverts the family
+in closed form through the inverses scipy.special ships.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.special as sc
 
-from .specfun import beta, erfc, q_exp, reg_inc_beta
+from .specfun import _Q_ONE_EPS, beta, q_exp
 
 __all__ = [
     "DistSummary",
@@ -40,9 +39,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Same Gaussian-fallback width as specfun.q_exp/q_ln.
-_Q_ONE_EPS = 1e-12
 
 
 def _validate_q(q_out: float) -> None:
@@ -109,42 +105,24 @@ def pdf(q_out: float, x: float) -> float:
     return _norm_const(q_out) * t ** (1.0 / (1.0 - q_out))
 
 
-def _upper_tail(q_out: float, x: float) -> float:
-    """P(X > x) for x >= 0, computed without cancellation."""
-    if abs(q_out - 1.0) < _Q_ONE_EPS:
-        return 0.5 * erfc(x / _SQRT2)
-    if q_out < 1.0:
-        t = 1.0 - (1.0 - q_out) / (3.0 - q_out) * x * x
-        if t <= 0.0:
-            return 0.0
-        return 0.5 * reg_inc_beta(t, (2.0 - q_out) / (1.0 - q_out), 0.5)
-    y = (q_out - 1.0) / (3.0 - q_out) * x * x
-    w = 1.0 / (1.0 + y)
-    return 0.5 * reg_inc_beta(w, 1.0 / (q_out - 1.0) - 0.5, 0.5)
-
-
 def cdf(q_out: float, x: float) -> float:
     """Cumulative distribution P(X <= x)."""
-    _validate_q(q_out)
-    if x >= 0.0:
-        return 1.0 - _upper_tail(q_out, x)
-    return _upper_tail(q_out, -x)
+    return float(cdf_array(q_out, x))
 
 
 def ccdf(q_out: float, x: float) -> float:
     """Complementary cumulative P(X > x), accurate deep into the right tail."""
-    _validate_q(q_out)
-    if x >= 0.0:
-        return _upper_tail(q_out, x)
-    return 1.0 - _upper_tail(q_out, -x)
+    return float(cdf_array(q_out, -x))
 
 
 def cdf_array(q_out: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized cdf over scipy.special, for bulk statistics work.
+    """Vectorized cdf over scipy.special, tail-exact in both directions.
 
-    Vectorizes the same upper-tail complement algorithm as the scalar cdf
-    (never forming y/(1+y), which rounds to 1 and erases the tail), so the
-    two routes agree to a few ulps even at extreme arguments.
+    Evaluates the upper tail probability of |x| directly (never forming
+    y/(1+y), which rounds to 1 and erases the tail) and takes the complement
+    only for the half where that is exact.  Where y = k*x*x exceeds 1e300
+    the tail is the leading term of its incomplete-beta series, so mass is
+    kept out to the largest finite double.
     """
     _validate_q(q_out)
     x = np.asarray(x, dtype=float)
@@ -153,15 +131,23 @@ def cdf_array(q_out: float, x: np.ndarray) -> np.ndarray:
         upper = 0.5 * sc.erfc(ax / _SQRT2)
     elif q_out < 1.0:
         a = (2.0 - q_out) / (1.0 - q_out)
-        t = np.clip(1.0 - (1.0 - q_out) / (3.0 - q_out) * ax * ax, 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            t = np.clip(1.0 - (1.0 - q_out) / (3.0 - q_out) * ax * ax, 0.0, 1.0)
         upper = 0.5 * sc.betainc(a, 0.5, t)
     else:
-        b = 1.0 / (q_out - 1.0) - 0.5
-        y = (q_out - 1.0) / (3.0 - q_out) * ax * ax
-        with np.errstate(invalid="ignore"):
-            w = 1.0 / (1.0 + y)
-        w = np.where(np.isnan(w), 0.0, w)  # y = inf
-        upper = 0.5 * sc.betainc(b, 0.5, w)
+        a = 1.0 / (q_out - 1.0) - 0.5
+        k = (q_out - 1.0) / (3.0 - q_out)
+        with np.errstate(over="ignore"):
+            y = k * ax * ax
+        w = 1.0 / (1.0 + y)
+        w = np.where(np.isnan(w), 0.0, w)  # x = nan
+        upper = np.asarray(0.5 * sc.betainc(a, 0.5, w))  # 0-d x: assignable
+        far = y > 1e300
+        if far.any():
+            # I_w(a, 1/2) = w^a / (a B(a, 1/2)) * (1 + O(w)), log w = -log y
+            log_w = -(math.log(k) + 2.0 * np.log(ax[far]))
+            upper[far] = 0.5 * np.exp(
+                a * log_w - math.log(a) - sc.betaln(a, 0.5))
     return np.where(x >= 0.0, 1.0 - upper, upper)
 
 
@@ -208,32 +194,28 @@ def variance(q_out: float) -> float:
 
 
 def quantile(q_out: float, p: float) -> float:
-    """Inverse cdf by bracketed bisection; |cdf(result) - p| <= 1e-12."""
+    """Inverse cdf in closed form through scipy.special.
+
+    ndtri for the Gaussian, stdtrit for the Student-t members (q_out > 1)
+    and betaincinv for the compact members, where (X/L + 1)/2 is
+    Beta(a, a) distributed with a = (2-q_out)/(1-q_out).
+
+    |cdf(result) - p| is a few ulps of 1 away from q_out = 1 and grows to
+    about 1e-16/|q_out - 1| near it, where the beta parameters of both
+    routes grow like 1/|q_out - 1|.  Past |result| of about 1.5e153
+    (q_out near 3; p or 1-p below about 3.9e-9 at q_out = 2.9) stdtrit
+    saturates and the error is of the order of p or 1-p itself.
+    """
     _validate_q(q_out)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1), got %r" % (p,))
-    if q_out < 1.0:
-        lo, hi = support(q_out)
-    else:
-        lo, hi = -1.0, 1.0
-        while cdf(q_out, lo) > p:
-            lo *= 2.0
-        while cdf(q_out, hi) < p:
-            hi *= 2.0
-    x = 0.5 * (lo + hi)
-    for _ in range(1100):
-        fx = cdf(q_out, x)
-        if abs(fx - p) <= 1e-12:
-            break
-        if fx < p:
-            lo = x
-        else:
-            hi = x
-        nxt = 0.5 * (lo + hi)
-        if nxt == x:
-            break
-        x = nxt
-    return x
+    if abs(q_out - 1.0) < _Q_ONE_EPS:
+        return float(sc.ndtri(p))
+    if q_out > 1.0:
+        return float(sc.stdtrit((3.0 - q_out) / (q_out - 1.0), p))
+    a = (2.0 - q_out) / (1.0 - q_out)
+    half = math.sqrt((3.0 - q_out) / (1.0 - q_out))
+    return half * (2.0 * float(sc.betaincinv(a, a, p)) - 1.0)
 
 
 def joint_pdf(q_out: float, xi: float, eta: float) -> float:

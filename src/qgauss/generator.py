@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .maps import _CHEB, _U_CLAMP_LO, MapConfig, _u_floor
-from .specfun import q_ln
+from .specfun import _Q_ONE_EPS, q_ln
 
 __all__ = [
     "QSpec",
@@ -40,9 +40,6 @@ __all__ = [
     "UniformStream",
     "derive_seed",
 ]
-
-# Same Gaussian-fallback width as specfun.q_exp/q_ln.
-_Q_ONE_EPS = 1e-12
 
 # Circle renormalization threshold on |w*w + v*v - 1|.
 _RADIUS_TOL = 1e-10
@@ -97,7 +94,8 @@ def init(
 
     v0 fixes the circle point as (w, v) = (w0_sign*sqrt(1 - v0*v0), v0) and
     must lie strictly inside (0, 1); z0 seeds the radial map and must be
-    positive, finite, and (for q_int < 1) inside the compact radial support.
+    positive, finite, and (for q_int < 1) strictly below the support edge
+    z_edge, which the radial map sends to itself forever.
     """
     if not (math.isfinite(v0) and 0.0 < v0 < 1.0):
         raise ValueError(
@@ -109,9 +107,9 @@ def init(
         raise ValueError("w0_sign must be +1 or -1, got %r" % (w0_sign,))
     if spec.q_int < 1.0:
         z_edge = math.sqrt(2.0 / (1.0 - spec.q_int))
-        if z0 > z_edge:
+        if z0 >= z_edge:
             raise ValueError(
-                "z0=%r is outside the radial support [0, %r] for q_int=%r"
+                "z0=%r is outside the radial support [0, %r) for q_int=%r"
                 % (z0, z_edge, spec.q_int)
             )
     w0 = w0_sign * math.sqrt(1.0 - v0 * v0)

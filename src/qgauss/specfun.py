@@ -6,11 +6,9 @@ iteration amplifies single-ulp differences exponentially.  Do not "simplify"
 q_exp or q_ln (for example into log1p/expm1 forms): the conformance tests
 pin the bit patterns.
 
-The regularized incomplete beta function is implemented here (power-series
-prefactor plus a modified Lentz continued fraction).  Log-gamma and the
-complementary error function wrap the platform libm through the math module,
-which provides sub-ulp accuracy; both are validated against high precision
-references in the test suite.
+Log-gamma and the complete beta function (the density's normalizing
+constant) wrap the platform libm through the math module.  The incomplete
+beta and its inverse come from scipy.special, in the distribution layer.
 """
 
 from __future__ import annotations
@@ -22,19 +20,13 @@ __all__ = [
     "q_ln",
     "log_gamma",
     "beta",
-    "reg_inc_beta",
-    "erfc",
 ]
 
 # Branch width below which the deformed pair falls back to exp/ln.  The
 # deformed expressions lose all precision as q -> 1 (they divide by 1-q),
-# while the limit functions are exact there.
+# while the limit functions are exact there.  The generator, distribution
+# and statistics layers use the same width for their Gaussian branches.
 _Q_ONE_EPS = 1e-12
-
-# Continued fraction controls for reg_inc_beta.
-_CF_EPS = 1e-16
-_CF_FPMIN = 1e-308
-_CF_MAXIT = 400
 
 
 def q_exp(q: float, w: float) -> float:
@@ -79,84 +71,3 @@ def log_gamma(a: float) -> float:
 def beta(a: float, b: float) -> float:
     """Complete beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b)."""
     return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
-
-
-def _beta_cf(x: float, a: float, b: float) -> float:
-    """Continued fraction for the incomplete beta integral at x.
-
-    Modified Lentz iteration with even/odd term pairs.  Converges rapidly
-    for x < (a+1)/(a+b+2); callers arrange that via the symmetry swap.
-    """
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_FPMIN:
-        d = _CF_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAXIT + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError(
-        "incomplete beta continued fraction failed to converge "
-        "(x=%r, a=%r, b=%r)" % (x, a, b)
-    )
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b) for x in [0, 1].
-
-    Uses the continued fraction on whichever of (x, a, b) / (1-x, b, a)
-    converges fast, switching at x = (a+1)/(a+b+2).  Absolute error is
-    a few ulps of 1 for a, b up to a few hundred.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("reg_inc_beta requires a > 0 and b > 0, got a=%r b=%r" % (a, b))
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("reg_inc_beta requires 0 <= x <= 1, got %r" % (x,))
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        a * math.log(x)
-        + b * math.log1p(-x)
-        - (log_gamma(a) + log_gamma(b) - log_gamma(a + b))
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(x, a, b) / a
-    return 1.0 - front * _beta_cf(1.0 - x, b, a) / b
-
-
-def erfc(x: float) -> float:
-    """Complementary error function.
-
-    Wraps math.erfc (platform libm); kept behind a local name so the
-    distribution layer has a single import point for special functions.
-    """
-    return math.erfc(x)

@@ -13,8 +13,8 @@ P-values come from Monte Carlo null replication.  The default null works in
 probability space: sorted uniforms against the identity cdf, which has
 exactly the null law of the statistic for any continuous model cdf and lets
 one null set serve every q.  A literal mode (samples drawn through the
-model quantile, scored through the model cdf) exists to validate that
-shortcut; the two agree to quantile round-off.
+closed-form model quantile, scored through the model cdf) exists to
+validate that shortcut; the two agree to quantile round-off.
 
 The trial-table driver reruns the generator from many seeded starts and
 keeps the best p-value per deformation parameter, which is the selection
@@ -153,8 +153,9 @@ def _literal_null_statistics(
     """Null statistics drawn through the model quantile and scored by cdf.
 
     Consumes the uniform stream in the same order as the probability-space
-    route, so the two null sets correspond replicate for replicate.  Slow
-    (one bisection per draw); intended for validation at small M.
+    route, so the two null sets correspond replicate for replicate.  Slower
+    than that route (one scalar quantile call per draw); intended for
+    validation at small M.
     """
     key = (q_out, M, n_null, seed)
     hit = _LITERAL_CACHE.get(key)

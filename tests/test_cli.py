@@ -174,18 +174,6 @@ class TestDiag:
         assert code == EXIT_USAGE
 
 
-class TestBench:
-    def test_small_bench_report(self, capsys):
-        code, out, _ = _run(capsys, "bench", "--count", "2000",
-                            "--repeats", "2")
-        assert code == EXIT_OK
-        report = json.loads(out)
-        assert report["count"] == 2000
-        assert report["reliable"] is False
-        assert report["chaotic_samples_per_s"] > 0
-        assert report["gbmm_samples_per_s"] > 0
-
-
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = _run_expect_exit(capsys)

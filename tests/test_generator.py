@@ -114,9 +114,13 @@ class TestStateAndStep:
             init(spec, REF_CFG, v0=0.1, z0=0.0, w0_sign=1)
         with pytest.raises(ValueError):
             init(spec, REF_CFG, v0=0.1, z0=1.0, w0_sign=2)
-        # z0 beyond the compact support edge
-        with pytest.raises(ValueError):
-            init(make_spec(0.5), REF_CFG, v0=0.1, z0=5.0, w0_sign=1)
+        # z0 beyond the compact support edge, and on it: the radial map
+        # sends the edge to itself, so an orbit started there never moves
+        compact = make_spec(0.5)
+        z_edge = math.sqrt(2.0 / (1.0 - compact.q_int))
+        for z0 in (5.0, z_edge):
+            with pytest.raises(ValueError):
+                init(compact, REF_CFG, v0=0.1, z0=z0, w0_sign=1)
 
     def test_w0_from_v0(self):
         state = init(make_spec(1.0), REF_CFG, v0=1.0 / math.sqrt(2.0),
