@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, TextIO
 
 import numpy as np
@@ -38,7 +37,7 @@ from .stats import (
     run_trial_table,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,29 +48,6 @@ _FLOAT_FMT = "%.17g"
 
 class DataError(Exception):
     """Unreadable or malformed input data (exit code 3)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command configuration (defaults match the reference setup)."""
-
-    q_out: float = 1.0
-    d: int = 8
-    l: int = 2
-    c: int = 1
-    epsilon: float = 5e-6
-    v0: float = 0.1
-    z0: float = 1.0
-    w0_sign: int = 1
-    count: int = 10000
-    trials: int = 100
-    n_null: int = 999
-    master_seed: int = 20260839
-    null_seed: int = DEFAULT_NULL_SEED
-    jobs: int = 1
-
-    def map_config(self) -> MapConfig:
-        return MapConfig(d=self.d, l=self.l, c=self.c, epsilon=self.epsilon)
 
 
 def _fail(code: int, kind: str, message: str) -> "NoReturn":  # noqa: F821
@@ -100,23 +76,8 @@ def _add_generator_args(p: argparse.ArgumentParser) -> None:
                    help="master seed for uniform streams and trial starts")
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        q_out=args.q,
-        d=args.d,
-        l=args.l,
-        c=args.c,
-        epsilon=args.epsilon,
-        v0=args.v0,
-        z0=args.z0,
-        w0_sign=args.w0_sign,
-        count=getattr(args, "count", 10000),
-        trials=getattr(args, "trials", 100),
-        n_null=getattr(args, "n_null", 999),
-        master_seed=args.seed,
-        null_seed=getattr(args, "null_seed", DEFAULT_NULL_SEED),
-        jobs=getattr(args, "jobs", 1),
-    )
+def _map_config(args: argparse.Namespace) -> MapConfig:
+    return MapConfig(d=args.d, l=args.l, c=args.c, epsilon=args.epsilon)
 
 
 def _open_out(path: str):
@@ -131,19 +92,18 @@ def _write_sidecar(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _smoke_batch(cfg: RunConfig, method: str):
-    """Generate one batch according to cfg."""
-    spec = make_spec(cfg.q_out)
-    if method == "gbmm":
-        stream = UniformStream(cfg.master_seed)
-        return gbmm_generate(spec, stream, cfg.count)
-    state = init(spec, cfg.map_config(), v0=cfg.v0, z0=cfg.z0, w0_sign=cfg.w0_sign)
-    return generate(state, cfg.count)
+def _smoke_batch(args: argparse.Namespace):
+    """Generate one batch as the generator arguments and --method ask."""
+    spec = make_spec(args.q)
+    if args.method == "gbmm":
+        return gbmm_generate(spec, UniformStream(args.seed), args.count)
+    state = init(spec, _map_config(args), v0=args.v0, z0=args.z0,
+                 w0_sign=args.w0_sign)
+    return generate(state, args.count)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    batch = _smoke_batch(cfg, args.method)
+    batch = _smoke_batch(args)
     fh, close = _open_out(args.out)
     try:
         fh.write("xi,eta\n")
@@ -153,7 +113,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if close:
             fh.close()
     if close:
-        meta = {"command": "gen", "master_seed": cfg.master_seed}
+        meta = {"command": "gen", "master_seed": args.seed}
         meta.update(batch.metadata())
         _write_sidecar(args.out, meta)
         sys.stdout.write(json.dumps({"written": args.out, "count": batch.count}) + "\n")
@@ -187,16 +147,15 @@ def _read_sample_csv(path: str) -> np.ndarray:
 
 
 def cmd_gof(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     if args.infile is not None:
         samples = _read_sample_csv(args.infile)
     else:
-        samples = _smoke_batch(cfg, args.method).xi
+        samples = _smoke_batch(args).xi
     kinds = ("ks", "ad") if args.kind == "both" else (args.kind,)
     results = []
     for kind in kinds:
-        r = gof_test(samples, cfg.q_out, kind=kind, n_null=cfg.n_null,
-                     seed=cfg.null_seed)
+        r = gof_test(samples, args.q, kind=kind, n_null=args.n_null,
+                     seed=args.null_seed)
         results.append({
             "q": r.q_out,
             "kind": r.kind,
@@ -224,19 +183,18 @@ def _parse_q_list(text: str) -> List[float]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     q_list = _parse_q_list(args.q_list)
     if not q_list:
         raise ValueError("--q-list resolved to no grid points")
     table = run_trial_table(
         q_list,
-        cfg=cfg.map_config(),
-        trials=cfg.trials,
-        samples=cfg.count,
-        master_seed=cfg.master_seed,
-        n_null=cfg.n_null,
-        null_seed=cfg.null_seed,
-        jobs=cfg.jobs,
+        cfg=_map_config(args),
+        trials=args.trials,
+        samples=args.count,
+        master_seed=args.seed,
+        n_null=args.n_null,
+        null_seed=args.null_seed,
+        jobs=args.jobs,
     )
     fh, close = _open_out(args.out)
     try:
@@ -251,44 +209,44 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _diag_rows(args: argparse.Namespace, cfg: RunConfig):
+def _diag_rows(args: argparse.Namespace):
     """(header, row iterator) for one diagnostic kind."""
-    spec = make_spec(cfg.q_out)
-    mc = cfg.map_config()
+    spec = make_spec(args.q)
+    mc = _map_config(args)
     what = args.what
     if what == "return_map":
         def rows():
-            z = cfg.z0
-            for _ in range(cfg.count):
+            z = args.z0
+            for _ in range(args.count):
                 z_next = z_map(spec.q_int, mc, z)
                 yield (z, z_next)
                 z = z_next
         return "z,z_next", rows()
     if what == "sample_path":
         def rows():
-            state = init(spec, mc, v0=cfg.v0, z0=cfg.z0, w0_sign=cfg.w0_sign)
-            for n in range(cfg.count):
+            state = init(spec, mc, v0=args.v0, z0=args.z0, w0_sign=args.w0_sign)
+            for n in range(args.count):
                 xi, eta = step(state)
                 yield (float(n + 1), xi, eta, state.w, state.v, state.z)
         return "step,xi,eta,w,v,z", rows()
     if what == "ccdf_compare":
-        batch = _smoke_batch(cfg, args.method)
+        batch = _smoke_batch(args)
         x = np.sort(batch.xi)[::-1]
         n = x.size
         ranks = np.unique(np.geomspace(1, n, num=min(200, n)).astype(int))
         def rows():
             for k in ranks:
                 xv = float(x[k - 1])
-                yield (xv, distribution.ccdf(cfg.q_out, xv), k / n)
+                yield (xv, distribution.ccdf(args.q, xv), k / n)
         return "x,ccdf_model,ccdf_empirical", rows()
     if what == "lyapunov":
-        lam = lyapunov(spec.q_int, mc, cfg.z0, cfg.count)
+        lam = lyapunov(spec.q_int, mc, args.z0, args.count)
         theory = mc.c * math.log(mc.l)
         def rows():
             yield (lam, theory, lam / theory - 1.0)
         return "lambda,c_log_l,rel_err", rows()
     if what == "autocorr":
-        batch = _smoke_batch(cfg, args.method)
+        batch = _smoke_batch(args)
         lags = range(0, min(args.max_lag, batch.count - 1) + 1)
         c0 = autocorrelation(batch.xi, 0)
         def rows():
@@ -297,20 +255,19 @@ def _diag_rows(args: argparse.Namespace, cfg: RunConfig):
                 yield (float(m), cm, cm / c0)
         return "lag,autocovariance,ratio_to_lag0", rows()
     if what == "joint_grid":
-        lo, hi = distribution.support(cfg.q_out)
+        lo, hi = distribution.support(args.q)
         span = min(4.0, hi) if math.isfinite(hi) else 4.0
         grid = np.linspace(-span, span, 61)
         def rows():
             for xi in grid:
                 for eta in grid:
-                    yield (xi, eta, distribution.joint_pdf(cfg.q_out, xi, eta))
+                    yield (xi, eta, distribution.joint_pdf(args.q, xi, eta))
         return "xi,eta,joint_pdf", rows()
     raise ValueError("unknown diagnostic %r" % (what,))
 
 
 def cmd_diag(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    header, rows = _diag_rows(args, cfg)
+    header, rows = _diag_rows(args)
     fh, close = _open_out(args.out)
     try:
         fh.write(header + "\n")

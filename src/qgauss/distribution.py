@@ -10,12 +10,14 @@ always used here at unit shape scale:
 cdf_array is the one cdf implementation: it evaluates the upper tail
 probability of |x| through scipy.special, so both tails are computed without
 cancellation, and the scalar cdf/ccdf call it.  quantile inverts the family
-in closed form through the inverses scipy.special ships.
+in closed form through the inverses scipy.special ships; for the
+Student-t members it inverts the same tail cdf_array evaluates.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -39,6 +41,10 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# y = k*x*x past which cdf_array and quantile use the leading tail term
+_Y_FAR = 1e300
+_LOG_FAR = math.log(_Y_FAR)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _validate_q(q_out: float) -> None:
@@ -142,7 +148,7 @@ def cdf_array(q_out: float, x: np.ndarray) -> np.ndarray:
         w = 1.0 / (1.0 + y)
         w = np.where(np.isnan(w), 0.0, w)  # x = nan
         upper = np.asarray(0.5 * sc.betainc(a, 0.5, w))  # 0-d x: assignable
-        far = y > 1e300
+        far = y > _Y_FAR
         if far.any():
             # I_w(a, 1/2) = w^a / (a B(a, 1/2)) * (1 + O(w)), log w = -log y
             log_w = -(math.log(k) + 2.0 * np.log(ax[far]))
@@ -196,15 +202,20 @@ def variance(q_out: float) -> float:
 def quantile(q_out: float, p: float) -> float:
     """Inverse cdf in closed form through scipy.special.
 
-    ndtri for the Gaussian, stdtrit for the Student-t members (q_out > 1)
-    and betaincinv for the compact members, where (X/L + 1)/2 is
-    Beta(a, a) distributed with a = (2-q_out)/(1-q_out).
+    ndtri for the Gaussian and betaincinv for the compact members, where
+    (X/L + 1)/2 is Beta(a, a) distributed with a = (2-q_out)/(1-q_out).
+    For q_out > 1 it inverts the upper tail that cdf_array evaluates,
+    P(|X| > x)/2 = I_w(a, 1/2)/2 with w = 1/(1 + k*x*x): w is
+    betaincinv(a, 1/2, 2*min(p, 1-p)), and where k*x*x would pass 1e300
+    the leading term of the series is inverted in logs instead, as
+    cdf_array switches to it there.  Past the largest double the result
+    is -inf or inf (for q_out near 3 and small p or 1-p: every p below
+    about 5.6e-9 at q_out = 2.95).
 
     |cdf(result) - p| is a few ulps of 1 away from q_out = 1 and grows to
-    about 1e-16/|q_out - 1| near it, where the beta parameters of both
-    routes grow like 1/|q_out - 1|.  Past |result| of about 1.5e153
-    (q_out near 3; p or 1-p below about 3.9e-9 at q_out = 2.9) stdtrit
-    saturates and the error is of the order of p or 1-p itself.
+    about 1e-16/|q_out - 1| near it, where the beta parameters grow like
+    1/|q_out - 1|.  For q_out > 1 every finite result also holds the tail,
+    within about 1.5e-13 of min(p, 1-p) relative, down to p = 1e-299.
     """
     _validate_q(q_out)
     if not 0.0 < p < 1.0:
@@ -212,7 +223,18 @@ def quantile(q_out: float, p: float) -> float:
     if abs(q_out - 1.0) < _Q_ONE_EPS:
         return float(sc.ndtri(p))
     if q_out > 1.0:
-        return float(sc.stdtrit((3.0 - q_out) / (q_out - 1.0), p))
+        a = 1.0 / (q_out - 1.0) - 0.5
+        k = (q_out - 1.0) / (3.0 - q_out)
+        tail = 2.0 * min(p, 1.0 - p)
+        # log w of the leading term 0.5 * w^a / (a B(a, 1/2)) = tail / 2
+        log_w = (math.log(tail) + math.log(a) + float(sc.betaln(a, 0.5))) / a
+        if -log_w > _LOG_FAR:
+            log_x = -0.5 * (log_w + math.log(k))
+            x = math.inf if log_x > _LOG_MAX else math.exp(log_x)
+        else:
+            w = float(sc.betaincinv(a, 0.5, tail))
+            x = math.sqrt((1.0 - w) / (w * k))
+        return math.copysign(x, p - 0.5)
     a = (2.0 - q_out) / (1.0 - q_out)
     half = math.sqrt((3.0 - q_out) / (1.0 - q_out))
     return half * (2.0 * float(sc.betaincinv(a, a, p)) - 1.0)

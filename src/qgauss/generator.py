@@ -5,12 +5,13 @@ unit circle advanced by the degree-d polynomial pair, and a radial value z
 advanced by the conjugated fold map.  Each step emits the pair
 (xi, eta) = (w*z, v*z), whose marginals converge to the q_out family member.
 
-Bit discipline: generate() and step() share one inlined loop (_run) whose
-arithmetic matches maps.z_map and the raw maps.chebyshev_pair expression for
-expression.  The circle point is renormalized only when its squared radius
-drifts more than 1e-10 from 1, which keeps short orbits bit-identical to the
-unrenormalized reference recursion while holding the invariant over long
-runs; the renormalization happens before the step's outputs are formed.
+Bit discipline: generate() and step() share one loop (_run).  It steps the
+circle with the raw maps.chebyshev_pair expressions and the radius through
+maps._radial_orbit, the loop maps.z_map takes one step of.  The circle
+point is renormalized only when its squared radius drifts more than 1e-10
+from 1, which keeps short orbits bit-identical to the unrenormalized
+reference recursion while holding the invariant over long runs; the
+renormalization happens before the step's outputs are formed.
 
 The transform sampler (gbmm_sample) is the independent route used for
 cross-validation: two uniforms in, one (x, y) pair out, no state.
@@ -24,8 +25,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .maps import _CHEB, _U_CLAMP_LO, MapConfig, _u_floor
-from .specfun import _Q_ONE_EPS, q_ln
+from .maps import _CHEB, _ORBIT_BLOCK, MapConfig, _radial_orbit, _u_floor
+from .specfun import q_ln
 
 __all__ = [
     "QSpec",
@@ -123,27 +124,17 @@ def _run(
 ) -> None:
     """Advance the orbit n steps, filling xi_out/eta_out in place.
 
-    This is the single authoritative step loop; step() and generate() both
-    call it.  The z update repeats the arithmetic of maps.z_map with the
-    same expression shapes and clamp order.
+    step() and generate() both call this.  It steps the circle point with
+    the raw maps.chebyshev_pair expressions and writes (w, v) into the
+    outputs; the radial values come from maps._radial_orbit, the one copy
+    of the radial step, in blocks of _ORBIT_BLOCK, and multiply the
+    outputs in place.  numpy's float64 product is the IEEE product, so
+    each output is the same bits as w*z formed in Python, and
+    tests/test_generator.py holds state.z to z_map at every step.
     """
     w = state.w
     v = state.v
-    z = state.z
-    cfg = state.cfg
-    pf, qf = _CHEB[cfg.d]
-    s = cfg.l * (1.0 - cfg.epsilon)
-    fold_l = cfg.l
-    fold_c = cfg.c
-    tent = fold_l == 2
-    q = state.spec.q_int
-    gaussian = abs(q - 1.0) < _Q_ONE_EPS
-    one_m_q = 1.0 - q
-    q_ge_1 = q >= 1.0
-    u_lo = _u_floor(q) if q_ge_1 else 0.0
-    z_edge = math.sqrt(2.0 / one_m_q) if q < 1.0 else 0.0
-    exp_ = math.exp
-    log_ = math.log
+    pf, qf = _CHEB[state.cfg.d]
     sqrt_ = math.sqrt
     for i in range(n):
         v = qf(w, v)
@@ -153,38 +144,16 @@ def _run(
             r = sqrt_(r2)
             w /= r
             v /= r
-        if gaussian:
-            u = exp_(-z * z * 0.5)
-        else:
-            t = 1.0 + one_m_q * (-z * z * 0.5)
-            u = exp_(log_(t) / one_m_q) if t > 0.0 else 0.0
-        if q_ge_1 and u < _U_CLAMP_LO:
-            u = _U_CLAMP_LO
-        if tent:
-            for _ in range(fold_c):
-                u = 1.0 - abs(1.0 - s * u)
-        else:
-            for _ in range(fold_c):
-                y = s * u
-                k = int(y)
-                u = (k + 1) - y if k & 1 else y - k
-                if u < 0.0:
-                    u = 0.0
-                elif u > 1.0:
-                    u = 1.0
-        if q_ge_1:
-            if u < u_lo:
-                u = u_lo
-            if gaussian:
-                z = sqrt_(-2.0 * log_(u))
-            else:
-                z = sqrt_(-2.0 * ((exp_(log_(u) * one_m_q) - 1.0) / one_m_q))
-        elif u == 0.0:
-            z = z_edge
-        else:
-            z = sqrt_(-2.0 * ((exp_(log_(u) * one_m_q) - 1.0) / one_m_q))
-        xi_out[i] = w * z
-        eta_out[i] = v * z
+        xi_out[i] = w
+        eta_out[i] = v
+    q_int = state.spec.q_int
+    z = state.z
+    for lo in range(0, n, _ORBIT_BLOCK):
+        zs = _radial_orbit(q_int, state.cfg, z, min(_ORBIT_BLOCK, n - lo))[0]
+        hi = lo + len(zs)
+        xi_out[lo:hi] *= zs
+        eta_out[lo:hi] *= zs
+        z = zs[-1]
     state.w = w
     state.v = v
     state.z = z

@@ -14,19 +14,24 @@ Three layers:
   acting on the radial coordinate z.  Its orbit distributes z like the
   radial part of a two dimensional deformed Gaussian.
 
-All maps are scalar and allocation free.  Two places inline the same
-arithmetic: the generator's batch loop (generator._run) and the Lyapunov
-stepping loops (stats.lyapunov).  The tests assert bit equality between
-each of them and these functions.
+The radial step is written once, in the private loop _radial_orbit, with
+the expression shapes of q_exp, tri_map and q_ln.  z_map is its argument
+checks plus one step of that loop; the generator (generator._run) and the
+chain-rule Lyapunov route (stats.lyapunov) step whole orbits through it.
+Only the analytic Lyapunov route keeps a fused copy, because its
+derivative reuses each step's u.  The tests hold every caller to the same
+bits: generate/step against z_map step by step (tests/test_generator.py),
+and lyapunov against the per-call composition of the public functions
+(tests/lyapunov_reference.py).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
-from .specfun import q_exp, q_ln
+from .specfun import _Q_ONE_EPS, q_exp, q_ln
 
 __all__ = [
     "CirclePoint",
@@ -231,6 +236,71 @@ def _u_floor(q_int: float) -> float:
     return max(_U_CLAMP_LO, math.exp(-709.0 / (q_int - 1.0)))
 
 
+# Steps per _radial_orbit call in the callers that run long orbits, so that
+# an orbit of 10**6 steps never holds 10**6 floats per list.
+_ORBIT_BLOCK = 4096
+
+
+def _radial_orbit(
+    q_int: float, cfg: MapConfig, z: float, n: int
+) -> Tuple[List[float], List[float], List[float]]:
+    """n steps of the radial map from a valid z: (zs, u0s, us).
+
+    zs are the successive z values, u0s each step's fold input (after the
+    clamp at _U_CLAMP_LO) and us its fold output (after the floor of
+    _u_floor).  The branches and expression shapes are those of q_exp,
+    tri_map and q_ln, so each step equals their composition bit for bit.
+    z is not checked; z_map does that for a single step.
+    """
+    exp_ = math.exp
+    log_ = math.log
+    sqrt_ = math.sqrt
+    gaussian = abs(q_int - 1.0) < _Q_ONE_EPS
+    one_m_q = 1.0 - q_int
+    q_ge_1 = q_int >= 1.0
+    u_clamp = _U_CLAMP_LO if q_ge_1 else 0.0
+    u_lo = _u_floor(q_int) if q_ge_1 else 0.0
+    z_edge = sqrt_(2.0 / one_m_q) if q_int < 1.0 else 0.0
+    s = cfg.l * (1.0 - cfg.epsilon)
+    tent = cfg.l == 2
+    folds = range(cfg.c)
+    zs: List[float] = []
+    u0s: List[float] = []
+    us: List[float] = []
+    for _ in range(n):
+        if gaussian:
+            u = exp_(-z * z * 0.5)
+        else:
+            a = 1.0 + one_m_q * (-z * z * 0.5)
+            u = exp_(log_(a) / one_m_q) if a > 0.0 else 0.0
+        if u < u_clamp:
+            u = u_clamp
+        u0s.append(u)
+        if tent:
+            for _ in folds:
+                u = 1.0 - abs(1.0 - s * u)
+        else:
+            for _ in folds:
+                y = s * u
+                k = int(y)
+                u = (k + 1) - y if k & 1 else y - k
+                if u < 0.0:
+                    u = 0.0
+                elif u > 1.0:
+                    u = 1.0
+        if u < u_lo:
+            u = u_lo
+        us.append(u)
+        if u == 0.0:
+            z = z_edge
+        elif gaussian:
+            z = sqrt_(-2.0 * log_(u))
+        else:
+            z = sqrt_(-2.0 * ((exp_(log_(u) * one_m_q) - 1.0) / one_m_q))
+        zs.append(z)
+    return zs, u0s, us
+
+
 def z_map(q_int: float, cfg: MapConfig, z: float) -> float:
     """One step of the conjugated radial map: z -> g(T_l^c(g_inv(z))).
 
@@ -250,19 +320,7 @@ def z_map(q_int: float, cfg: MapConfig, z: float) -> float:
                 "z=%r is outside the radial support [0, %r] for q_int=%r"
                 % (z, z_edge, q_int)
             )
-    u = q_exp(q_int, -z * z * 0.5)
-    if q_int >= 1.0 and u < _U_CLAMP_LO:
-        u = _U_CLAMP_LO
-    for _ in range(cfg.c):
-        u = tri_map(cfg.l, cfg.epsilon, u)
-    if q_int >= 1.0:
-        lo = _u_floor(q_int)
-        if u < lo:
-            u = lo
-        return math.sqrt(-2.0 * q_ln(q_int, u))
-    if u == 0.0:
-        return math.sqrt(2.0 / (1.0 - q_int))
-    return math.sqrt(-2.0 * q_ln(q_int, u))
+    return _radial_orbit(q_int, cfg, z, 1)[0][0]
 
 
 def z_map_derivative(q_int: float, z: float) -> float:

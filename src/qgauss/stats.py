@@ -39,7 +39,14 @@ from .generator import (
     init,
     make_spec,
 )
-from .maps import _U_CLAMP_LO, MapConfig, _u_floor, z_map
+from .maps import (
+    _ORBIT_BLOCK,
+    _U_CLAMP_LO,
+    MapConfig,
+    _radial_orbit,
+    _u_floor,
+    z_map,
+)
 from .specfun import _Q_ONE_EPS, q_ln
 
 __all__ = [
@@ -285,35 +292,37 @@ def lyapunov(
     c*log(l*(1 - epsilon)) + O(1/t) whatever the orbit does, and the
     analytic average is the same product with epsilon = 0.
 
-    The burn-in runs through maps.z_map, which validates z0 (z_map is
-    called once for that when burn_in < 1), and every z that z_map returns
-    is valid.  So the stepping loops inline the radial-map arithmetic of
-    z_map, z_map_derivative, tri_map, q_exp and q_ln with their exact
-    expression shapes, and test nothing per step beyond the skip rules.
-    The result matches the per-call composition of those functions bit for
-    bit (tests/lyapunov_reference.py keeps that composition).
+    One z_map call validates z0.  The burn-in and the chain-rule route
+    step through maps._radial_orbit, the one copy of the radial step, in
+    blocks of _ORBIT_BLOCK; the chain-rule route sums its terms over each
+    block's (z, u0, u_c) lists.  The analytic route keeps a fused loop
+    that inlines z_map, z_map_derivative, q_exp and q_ln with their exact
+    expression shapes, because its derivative reuses each step's u before
+    the clamp, which the kernel does not return.  Both routes match the
+    per-call composition of the public functions bit for bit
+    (tests/lyapunov_reference.py keeps that composition, and
+    test_matches_per_call_reference compares the two).
     """
     if not (isinstance(t, int) and t > 0):
         raise ValueError("t must be a positive integer, got %r" % (t,))
+    z_map(q_int, cfg, z0)
     z = z0
-    for _ in range(burn_in):
-        z = z_map(q_int, cfg, z)
-    if burn_in < 1:
-        z_map(q_int, cfg, z)
-    exp_ = math.exp
+    for lo in range(0, burn_in, _ORBIT_BLOCK):
+        z = _radial_orbit(q_int, cfg, z, min(_ORBIT_BLOCK, burn_in - lo))[0][-1]
     log_ = math.log
-    sqrt_ = math.sqrt
-    isfinite_ = math.isfinite
-    gaussian = abs(q_int - 1.0) < _Q_ONE_EPS
-    one_m_q = 1.0 - q_int
-    q_ge_1 = q_int >= 1.0
-    z_edge = math.sqrt(2.0 / one_m_q) if q_int < 1.0 else 0.0
-    u_clamp = _U_CLAMP_LO
-    u_lo = _u_floor(q_int) if q_ge_1 else 0.0
-    s = cfg.l * (1.0 - cfg.epsilon)
     acc = 0.0
     used = 0
     if cfg.l == 2 and cfg.c == 1:
+        exp_ = math.exp
+        sqrt_ = math.sqrt
+        isfinite_ = math.isfinite
+        gaussian = abs(q_int - 1.0) < _Q_ONE_EPS
+        one_m_q = 1.0 - q_int
+        q_ge_1 = q_int >= 1.0
+        z_edge = math.sqrt(2.0 / one_m_q) if q_int < 1.0 else 0.0
+        u_clamp = _U_CLAMP_LO
+        u_lo = _u_floor(q_int) if q_ge_1 else 0.0
+        s = cfg.l * (1.0 - cfg.epsilon)
         z_star = math.sqrt(-2.0 * q_ln(q_int, 0.5))
         scale = 2.0 ** (1.0 - q_int)
         for _ in range(t):
@@ -356,47 +365,19 @@ def lyapunov(
                 acc += log_(abs(d))
                 used += 1
     else:
-        log_slope = cfg.c * math.log(s)
-        tent = cfg.l == 2
-        fold_c = cfg.c
-        for _ in range(t):
-            if gaussian:
-                u0 = exp_(-z * z * 0.5)
-            else:
-                a = 1.0 + one_m_q * (-z * z * 0.5)
-                u0 = 0.0 if a <= 0.0 else exp_(log_(a) / one_m_q)
-            if q_ge_1 and u0 < u_clamp:
-                u0 = u_clamp
-            u = u0
-            if tent:
-                for _ in range(fold_c):
-                    u = 1.0 - abs(1.0 - s * u)
-            else:
-                for _ in range(fold_c):
-                    y = s * u
-                    k = int(y)
-                    u = (k + 1) - y if k & 1 else y - k
-                    if u < 0.0:
-                        u = 0.0
-                    elif u > 1.0:
-                        u = 1.0
-            if q_ge_1 and u < u_lo:
-                u = u_lo
-            if u == 0.0:
-                z_next = z_edge
-            elif gaussian:
-                z_next = sqrt_(-2.0 * log_(u))
-            else:
-                z_next = sqrt_(-2.0 * ((exp_(log_(u) * one_m_q) - 1.0) / one_m_q))
-            if u0 > 0.0 and u > 0.0 and z > 0.0 and z_next > 0.0:
-                acc += (
-                    log_slope
-                    + q_int * (log_(u0) - log_(u))
-                    + log_(z)
-                    - log_(z_next)
-                )
-                used += 1
-            z = z_next
+        log_slope = cfg.c * math.log(cfg.slope)
+        for lo in range(0, t, _ORBIT_BLOCK):
+            zs, u0s, us = _radial_orbit(q_int, cfg, z, min(_ORBIT_BLOCK, t - lo))
+            for z_next, u0, u in zip(zs, u0s, us):
+                if u0 > 0.0 and u > 0.0 and z > 0.0 and z_next > 0.0:
+                    acc += (
+                        log_slope
+                        + q_int * (log_(u0) - log_(u))
+                        + log_(z)
+                        - log_(z_next)
+                    )
+                    used += 1
+                z = z_next
     if used == 0:
         raise ArithmeticError("no usable steps in the Lyapunov average")
     return acc / used

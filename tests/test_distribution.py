@@ -6,6 +6,7 @@ incomplete beta and erfc in mpmath at 50 digits.
 """
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -200,20 +201,29 @@ class TestQuantile:
         for q in (-1.0, 0.5, 1.0, 2.5):
             assert quantile(q, 0.5) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("q_out, ps", [
-        *(pytest.param(q, ROUND_TRIP_P, id=repr(q))
-          for q in (-1.0, 0.2, 1.0, 1.8, 2.7)),
-        pytest.param(2.9, ROUND_TRIP_P[1:-1], id="2.9"),
-        *(pytest.param(2.9, (p,), id="2.9-%r" % p, marks=pytest.mark.xfail(
-            strict=True,
-            reason="stdtrit saturates near |x| = 1.54e153 at q'=2.9, so p "
-                   "or 1-p below about 3.9e-9 misses by the order of p"))
-          for p in (ROUND_TRIP_P[0], ROUND_TRIP_P[-1])),
-    ])
-    def test_round_trip(self, q_out, ps):
-        for p in ps:
+    @pytest.mark.parametrize("q_out", [-1.0, 0.2, 1.0, 1.8, 2.7, 2.9])
+    def test_round_trip(self, q_out):
+        for p in ROUND_TRIP_P:
             x = quantile(q_out, p)
             assert cdf(q_out, x) == pytest.approx(p, abs=1e-12), p
+
+    @pytest.mark.parametrize("q_out", [1.5, 2.95, 2.99])
+    def test_deep_tail_round_trip(self, q_out):
+        """The tail mass beyond the quantile is min(p, 1-p) to 1e-12
+        relative, down to p = 1e-299; the result is infinite exactly where
+        mpmath puts the quantile past the largest double."""
+        beyond = _mp_upper(q_out, sys.float_info.max)
+        lower = (0.3, 0.05, 1e-3, 1e-6, 1e-12, 1e-30, 1e-100, 1e-200, 1e-299)
+        upper = (1.0 - 0.05, 1.0 - 1e-6, 1.0 - 1e-12)
+        for p in lower + upper:
+            x = quantile(q_out, p)
+            tail = min(p, 1.0 - p)
+            if beyond > tail:
+                assert x == math.copysign(math.inf, p - 0.5), p
+                continue
+            assert math.isfinite(x), p
+            got = cdf(q_out, x) if p < 0.5 else ccdf(q_out, x)
+            assert got == pytest.approx(tail, rel=1e-12, abs=0.0), p
 
     def test_compact_support_respected(self):
         lo, hi = support(0.0)

@@ -24,7 +24,7 @@ from qgauss.generator import (
     make_spec,
     step,
 )
-from qgauss.maps import MapConfig
+from qgauss.maps import MapConfig, z_map
 
 REF_CFG = MapConfig()  # d=8, l=2, c=1: the only configuration the C code has
 
@@ -136,6 +136,43 @@ class TestStateAndStep:
         assert meta["d"] == 8
         assert meta["count"] == 10
         assert meta["method"] == "chaotic"
+
+
+class TestRadialBits:
+    """generate/step and z_map step the radius through one loop; these
+    hold them to the same bits, including just below q_int = 1, where the
+    Gaussian branch of q_ln and q_exp takes over."""
+
+    @pytest.mark.parametrize("q_out", [-1.0, 0.5, 1.0 - 5e-13, 1.0,
+                                       1.0 + 5e-13, 1.5, 2.9])
+    @pytest.mark.parametrize("d,l,c", [(8, 2, 1), (6, 2, 6), (8, 3, 1)])
+    def test_state_z_matches_z_map(self, q_out, d, l, c):
+        spec = make_spec(q_out)
+        cfg = MapConfig(d=d, l=l, c=c)
+        stepped = init(spec, cfg, v0=0.1, z0=0.9)
+        z = 0.9
+        pairs = []
+        for i in range(2000):
+            pairs.append(step(stepped))
+            z = z_map(spec.q_int, cfg, z)
+            assert stepped.z == z, i
+        batch = generate(init(spec, cfg, v0=0.1, z0=0.9), 2000)
+        assert list(zip(batch.xi, batch.eta)) == pairs
+
+    @pytest.mark.parametrize("q_out", [0.5, 1.5])
+    def test_generate_is_split_invariant(self, q_out):
+        """Calls of any size, across radial blocks, give the orbit step()
+        gives one pair at a time."""
+        states = [init(make_spec(q_out), MapConfig(c=3), v0=0.3, z0=0.6)
+                  for _ in range(3)]
+        singles = [step(states[0]) for _ in range(9000)]
+        whole = generate(states[1], 9000)
+        pieces = [generate(states[2], n) for n in (1, 4095, 0, 4097, 807)]
+        assert list(zip(whole.xi, whole.eta)) == singles
+        xi = np.concatenate([b.xi for b in pieces])
+        eta = np.concatenate([b.eta for b in pieces])
+        assert list(zip(xi, eta)) == singles
+        assert len({(s.w, s.v, s.z, s.steps) for s in states}) == 1
 
 
 class TestGbmm:

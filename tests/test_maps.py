@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgauss.maps import (
+    _U_CLAMP_LO,
     CirclePoint,
     MapConfig,
     chebyshev_pair,
+    _u_floor,
     tri_map,
     z_map,
     z_map_derivative,
@@ -137,14 +139,27 @@ class TestZMap:
         assert chi2 < 43.8, f"chi2={chi2:.1f} for q_int={q_int}"
 
     def test_folds_compose(self):
-        """c folds per step equals applying the c=1 update to u c times."""
-        q_int, z = 1.4, 0.9
-        cfg6 = MapConfig(d=6, l=2, c=6)
-        u = q_exp(q_int, -0.5 * z * z)
-        for _ in range(6):
-            u = tri_map(2, cfg6.epsilon, u)
-        want = math.sqrt(-2.0 * q_ln(q_int, u))
-        assert z_map(q_int, cfg6, z) == pytest.approx(want, rel=1e-12)
+        """One step is q_exp, the u clamp, c folds, the u floor and q_ln
+        composed, bit for bit along whole orbits; that includes q_int just
+        below and above 1, where q_exp and q_ln take the Gaussian branch."""
+        for q_int in (0.0, 0.6, 1.0 - 5e-13, 1.0, 1.0 + 5e-13, 1.4, 39.0):
+            for l, c in ((2, 1), (2, 6), (3, 1)):
+                cfg = MapConfig(l=l, c=c)
+                z = 0.9
+                for i in range(2000):
+                    u = q_exp(q_int, -z * z * 0.5)
+                    if q_int >= 1.0:
+                        u = max(u, _U_CLAMP_LO)
+                    for _ in range(c):
+                        u = tri_map(l, cfg.epsilon, u)
+                    if q_int >= 1.0:
+                        u = max(u, _u_floor(q_int))
+                    if u == 0.0:
+                        want = math.sqrt(2.0 / (1.0 - q_int))
+                    else:
+                        want = math.sqrt(-2.0 * q_ln(q_int, u))
+                    z = z_map(q_int, cfg, z)
+                    assert z == want, (q_int, l, c, i)
 
 
 class TestZMapDerivative:
