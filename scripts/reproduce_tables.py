@@ -4,8 +4,9 @@
 Defaults match the acceptance protocol: 100 trials of 10,000 samples per
 deformation value, 999 null replicates, master seed 20260839.  Table one uses
 the degree-8 single-fold configuration, table two the degree-6 six-fold one.
-Expect a few minutes per table on one core; pass --trials/--count to shrink
-the protocol for a quick look.
+Expect about half a minute per table on one core, nearly all of it spent
+generating 1.1e7 pairs; pass --trials/--count to shrink the protocol for a
+quick look.
 """
 
 import argparse

@@ -247,10 +247,9 @@ def gbmm_generate(spec: QSpec, stream: "UniformStream", n: int) -> SampleBatch:
     seed_state = stream.state
     xi = np.empty(n)
     eta = np.empty(n)
+    u = stream.take(2 * n).tolist()
     for i in range(n):
-        u1 = stream.next_float()
-        u2 = stream.next_float()
-        x, y = gbmm_sample(spec, u1, u2)
+        x, y = gbmm_sample(spec, u[2 * i], u[2 * i + 1])
         xi[i] = x
         eta[i] = y
     return SampleBatch(
@@ -277,9 +276,16 @@ def _mix64(x: int) -> int:
 class UniformStream:
     """Deterministic uniform(0,1) stream (SplitMix64).
 
-    next_float maps the top 53 bits of each 64-bit word to the open
-    interval (0, 1): ((word >> 11) + 0.5) * 2**-53, so 0.0 and 1.0 are
-    never produced.  Used for trial seeding, the transform sampler, and
+    The stream is counter-based: from seed s0 (reduced mod 2**64), word k
+    (k = 1, 2, ...) is mix64(s0 + k*gamma mod 2**64), and after n words
+    the state is s0 + n*gamma mod 2**64.  So take(n) computes a whole
+    block in one array expression, with the same bits as n next_float
+    calls.
+
+    next_float maps the top 53 bits m = word >> 11 of each word to
+    (m + 0.5) * 2**-53, rounded to double, so 0.0 is never produced.  For
+    m >= 2**52 the sum rounds to even, and the one word with m = 2**53 - 1
+    gives exactly 1.0.  Used for trial seeding, the transform sampler, and
     the Monte Carlo null draws.
     """
 
@@ -302,12 +308,25 @@ class UniformStream:
         return ((self.next_uint64() >> 11) + 0.5) * _TWO_NEG53
 
     def take(self, n: int) -> np.ndarray:
-        """Draw n floats as an array (same values as n next_float calls)."""
-        out = np.empty(n)
-        nf = self.next_float
-        for i in range(n):
-            out[i] = nf()
-        return out
+        """Draw n floats as an array: the same bits as n next_float calls.
+
+        Words 1..n are mixed at once in numpy uint64, whose multiply and add
+        wrap mod 2**64 as the masked Python arithmetic does; word >> 11 fits
+        in 53 bits, so the conversion to float64 is exact and the final
+        (+ 0.5) * 2**-53 is the same IEEE operation next_float performs.
+        """
+        if not (isinstance(n, int) and n >= 0):
+            raise ValueError("n must be a non-negative integer, got %r" % (n,))
+        x = np.arange(1, n + 1, dtype=np.uint64)
+        x *= np.uint64(_SM_GAMMA)
+        x += np.uint64(self._s)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(_SM_MIX1)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(_SM_MIX2)
+        x ^= x >> np.uint64(31)
+        self._s = (self._s + n * _SM_GAMMA) & _MASK64
+        return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
 
 
 def derive_seed(master: int, *indices: int) -> int:

@@ -23,6 +23,7 @@ rule the acceptance tables use.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -127,17 +128,24 @@ def sup_weighted_statistic(
     return ks if weight == "one" else ad
 
 
-# (M, n_null, seed) -> (ks_nulls, ad_nulls); built once per process.
-_NULL_CACHE: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
+# Nulls kept per process.  Each caller needs only its latest few (a table
+# or a gof request looks one up once or twice), and a long-running process
+# that scores against fresh null seeds must not keep every null it built.
+_NULL_CACHE_SIZE = 8
 
 
+@functools.lru_cache(maxsize=_NULL_CACHE_SIZE)
 def _null_statistics(
     M: int, n_null: int, seed: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    key = (M, n_null, seed)
-    hit = _NULL_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Probability-space null: (KS, tail-weighted) statistics of n_null replicates.
+
+    Replicate j scores the sorted uniforms take(M) against the identity
+    cdf, drawn from one UniformStream(seed) in replicate order, so the
+    result is a pure function of (M, n_null, seed).  The most recently
+    used _NULL_CACHE_SIZE results are memoized; callers must not modify the
+    returned arrays.
+    """
     stream = UniformStream(seed)
     ks = np.empty(n_null)
     ad = np.empty(n_null)
@@ -145,15 +153,10 @@ def _null_statistics(
         u = stream.take(M)
         u.sort()
         ks[j], ad[j] = _both_statistics(u)
-    _NULL_CACHE[key] = (ks, ad)
     return ks, ad
 
 
-_LITERAL_CACHE: Dict[
-    Tuple[float, int, int, int], Tuple[np.ndarray, np.ndarray]
-] = {}
-
-
+@functools.lru_cache(maxsize=_NULL_CACHE_SIZE)
 def _literal_null_statistics(
     q_out: float, M: int, n_null: int, seed: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -162,12 +165,8 @@ def _literal_null_statistics(
     Consumes the uniform stream in the same order as the probability-space
     route, so the two null sets correspond replicate for replicate.  Slower
     than that route (one scalar quantile call per draw); intended for
-    validation at small M.
+    validation at small M.  Memoized like _null_statistics.
     """
-    key = (q_out, M, n_null, seed)
-    hit = _LITERAL_CACHE.get(key)
-    if hit is not None:
-        return hit
     stream = UniformStream(seed)
     ks = np.empty(n_null)
     ad = np.empty(n_null)
@@ -177,7 +176,6 @@ def _literal_null_statistics(
         x = np.array([distribution.quantile(q_out, t) for t in u])
         F = distribution.cdf_array(q_out, x)
         ks[j], ad[j] = _both_statistics(F)
-    _LITERAL_CACHE[key] = (ks, ad)
     return ks, ad
 
 
@@ -448,11 +446,11 @@ def _trial_start(
 
 
 def _table_row(
-    args: Tuple[float, int, MapConfig, int, int, int, int, int, str]
+    args: Tuple[float, int, MapConfig, int, int, int, np.ndarray, np.ndarray, str]
 ) -> TrialRow:
-    q_out, iq, cfg, trials, samples, master_seed, n_null, null_seed, arr = args
+    q_out, iq, cfg, trials, samples, master_seed, ks_null, ad_null, arr = args
+    n_null = ks_null.size
     spec = make_spec(q_out)
-    ks_null, ad_null = _null_statistics(samples, n_null, null_seed)
     p_ks: List[float] = []
     p_ad: List[float] = []
     for trial in range(trials):
@@ -496,8 +494,10 @@ def run_trial_table(
         raise ValueError("trials must be a positive integer, got %r" % (trials,))
     if not (isinstance(samples, int) and samples > 0):
         raise ValueError("samples must be a positive integer, got %r" % (samples,))
+    # One null for every row, built here so pool workers do not rebuild it.
+    ks_null, ad_null = _null_statistics(samples, n_null, null_seed)
     tasks = [
-        (float(q), iq, cfg, trials, samples, master_seed, n_null, null_seed,
+        (float(q), iq, cfg, trials, samples, master_seed, ks_null, ad_null,
          arrangement)
         for iq, q in enumerate(q_list)
     ]

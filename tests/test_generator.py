@@ -206,6 +206,17 @@ class TestGbmm:
         b2 = gbmm_generate(spec, UniformStream(99), 500)
         assert np.array_equal(b1.xi, b2.xi)
 
+    def test_generate_matches_per_draw_loop(self):
+        """One take(2n) block, consumed as (u1, u2) pairs in stream order."""
+        spec = make_spec(1.6)
+        stream, ref = UniformStream(99), UniformStream(99)
+        batch = gbmm_generate(spec, stream, 777)
+        pairs = [gbmm_sample(spec, ref.next_float(), ref.next_float())
+                 for _ in range(777)]
+        assert batch.xi.tobytes() == np.array([p[0] for p in pairs]).tobytes()
+        assert batch.eta.tobytes() == np.array([p[1] for p in pairs]).tobytes()
+        assert stream.state == ref.state
+
     def test_compact_sample_respects_support(self):
         q_out = -0.9
         hi = support(q_out)[1]
@@ -224,6 +235,41 @@ class TestUniformStream:
         arr = s1.take(64)
         singles = [s2.next_float() for _ in range(64)]
         assert list(arr) == singles
+
+    @staticmethod
+    def _singles(seed, n):
+        stream = UniformStream(seed)
+        return np.array([stream.next_float() for _ in range(n)]), stream.state
+
+    def test_take_matches_next_float_over_a_million_words(self):
+        stream = UniformStream(20260839)
+        arr = stream.take(10 ** 6)
+        singles, state = self._singles(20260839, 10 ** 6)
+        assert arr.tobytes() == singles.tobytes()
+        assert stream.state == state
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1, 2 ** 64 - 3, -7])
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_take_matches_next_float_at_edges(self, seed, n):
+        """n = 0 and 1, and seeds whose first counter wraps past 2**64."""
+        stream = UniformStream(seed)
+        arr = stream.take(n)
+        singles, state = self._singles(seed, n)
+        assert arr.dtype == np.float64 and arr.shape == (n,)
+        assert arr.tobytes() == singles.tobytes()
+        assert stream.state == state
+
+    @pytest.mark.parametrize("a, b", [(0, 5), (1, 1), (3, 997), (4096, 1)])
+    def test_split_takes_equal_one_take(self, a, b):
+        s1, s2 = UniformStream(2 ** 64 - 3), UniformStream(2 ** 64 - 3)
+        split = np.concatenate([s1.take(a), s1.take(b)])
+        assert split.tobytes() == s2.take(a + b).tobytes()
+        assert s1.state == s2.state
+
+    def test_take_rejects_bad_counts(self):
+        for n in (-1, 2.0, None):
+            with pytest.raises(ValueError):
+                UniformStream(1).take(n)
 
     def test_open_interval(self):
         u = UniformStream(0).take(10 ** 5)

@@ -7,11 +7,18 @@ import numpy as np
 import pytest
 import scipy.stats as spstats
 from lyapunov_reference import reference_lyapunov
+from null_reference import (
+    reference_literal_null_statistics,
+    reference_null_statistics,
+)
 
 from qgauss.generator import UniformStream, generate, init, make_spec
 from qgauss.maps import MapConfig
 from qgauss.stats import (
+    _NULL_CACHE_SIZE,
     DEFAULT_NULL_SEED,
+    _literal_null_statistics,
+    _null_statistics,
     autocorrelation,
     gof_test,
     lyapunov,
@@ -88,7 +95,6 @@ class TestMcPValue:
     def test_median_statistic_near_half(self):
         spec = make_spec(1.5)
         # draw one replicate and use its own null median as observed
-        from qgauss.stats import _null_statistics
         ks_null, _ = _null_statistics(100, 499, DEFAULT_NULL_SEED)
         observed = float(np.median(ks_null))
         p = mc_p_value(spec, 100, observed, n_null=499)
@@ -124,6 +130,47 @@ class TestMcPValue:
             pvals.append(mc_p_value(spec, 100, stat, n_null=499))
         p = spstats.kstest(pvals, "uniform").pvalue
         assert p > 0.01
+
+
+class TestNullStatistics:
+    @pytest.mark.parametrize("M, n_null, seed", [
+        (1, 7, 3), (50, 99, 5), (317, 41, 2 ** 64 - 1), (1000, 13, -7),
+    ])
+    def test_matches_per_word_reference(self, M, n_null, seed):
+        ks, ad = _null_statistics(M, n_null, seed)
+        ks_ref, ad_ref = reference_null_statistics(M, n_null, seed)
+        assert ks.tobytes() == ks_ref.tobytes()
+        assert ad.tobytes() == ad_ref.tobytes()
+
+    @pytest.mark.parametrize("q_out, M, n_null, seed", [
+        (-0.5, 37, 11, 9), (1.0, 60, 7, 2 ** 64 - 3), (1.5, 37, 11, 9),
+    ])
+    def test_literal_matches_per_word_reference(self, q_out, M, n_null, seed):
+        ks, ad = _literal_null_statistics(q_out, M, n_null, seed)
+        ks_ref, ad_ref = reference_literal_null_statistics(q_out, M, n_null, seed)
+        assert ks.tobytes() == ks_ref.tobytes()
+        assert ad.tobytes() == ad_ref.tobytes()
+
+    def test_memo_is_bounded(self):
+        """A process scoring against fresh null seeds keeps only the latest
+        _NULL_CACHE_SIZE nulls, and a repeated lookup returns the same arrays."""
+        first = _null_statistics(20, 5, 1000)
+        assert _null_statistics(20, 5, 1000) is first
+        for seed in range(1001, 1001 + 3 * _NULL_CACHE_SIZE):
+            _null_statistics(20, 5, seed)
+        assert _null_statistics.cache_info().currsize == _NULL_CACHE_SIZE
+        again = _null_statistics(20, 5, 1000)
+        assert again is not first
+        assert again[0].tobytes() == first[0].tobytes()
+
+    @pytest.mark.parametrize("M", [100, 10 ** 4])
+    def test_ks_null_follows_kolmogorov_law(self, M):
+        """The Monte Carlo KS null against the exact finite-M law
+        (scipy.stats.kstwo; Marsaglia, Tsang & Wang 2003), so a broken
+        null cannot hide behind its own memoization."""
+        ks_null, _ = _null_statistics(M, 999, DEFAULT_NULL_SEED)
+        p = spstats.kstest(ks_null / math.sqrt(M), spstats.kstwo(M).cdf).pvalue
+        assert p > 0.001
 
 
 class TestGofTest:
