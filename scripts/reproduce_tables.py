@@ -4,9 +4,11 @@
 Defaults match the acceptance protocol: 100 trials of 10,000 samples per
 deformation value, 999 null replicates, master seed 20260839.  Table one uses
 the degree-8 single-fold configuration, table two the degree-6 six-fold one.
-Expect about half a minute per table on one core, nearly all of it spent
-generating 1.1e7 pairs; pass --trials/--count to shrink the protocol for a
-quick look.
+Expect about 5 s per table on one core with the compiled orbit (see the
+README's Determinism section), most of it spent evaluating the model cdf
+of 1.1e7 samples, and about half a minute per table where the generator
+falls back to its Python loop; pass --trials/--count to shrink the
+protocol for a quick look.
 """
 
 import argparse

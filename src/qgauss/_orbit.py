@@ -1,0 +1,163 @@
+"""Build, cache and call the compiled orbit (_orbit.c) through ctypes.
+
+The library is compiled on first use, not at import and not at install
+time, because the tests and the benchmark import the package from src/
+without installing it.  The system `cc` builds it into a per-user cache,
+$XDG_CACHE_HOME/qgauss (default ~/.cache/qgauss, mode 0700), under a name
+keyed by a sha256 of the source and the compiler command, so an edited
+source or changed flags never load a stale build.  Each process compiles
+into its own temporary file and renames it into place with os.replace, so
+processes that start together race only to write identical bytes.
+
+kernel() returns None, and never raises, when no compiler runs, the
+compile fails or the cache directory is unusable; the generator then runs
+its Python loop, which gives the same bytes.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import stat
+import subprocess
+import tempfile
+from pathlib import Path
+from typing import Optional, Tuple
+
+import numpy as np
+
+from .maps import _RadialParams
+
+_SOURCE = Path(__file__).with_name("_orbit.c")
+
+# -ffp-contract=off keeps every product and sum separately rounded, as in
+# Python; a fused multiply-add changes the orbit's bits.
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+_C_INT64_MAX = 2 ** 63 - 1
+
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+
+def cache_dir() -> Path:
+    """$XDG_CACHE_HOME/qgauss, or ~/.cache/qgauss when it is unset or relative."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "qgauss"
+
+
+def _private_dir(path: Path) -> bool:
+    """Create path (mode 0700) if needed; True if it is a directory of
+    ours that no other user can write, so a library loaded from it is one
+    this user built."""
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except OSError:
+        return False
+    return (
+        stat.S_ISDIR(st.st_mode)
+        and st.st_uid == os.getuid()
+        and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    )
+
+
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    fn = lib.qgauss_orbit
+    fn.argtypes = [
+        ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int64,
+        ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+        ctypes.c_double, ctypes.c_double,
+        _DOUBLE_P, ctypes.c_int64, _DOUBLE_P, _DOUBLE_P,
+    ]
+    fn.restype = None
+    return lib
+
+
+def build(directory: Path, cc: str = "cc") -> Optional[ctypes.CDLL]:
+    """Load the library from directory, compiling it there with cc first
+    if no build of this source and these flags is cached; None on failure."""
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError:
+        return None
+    command = (cc, *_FLAGS)
+    key = hashlib.sha256(source + b"\0" + "\0".join(command).encode()).hexdigest()
+    target = directory / ("orbit-%s.so" % key[:32])
+    if not _private_dir(directory):
+        return None
+    if not target.is_file():
+        try:
+            fd, tmp = tempfile.mkstemp(prefix=".orbit-", suffix=".so", dir=directory)
+        except OSError:
+            return None
+        os.close(fd)
+        try:
+            done = subprocess.run(
+                [*command, "-x", "c", "-", "-o", tmp, "-lm"],
+                input=source, capture_output=True, timeout=120,
+            )
+            if done.returncode != 0:
+                return None
+            os.replace(tmp, target)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    try:
+        return _declare(ctypes.CDLL(str(target)))
+    except (OSError, AttributeError):
+        return None
+
+
+@functools.cache
+def kernel() -> Optional[ctypes.CDLL]:
+    """The compiled orbit for this process, built on the first call; None
+    when it cannot be built or loaded here."""
+    return build(cache_dir())
+
+
+def _out_array(name: str, a: np.ndarray, n: int) -> None:
+    if not (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.shape == (n,)
+        and a.flags.c_contiguous
+        and a.flags.writeable
+    ):
+        raise ValueError(
+            "%s must be a writeable C-contiguous float64 array of shape (%d,)"
+            % (name, n)
+        )
+
+
+def orbit(
+    lib: ctypes.CDLL,
+    d: int,
+    radial: _RadialParams,
+    radius_tol: float,
+    wvz: Tuple[float, float, float],
+    n: int,
+    xi: np.ndarray,
+    eta: np.ndarray,
+) -> Tuple[float, float, float]:
+    """Run n steps from wvz = (w, v, z) in C, filling xi and eta; returns
+    the end (w, v, z).  Checks every argument the C loop trusts."""
+    if not (isinstance(d, int) and 2 <= d <= 8):
+        raise ValueError("d must be an integer in 2..8, got %r" % (d,))
+    if not (isinstance(radial.c, int) and 1 <= radial.c <= _C_INT64_MAX):
+        raise ValueError("c must be an integer in 1..2**63-1, got %r" % (radial.c,))
+    if not (isinstance(n, int) and 0 <= n <= _C_INT64_MAX):
+        raise ValueError("n must be a non-negative integer, got %r" % (n,))
+    _out_array("xi", xi, n)
+    _out_array("eta", eta, n)
+    state = (ctypes.c_double * 3)(*wvz)
+    lib.qgauss_orbit(
+        d, *radial, radius_tol, state, n,
+        xi.ctypes.data_as(_DOUBLE_P), eta.ctypes.data_as(_DOUBLE_P),
+    )
+    return state[0], state[1], state[2]

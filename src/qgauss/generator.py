@@ -5,13 +5,19 @@ unit circle advanced by the degree-d polynomial pair, and a radial value z
 advanced by the conjugated fold map.  Each step emits the pair
 (xi, eta) = (w*z, v*z), whose marginals converge to the q_out family member.
 
-Bit discipline: generate() and step() share one loop (_run).  It steps the
-circle with the raw maps.chebyshev_pair expressions and the radius through
-maps._radial_orbit, the loop maps.z_map takes one step of.  The circle
-point is renormalized only when its squared radius drifts more than 1e-10
-from 1, which keeps short orbits bit-identical to the unrenormalized
-reference recursion while holding the invariant over long runs; the
-renormalization happens before the step's outputs are formed.
+Bit discipline: generate() and step() share one entry point (_run).  It
+runs the compiled orbit of _orbit.c, built with the system C compiler on
+the first call and cached per user (see qgauss._orbit), or, where that
+cannot be built, _run_python, which gives the same bytes and is the
+compiled orbit's test oracle.  Both step the circle with the raw
+maps.chebyshev_pair expressions and the radius with the expression shapes
+of maps._radial_orbit, the loop maps.z_map takes one step of, with its
+constants from maps._radial_params.  The circle point is renormalized
+only when its squared radius drifts more than 1e-10 from 1, which keeps
+short orbits bit-identical to the unrenormalized reference recursion
+while holding the invariant over long runs; the renormalization happens
+before the step's outputs are formed.  SampleBatch.metadata() names the
+loop that ran ("kernel": "c" or "python").
 
 The transform sampler (gbmm_sample) is the independent route used for
 cross-validation: two uniforms in, one (x, y) pair out, no state.
@@ -25,7 +31,15 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .maps import _CHEB, _ORBIT_BLOCK, MapConfig, _radial_orbit, _u_floor
+from . import _orbit
+from .maps import (
+    _CHEB,
+    _ORBIT_BLOCK,
+    MapConfig,
+    _radial_orbit,
+    _radial_params,
+    _u_floor,
+)
 from .specfun import q_ln
 
 __all__ = [
@@ -119,18 +133,17 @@ def init(
     )
 
 
-def _run(
+def _run_python(
     state: GeneratorState, n: int, xi_out: np.ndarray, eta_out: np.ndarray
 ) -> None:
-    """Advance the orbit n steps, filling xi_out/eta_out in place.
+    """The orbit loop in Python: the fallback for _run and its test oracle.
 
-    step() and generate() both call this.  It steps the circle point with
-    the raw maps.chebyshev_pair expressions and writes (w, v) into the
-    outputs; the radial values come from maps._radial_orbit, the one copy
-    of the radial step, in blocks of _ORBIT_BLOCK, and multiply the
-    outputs in place.  numpy's float64 product is the IEEE product, so
-    each output is the same bits as w*z formed in Python, and
-    tests/test_generator.py holds state.z to z_map at every step.
+    It steps the circle point with the raw maps.chebyshev_pair expressions
+    and writes (w, v) into the outputs; the radial values come from
+    maps._radial_orbit, the one Python copy of the radial step, in blocks
+    of _ORBIT_BLOCK, and multiply the outputs in place.  numpy's float64
+    product is the IEEE product, so each output is the same bits as w*z
+    formed in Python.
     """
     w = state.w
     v = state.v
@@ -160,6 +173,30 @@ def _run(
     state.steps += n
 
 
+def _run(
+    state: GeneratorState, n: int, xi_out: np.ndarray, eta_out: np.ndarray
+) -> str:
+    """Advance the orbit n steps, filling xi_out/eta_out (shape (n,)) in
+    place; returns the loop that ran, "c" or "python".
+
+    step() and generate() both call this.  The compiled orbit (_orbit.c,
+    built on the first call) runs when it can be built here, and
+    _run_python otherwise; the two give the same bytes, which
+    tests/test_generator.py checks, as it holds state.z to z_map at every
+    step.
+    """
+    lib = _orbit.kernel()
+    if lib is None:
+        _run_python(state, n, xi_out, eta_out)
+        return "python"
+    state.w, state.v, state.z = _orbit.orbit(
+        lib, state.cfg.d, _radial_params(state.spec.q_int, state.cfg),
+        _RADIUS_TOL, (state.w, state.v, state.z), n, xi_out, eta_out,
+    )
+    state.steps += n
+    return "c"
+
+
 def step(state: GeneratorState) -> Tuple[float, float]:
     """Advance one step and return the output pair (xi, eta)."""
     xi = np.empty(1)
@@ -178,6 +215,7 @@ class SampleBatch:
     cfg: MapConfig
     method: str
     seed_info: Dict[str, object] = field(default_factory=dict)
+    kernel: str = "python"  # the loop that produced it: "c" or "python"
 
     @property
     def count(self) -> int:
@@ -187,6 +225,7 @@ class SampleBatch:
         """JSON-ready regeneration record."""
         return {
             "method": self.method,
+            "kernel": self.kernel,
             "count": self.count,
             "q_out": self.spec.q_out,
             "q_int": self.spec.q_int,
@@ -211,10 +250,10 @@ def generate(state: GeneratorState, n: int) -> SampleBatch:
         "w0_sign": state.w0_sign,
         "skipped_steps": state.steps,
     }
-    _run(state, n, xi, eta)
+    kernel = _run(state, n, xi, eta)
     return SampleBatch(
         xi=xi, eta=eta, spec=state.spec, cfg=state.cfg,
-        method="chaotic", seed_info=seed_info,
+        method="chaotic", seed_info=seed_info, kernel=kernel,
     )
 
 
@@ -264,6 +303,9 @@ _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MIX1 = 0xBF58476D1CE4E5B9
 _SM_MIX2 = 0x94D049BB133111EB
 _TWO_NEG53 = 2.0 ** -53
+# Largest uniform: (m + 0.5) * 2**-53 rounds to 1.0 for m = 2**53 - 1 only,
+# and that one word is clamped here instead.
+_U_MAX = 1.0 - _TWO_NEG53
 
 
 def _mix64(x: int) -> int:
@@ -284,9 +326,10 @@ class UniformStream:
 
     next_float maps the top 53 bits m = word >> 11 of each word to
     (m + 0.5) * 2**-53, rounded to double, so 0.0 is never produced.  For
-    m >= 2**52 the sum rounds to even, and the one word with m = 2**53 - 1
-    gives exactly 1.0.  Used for trial seeding, the transform sampler, and
-    the Monte Carlo null draws.
+    m >= 2**52 the sum rounds to even; the one word with m = 2**53 - 1
+    would give exactly 1.0 and is clamped to 1 - 2**-53, so every draw lies
+    in the open interval (0, 1).  Used for trial seeding, the transform
+    sampler, and the Monte Carlo null draws.
     """
 
     __slots__ = ("_s",)
@@ -305,7 +348,7 @@ class UniformStream:
         return _mix64(self._s)
 
     def next_float(self) -> float:
-        return ((self.next_uint64() >> 11) + 0.5) * _TWO_NEG53
+        return min(((self.next_uint64() >> 11) + 0.5) * _TWO_NEG53, _U_MAX)
 
     def take(self, n: int) -> np.ndarray:
         """Draw n floats as an array: the same bits as n next_float calls.
@@ -313,7 +356,8 @@ class UniformStream:
         Words 1..n are mixed at once in numpy uint64, whose multiply and add
         wrap mod 2**64 as the masked Python arithmetic does; word >> 11 fits
         in 53 bits, so the conversion to float64 is exact and the final
-        (+ 0.5) * 2**-53 is the same IEEE operation next_float performs.
+        (+ 0.5) * 2**-53 and the clamp at 1 - 2**-53 are the same IEEE
+        operations next_float performs.
         """
         if not (isinstance(n, int) and n >= 0):
             raise ValueError("n must be a non-negative integer, got %r" % (n,))
@@ -326,7 +370,8 @@ class UniformStream:
         x *= np.uint64(_SM_MIX2)
         x ^= x >> np.uint64(31)
         self._s = (self._s + n * _SM_GAMMA) & _MASK64
-        return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
+        u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
+        return np.minimum(u, _U_MAX, out=u)
 
 
 def derive_seed(master: int, *indices: int) -> int:

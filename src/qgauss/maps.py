@@ -14,15 +14,18 @@ Three layers:
   acting on the radial coordinate z.  Its orbit distributes z like the
   radial part of a two dimensional deformed Gaussian.
 
-The radial step is written once, in the private loop _radial_orbit, with
-the expression shapes of q_exp, tri_map and q_ln.  z_map is its argument
-checks plus one step of that loop; the generator (generator._run) and the
-chain-rule Lyapunov route (stats.lyapunov) step whole orbits through it.
-Only the analytic Lyapunov route keeps a fused copy, because its
-derivative reuses each step's u.  The tests hold every caller to the same
-bits: generate/step against z_map step by step (tests/test_generator.py),
-and lyapunov against the per-call composition of the public functions
-(tests/lyapunov_reference.py).
+The radial step is written once in Python, in the private loop
+_radial_orbit, with the expression shapes of q_exp, tri_map and q_ln, and
+its constants come from _radial_params.  z_map is its argument checks plus
+one step of that loop; the chain-rule Lyapunov route (stats.lyapunov) and
+the generator's Python fallback (generator._run_python) step whole orbits
+through it.  The generator's compiled orbit (_orbit.c) repeats the same
+expressions in C, with the constants _radial_params gives it.  Only the
+analytic Lyapunov route keeps a fused copy, because its derivative reuses
+each step's u.  The tests hold every caller to the same bits:
+generate/step against z_map step by step and the compiled orbit against
+_run_python (tests/test_generator.py), and lyapunov against the per-call
+composition of the public functions (tests/lyapunov_reference.py).
 """
 
 from __future__ import annotations
@@ -241,6 +244,36 @@ def _u_floor(q_int: float) -> float:
 _ORBIT_BLOCK = 4096
 
 
+class _RadialParams(NamedTuple):
+    """Constants of the radial step for one (q_int, cfg), in the order the
+    compiled orbit (_orbit.c) takes them after d."""
+
+    gaussian: bool   # |q_int - 1| < _Q_ONE_EPS: the exp/log limit branch
+    tent: bool       # l == 2: the single-expression tent fold
+    c: int           # folds per step
+    one_m_q: float   # 1 - q_int
+    u_clamp: float   # lower clamp on the fold input (0 for q_int < 1)
+    u_lo: float      # floor on the fold output, _u_floor (0 for q_int < 1)
+    z_edge: float    # support edge sqrt(2/(1 - q_int)) (0 for q_int >= 1)
+    s: float         # fold slope l*(1 - epsilon)
+
+
+def _radial_params(q_int: float, cfg: MapConfig) -> _RadialParams:
+    """The constants _radial_orbit and the compiled orbit both step with."""
+    one_m_q = 1.0 - q_int
+    q_ge_1 = q_int >= 1.0
+    return _RadialParams(
+        gaussian=abs(q_int - 1.0) < _Q_ONE_EPS,
+        tent=cfg.l == 2,
+        c=cfg.c,
+        one_m_q=one_m_q,
+        u_clamp=_U_CLAMP_LO if q_ge_1 else 0.0,
+        u_lo=_u_floor(q_int) if q_ge_1 else 0.0,
+        z_edge=math.sqrt(2.0 / one_m_q) if q_int < 1.0 else 0.0,
+        s=cfg.l * (1.0 - cfg.epsilon),
+    )
+
+
 def _radial_orbit(
     q_int: float, cfg: MapConfig, z: float, n: int
 ) -> Tuple[List[float], List[float], List[float]]:
@@ -255,15 +288,8 @@ def _radial_orbit(
     exp_ = math.exp
     log_ = math.log
     sqrt_ = math.sqrt
-    gaussian = abs(q_int - 1.0) < _Q_ONE_EPS
-    one_m_q = 1.0 - q_int
-    q_ge_1 = q_int >= 1.0
-    u_clamp = _U_CLAMP_LO if q_ge_1 else 0.0
-    u_lo = _u_floor(q_int) if q_ge_1 else 0.0
-    z_edge = sqrt_(2.0 / one_m_q) if q_int < 1.0 else 0.0
-    s = cfg.l * (1.0 - cfg.epsilon)
-    tent = cfg.l == 2
-    folds = range(cfg.c)
+    gaussian, tent, c, one_m_q, u_clamp, u_lo, z_edge, s = _radial_params(q_int, cfg)
+    folds = range(c)
     zs: List[float] = []
     u0s: List[float] = []
     us: List[float] = []

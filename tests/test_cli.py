@@ -1,10 +1,20 @@
 """End-to-end checks of the qgauss command line driver."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 
-from qgauss.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from qgauss.cli import (
+    _CSV_BLOCK,
+    _FLOAT_FMT,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    _write_pairs,
+    main,
+)
 
 
 def _run(capsys, *argv):
@@ -42,6 +52,7 @@ class TestGen:
         assert meta["count"] == 50
         assert meta["q_out"] == 0.5
         assert meta["master_seed"] == 20260839
+        assert meta["kernel"] in ("c", "python")
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
@@ -49,6 +60,12 @@ class TestGen:
         _run(capsys, "gen", "--q", "2.0", "--count", "100", "--out", str(a))
         _run(capsys, "gen", "--q", "2.0", "--count", "100", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_smallest_counts(self, capsys, count):
+        code, out, _ = _run(capsys, "gen", "--q", "1.5", "--count", str(count))
+        assert code == EXIT_OK
+        assert out.count("\n") == count + 1 and out.startswith("xi,eta\n")
 
     def test_gbmm_method(self, capsys):
         code, out, _ = _run(capsys, "gen", "--method", "gbmm",
@@ -68,6 +85,35 @@ class TestGen:
         code, _, err = _run_expect_exit(capsys, "gen", "--frobnicate")
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "usage"
+
+
+def _per_row(xi, eta):
+    return "".join(_FLOAT_FMT % x + "," + _FLOAT_FMT % y + "\n"
+                   for x, y in zip(xi, eta))
+
+
+class TestPairWriter:
+    """_write_pairs formats a block per % call, with the bytes of one
+    _FLOAT_FMT row at a time."""
+
+    @pytest.mark.parametrize("xi, eta", [
+        ([], []),
+        ([0.1], [-2.5]),
+        ([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+         [1.7976931348623157e308, -0.0, -5e-324, 5e-324]),
+    ])
+    def test_matches_per_row_format(self, xi, eta):
+        xi, eta = np.array(xi, dtype=float), np.array(eta, dtype=float)
+        out = io.StringIO()
+        _write_pairs(out, xi, eta)
+        assert out.getvalue() == _per_row(xi, eta)
+
+    def test_spans_blocks(self):
+        rng = np.random.default_rng(3)
+        xi, eta = rng.standard_t(1.5, (2, 2 * _CSV_BLOCK + 3))
+        out = io.StringIO()
+        _write_pairs(out, xi, eta)
+        assert out.getvalue() == _per_row(xi, eta)
 
 
 class TestGof:

@@ -6,16 +6,33 @@ is ~8x per step, so 100-step agreement at 1e-12 pins every expression shape
 in the hot path.
 """
 
+import hashlib
 import math
+import multiprocessing
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats as spstats
 
+import qgauss
 from oracle_reference import reference_sequence
+from qgauss import _orbit
 from qgauss.distribution import support
 from qgauss.generator import (
+    _MASK64,
+    _SM_GAMMA,
+    _SM_MIX1,
+    _SM_MIX2,
     UniformStream,
+    _mix64,
+    _run,
+    _run_python,
     derive_seed,
     gbmm_generate,
     gbmm_sample,
@@ -24,7 +41,7 @@ from qgauss.generator import (
     make_spec,
     step,
 )
-from qgauss.maps import MapConfig, z_map
+from qgauss.maps import MapConfig, _radial_params, z_map
 
 REF_CFG = MapConfig()  # d=8, l=2, c=1: the only configuration the C code has
 
@@ -136,6 +153,7 @@ class TestStateAndStep:
         assert meta["d"] == 8
         assert meta["count"] == 10
         assert meta["method"] == "chaotic"
+        assert meta["kernel"] == ("python" if _orbit.kernel() is None else "c")
 
 
 class TestRadialBits:
@@ -173,6 +191,175 @@ class TestRadialBits:
         eta = np.concatenate([b.eta for b in pieces])
         assert list(zip(xi, eta)) == singles
         assert len({(s.w, s.v, s.z, s.steps) for s in states}) == 1
+
+
+ORBIT_Q = [-1.0, 0.0, 0.5, 1.0 - 5e-13, 1.0, 1.0 + 5e-13, 1.5, 2.5, 2.9, 2.99]
+SPLIT = (1, 4095, 0, 4097)
+
+
+def _split_run(run, q_out, cfg):
+    """xi and eta bytes, and the end (w, v, z, steps), of `run` called on
+    the SPLIT sizes from one start."""
+    state = init(make_spec(q_out), cfg, v0=0.1, z0=0.9)
+    chunks = []
+    for n in SPLIT:
+        xi, eta = np.empty(n), np.empty(n)
+        run(state, n, xi, eta)
+        chunks += [xi.tobytes(), eta.tobytes()]
+    return b"".join(chunks), (state.w, state.v, state.z, state.steps)
+
+
+def _python_digest(q_out, cfg, n):
+    xi, eta = np.empty(n), np.empty(n)
+    _run_python(init(make_spec(q_out), cfg, v0=0.3, z0=0.6), n, xi, eta)
+    return hashlib.sha256(xi.tobytes() + eta.tobytes()).hexdigest()
+
+
+def _spawned_generate(queue):
+    """Worker of the spawn stress test: one generate, digest and kernel out."""
+    batch = generate(init(make_spec(1.5), MapConfig(d=6, c=6), v0=0.3, z0=0.6), 5000)
+    digest = hashlib.sha256(batch.xi.tobytes() + batch.eta.tobytes()).hexdigest()
+    queue.put((batch.kernel, digest))
+
+
+def _fresh_python(code, cache_home, path):
+    """Run code in a fresh interpreter with the given cache home and PATH."""
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache_home), PATH=str(path))
+    src = str(Path(qgauss.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def _no_temp_files(directory):
+    return not any(p.name.startswith(".orbit-") for p in directory.iterdir())
+
+
+class TestCompiledOrbit:
+    """_run runs the compiled orbit (_orbit.c) wherever it can be built;
+    _run_python is its oracle, byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_kernel(self):
+        if _orbit.kernel() is None:
+            pytest.skip("the compiled orbit cannot be built here")
+
+    @pytest.mark.parametrize("c", [1, 6])
+    @pytest.mark.parametrize("l", [2, 3])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_python_loop(self, d, l, c):
+        cfg = MapConfig(d=d, l=l, c=c)
+        for q_out in ORBIT_Q:
+            assert _split_run(_run, q_out, cfg) == _split_run(_run_python, q_out, cfg), q_out
+
+    @pytest.mark.parametrize("c", [1, 6])
+    @pytest.mark.parametrize("l", [2 ** 62, 2 ** 64 + 7, 10 ** 300],
+                             ids=["2**62", "2**64+7", "10**300"])
+    def test_matches_python_loop_at_huge_fold_order(self, l, c):
+        """Fold cells past 2**63, where an integer cast of trunc(y) overflows."""
+        cfg = MapConfig(l=l, c=c)
+        for q_out in ORBIT_Q:
+            assert _split_run(_run, q_out, cfg) == _split_run(_run_python, q_out, cfg), q_out
+
+    def test_rejects_arrays_it_cannot_fill(self):
+        state = init(make_spec(1.5), REF_CFG)
+        good = np.empty(4)
+        for bad in (np.empty(3), np.empty(4, np.float32), np.empty(8)[::2],
+                    np.empty((2, 2)), [0.0] * 4):
+            with pytest.raises(ValueError):
+                _run(state, 4, bad, good)
+            with pytest.raises(ValueError):
+                _run(state, 4, good, bad)
+        for d, c in ((1, 1), (9, 1), (8, 0), (8, 2 ** 63)):
+            radial = _radial_params(1.5, REF_CFG)._replace(c=c)
+            with pytest.raises(ValueError):
+                _orbit.orbit(_orbit.kernel(), d, radial, 1e-10,
+                             (1.0, 0.0, 1.0), 4, good, np.empty(4))
+        fresh = init(make_spec(1.5), REF_CFG)
+        assert (state.w, state.v, state.z, state.steps) == (
+            fresh.w, fresh.v, fresh.z, 0)
+
+
+class TestOrbitBuild:
+    def test_active_whenever_cc_is_on_path(self):
+        """A broken build must not fall back to Python unnoticed."""
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        assert _orbit.kernel() is not None
+        assert generate(init(make_spec(1.5), REF_CFG), 3).metadata()["kernel"] == "c"
+
+    def test_builds_once_into_its_cache(self, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        cache = tmp_path / "qgauss"
+        assert _orbit.build(cache) is not None
+        (lib,) = cache.glob("*.so")
+        mtime = lib.stat().st_mtime_ns
+        assert _orbit.build(cache) is not None
+        assert [p.name for p in cache.iterdir()] == [lib.name]
+        assert lib.stat().st_mtime_ns == mtime
+        assert cache.stat().st_mode & 0o777 == 0o700
+
+    def test_returns_none_when_it_cannot_build(self, tmp_path):
+        cache = tmp_path / "qgauss"
+        assert _orbit.build(cache, cc="qgauss-no-such-compiler") is None
+        assert _orbit.build(cache, cc="false") is None  # the compile fails
+        assert _no_temp_files(cache) and not list(cache.glob("*.so"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert _orbit.build(blocker / "qgauss") is None
+        shared = tmp_path / "shared"
+        shared.mkdir(mode=0o777)
+        shared.chmod(0o777)
+        assert _orbit.build(shared) is None
+
+    def test_import_builds_nothing_and_fallback_keeps_bytes(self, tmp_path):
+        """A fresh interpreter without cc on PATH: importing the package
+        creates no cache, and generate runs the Python loop with the bytes
+        the compiled orbit gives here."""
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        cache_home = tmp_path / "cache"
+        out = _fresh_python("""
+            import hashlib, os
+            import qgauss
+            print(os.path.exists(os.path.join(os.environ["XDG_CACHE_HOME"], "qgauss")))
+            b = qgauss.generate(qgauss.init(qgauss.make_spec(1.5),
+                qgauss.MapConfig(d=6, c=6), v0=0.3, z0=0.6), 5000)
+            print(b.metadata()["kernel"])
+            print(hashlib.sha256(b.xi.tobytes() + b.eta.tobytes()).hexdigest())
+        """, cache_home, empty)
+        assert out == ["False", "python", _python_digest(1.5, MapConfig(d=6, c=6), 5000)]
+        batch = generate(init(make_spec(1.5), MapConfig(d=6, c=6), v0=0.3, z0=0.6), 5000)
+        assert hashlib.sha256(batch.xi.tobytes() + batch.eta.tobytes()).hexdigest() == out[2]
+
+    def test_concurrent_first_builds(self, tmp_path, monkeypatch):
+        """Four spawned processes, more than the cores, build into one fresh
+        cache at once: same outputs, one library, no temporary files."""
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        ctx = multiprocessing.get_context("spawn")
+        queue = ctx.Queue()
+        procs = [ctx.Process(target=_spawned_generate, args=(queue,)) for _ in range(4)]
+        for p in procs:
+            p.start()
+        try:
+            results = [queue.get(timeout=120) for _ in procs]
+        finally:
+            for p in procs:
+                p.join(timeout=60)
+        assert not any(p.is_alive() for p in procs)
+        assert [p.exitcode for p in procs] == [0] * 4
+        expected = _python_digest(1.5, MapConfig(d=6, c=6), 5000)
+        assert results == [("c", expected)] * 4
+        cache = tmp_path / "qgauss"
+        assert len(list(cache.glob("*.so"))) == 1
+        assert _no_temp_files(cache)
 
 
 class TestGbmm:
@@ -276,6 +463,23 @@ class TestUniformStream:
         assert float(np.min(u)) > 0.0
         assert float(np.max(u)) < 1.0
 
+    def test_top_word_stays_below_one(self):
+        """The word whose top 53 bits are all ones would round to 1.0; a
+        seed that draws it is built by inverting _mix64."""
+        top = _MASK64
+        pre = _unmix64(top)
+        assert _mix64(pre) == top
+        seed = (pre - _SM_GAMMA) & _MASK64
+        u_max = 1.0 - 2.0 ** -53
+        assert UniformStream(seed).next_float() == u_max
+        assert UniformStream(seed).take(3)[0] == u_max
+        assert UniformStream((seed - _SM_GAMMA) & _MASK64).take(2)[1] == u_max
+        for s in (seed, (seed - _SM_GAMMA) & _MASK64):  # top word as u1, as u2
+            batch = gbmm_generate(make_spec(1.5), UniformStream(s), 2)
+            assert np.isfinite(batch.xi).all() and np.isfinite(batch.eta).all()
+            singles, _ = self._singles(s, 4)
+            assert 0.0 < singles.min() and singles.max() < 1.0
+
     def test_uniformity(self):
         u = UniformStream(2026).take(10 ** 5)
         p = spstats.kstest(u, "uniform").pvalue
@@ -288,3 +492,18 @@ class TestUniformStream:
     def test_derive_seed_spreads(self):
         seeds = {derive_seed(42, i, j) for i in range(8) for j in range(8)}
         assert len(seeds) == 64
+
+
+def _unmix64(y):
+    """Inverse of _mix64: each xor-shift and odd multiply inverts mod 2**64."""
+    def unshift(x, k):
+        out = x
+        for _ in range(64 // k):
+            out = x ^ (out >> k)
+        return out
+
+    y = unshift(y, 31)
+    y = (y * pow(_SM_MIX2, -1, 2 ** 64)) & _MASK64
+    y = unshift(y, 27)
+    y = (y * pow(_SM_MIX1, -1, 2 ** 64)) & _MASK64
+    return unshift(y, 30)
