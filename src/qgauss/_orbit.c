@@ -1,41 +1,66 @@
-/* Compiled orbit of the chaotic generator: generator._run in one C loop.
+/* Compiled loops of the chaotic generator and its Lyapunov estimate.
  *
- * Every expression has the shape and evaluation order of the Python loop
- * it replaces (generator._run_python): the circle step of the maps._p<d> /
- * maps._q<d> Horner forms with generator._RADIUS_TOL renormalization, and
- * the radial step of maps._radial_orbit.  The orbit is chaotic, so one ulp
- * anywhere changes every later sample; the build therefore uses
- * -ffp-contract=off (no fused multiply-add) and calls only libm's exp, log
- * and sqrt, the functions Python's math module calls.  The radial constants
- * come from maps._radial_params, so each is defined once, in Python.
+ * qgauss_orbit is generator._run in one C loop, and qgauss_lyapunov is
+ * stats.lyapunov's burn-in and average.  Every expression has the shape and
+ * evaluation order of the Python loop it replaces (generator._run_python,
+ * stats._lyapunov_python): the circle step of the maps._p<d> / maps._q<d>
+ * Horner forms with generator._RADIUS_TOL renormalization, and the radial
+ * step of maps._radial_orbit, written once here as its conjugation halves
+ * g_inv, clamp, fold (with its floor) and g, which both entry points call.
+ * The orbit is chaotic, so one ulp anywhere changes every later sample; the
+ * build therefore uses -ffp-contract=off (no fused multiply-add) and calls
+ * only libm's exp, log, pow and sqrt, the functions Python's math module and
+ * float power call.  The radial constants come from maps._radial_params, so
+ * each is defined once, in Python.
  *
  * The fold of order l >= 3 tests the parity of k = trunc(y) with
  * fmod(k, 2.0): y reaches l*(1 - epsilon) and l is unbounded, so an integer
  * cast would overflow where Python's int(y) stays exact.
+ *
+ * Where the Python Lyapunov loop raises, qgauss_lyapunov returns the status
+ * that _orbit.lyapunov turns into the same exception type: a zero base to a
+ * negative power and a division by zero are ZeroDivisionError, a float
+ * power or math.exp out of double range is OverflowError.  Products, sums
+ * and underflow to zero raise nothing in Python and are not checked here.
  */
 
+#include <errno.h>
 #include <math.h>
 #include <stdint.h>
 
-static double radial_step(double z, int gaussian, int tent, int64_t c,
-                          double one_m_q, double u_clamp, double u_lo,
-                          double z_edge, double s)
+enum { QG_OK = 0, QG_ZERO_DIVISION = 1, QG_OVERFLOW = 2 };
+
+/* The constants of maps._RadialParams, in its order. */
+struct radial {
+    int gaussian;
+    int tent;
+    int64_t c;
+    double one_m_q, u_clamp, u_lo, z_edge, s;
+};
+
+/* g_inv(z) = q_exp(q_int, -z*z/2): the fold input before its clamp. */
+static inline double g_inv(const struct radial *p, double z)
 {
-    double u;
-    if (gaussian) {
-        u = exp(-z * z * 0.5);
+    if (p->gaussian)
+        return exp(-z * z * 0.5);
+    double a = 1.0 + p->one_m_q * (-z * z * 0.5);
+    return a > 0.0 ? exp(log(a) / p->one_m_q) : 0.0;
+}
+
+static inline double clamp(const struct radial *p, double u)
+{
+    return u < p->u_clamp ? p->u_clamp : u;
+}
+
+/* c folds of the clamped fold input, then the floor at u_lo. */
+static inline double fold(const struct radial *p, double u)
+{
+    if (p->tent) {
+        for (int64_t j = 0; j < p->c; j++)
+            u = 1.0 - fabs(1.0 - p->s * u);
     } else {
-        double a = 1.0 + one_m_q * (-z * z * 0.5);
-        u = a > 0.0 ? exp(log(a) / one_m_q) : 0.0;
-    }
-    if (u < u_clamp)
-        u = u_clamp;
-    if (tent) {
-        for (int64_t j = 0; j < c; j++)
-            u = 1.0 - fabs(1.0 - s * u);
-    } else {
-        for (int64_t j = 0; j < c; j++) {
-            double y = s * u;
+        for (int64_t j = 0; j < p->c; j++) {
+            double y = p->s * u;
             double k = trunc(y);
             u = fmod(k, 2.0) != 0.0 ? (k + 1.0) - y : y - k;
             if (u < 0.0)
@@ -44,13 +69,22 @@ static double radial_step(double z, int gaussian, int tent, int64_t c,
                 u = 1.0;
         }
     }
-    if (u < u_lo)
-        u = u_lo;
+    return u < p->u_lo ? p->u_lo : u;
+}
+
+/* g(u) = sqrt(-2 q_ln(q_int, u)); a fold output of 0 is the support edge. */
+static inline double g(const struct radial *p, double u)
+{
     if (u == 0.0)
-        return z_edge;
-    if (gaussian)
+        return p->z_edge;
+    if (p->gaussian)
         return sqrt(-2.0 * log(u));
-    return sqrt(-2.0 * ((exp(log(u) * one_m_q) - 1.0) / one_m_q));
+    return sqrt(-2.0 * ((exp(log(u) * p->one_m_q) - 1.0) / p->one_m_q));
+}
+
+static inline double radial_step(const struct radial *p, double z)
+{
+    return g(p, fold(p, clamp(p, g_inv(p, z))));
 }
 
 /* (P_d(w), Q_d(w, v)), both from the old w. */
@@ -99,6 +133,7 @@ void qgauss_orbit(int d, int gaussian, int tent, int64_t c, double one_m_q,
                   double radius_tol, double *wvz, int64_t n, double *xi,
                   double *eta)
 {
+    const struct radial p = {gaussian, tent, c, one_m_q, u_clamp, u_lo, z_edge, s};
     double w = wvz[0], v = wvz[1], z = wvz[2];
     for (int64_t i = 0; i < n; i++) {
         circle_step(d, &w, &v);
@@ -108,11 +143,111 @@ void qgauss_orbit(int d, int gaussian, int tent, int64_t c, double one_m_q,
             w /= r;
             v /= r;
         }
-        z = radial_step(z, gaussian, tent, c, one_m_q, u_clamp, u_lo, z_edge, s);
+        z = radial_step(&p, z);
         xi[i] = w * z;
         eta[i] = v * z;
     }
     wvz[0] = w;
     wvz[1] = v;
     wvz[2] = z;
+}
+
+/* x ** y as Python's float power evaluates it, for finite x >= 0: a zero
+ * base to a negative power raises ZeroDivisionError, and a result that libm
+ * reports out of range (other than underflow to zero) OverflowError. */
+static int py_pow(double x, double y, double *r)
+{
+    if (x == 0.0 && y < 0.0)
+        return QG_ZERO_DIVISION;
+    errno = 0;
+    *r = pow(x, y);
+    if (isinf(*r) || (errno == ERANGE && *r != 0.0))
+        return QG_OVERFLOW;
+    return QG_OK;
+}
+
+/* The Lyapunov average of stats._lyapunov_python: burn_in radial steps from
+ * z, then t steps whose log-derivatives are summed into *acc, *used counting
+ * the steps not skipped.  l = 2, c = 1 (tent with one fold) averages the
+ * analytic derivative of maps.z_map_derivative, taken on each step's u
+ * before the clamp; every other map sums the chain-rule terms
+ * c*log(s) + q*(log u0 - log u) + log z - log z_next.  Returns QG_OK, or the
+ * status of the first step where the Python loop raises (see the header);
+ * *acc and *used are then not written.  The caller checks c >= 1 and
+ * burn_in, t >= 0. */
+int qgauss_lyapunov(int gaussian, int tent, int64_t c, double one_m_q,
+                    double u_clamp, double u_lo, double z_edge, double s,
+                    double q_int, double z, int64_t burn_in, int64_t t,
+                    double *acc, int64_t *used)
+{
+    const struct radial p = {gaussian, tent, c, one_m_q, u_clamp, u_lo, z_edge, s};
+    double sum = 0.0;
+    int64_t n = 0;
+    for (int64_t i = 0; i < burn_in; i++)
+        z = radial_step(&p, z);
+    if (tent && c == 1) {
+        /* z* = sqrt(-2 q_ln(q_int, 1/2)); infinite where q_ln's math.exp
+         * overflows, which Python raises as OverflowError. */
+        double z_star = g(&p, 0.5);
+        if (isinf(z_star))
+            return QG_OVERFLOW;
+        double scale = pow(2.0, one_m_q);
+        for (int64_t i = 0; i < t; i++) {
+            double u = g_inv(&p, z);
+            double d = 0.0;
+            if (z > 0.0 && fabs(z - z_star) > 1e-9) {
+                double num, w;
+                if (z > z_star) {
+                    num = scale * z;
+                    w = 2.0 * u;
+                } else {
+                    double a, b;
+                    int st = py_pow(1.0 - u, -q_int, &a);
+                    if (st == QG_OK)
+                        st = py_pow(u, q_int, &b);
+                    if (st != QG_OK)
+                        return st;
+                    num = -scale * a * b * z;
+                    w = 2.0 * (1.0 - u);
+                }
+                if (w > 0.0) {
+                    double x;
+                    if (gaussian) {
+                        x = -2.0 * log(w);
+                    } else {
+                        double e = exp(log(w) * one_m_q);
+                        if (isinf(e))
+                            return QG_OVERFLOW;
+                        x = -2.0 * ((e - 1.0) / one_m_q);
+                    }
+                    if (x >= 0.0) {
+                        double r = sqrt(x);
+                        if (r == 0.0)
+                            return QG_ZERO_DIVISION;
+                        d = num / r;
+                    }
+                }
+            }
+            z = g(&p, fold(&p, clamp(&p, u)));
+            if (d != 0.0 && isfinite(d)) {
+                sum += log(fabs(d));
+                n++;
+            }
+        }
+    } else {
+        double log_slope = (double)c * log(s);
+        for (int64_t i = 0; i < t; i++) {
+            double u0 = clamp(&p, g_inv(&p, z));
+            double u = fold(&p, u0);
+            double z_next = g(&p, u);
+            if (u0 > 0.0 && u > 0.0 && z > 0.0 && z_next > 0.0) {
+                sum += log_slope + q_int * (log(u0) - log(u)) + log(z) - log(z_next);
+                n++;
+            }
+            z = z_next;
+        }
+    }
+    *acc = sum;
+    *used = n;
+    return QG_OK;
 }

@@ -1,4 +1,4 @@
-"""Build, cache and call the compiled orbit (_orbit.c) through ctypes.
+"""Build, cache and call the compiled loops (_orbit.c) through ctypes.
 
 The library is compiled on first use, not at import and not at install
 time, because the tests and the benchmark import the package from src/
@@ -9,9 +9,11 @@ source or changed flags never load a stale build.  Each process compiles
 into its own temporary file and renames it into place with os.replace, so
 processes that start together race only to write identical bytes.
 
-kernel() returns None, and never raises, when no compiler runs, the
-compile fails or the cache directory is unusable; the generator then runs
-its Python loop, which gives the same bytes.
+The library has two entry points: the generator's orbit (orbit) and the
+Lyapunov average (lyapunov).  kernel() returns None, and never raises, when
+no compiler runs, the compile fails or the cache directory is unusable;
+the generator and stats.lyapunov then run their Python loops, which give
+the same bytes.
 """
 
 from __future__ import annotations
@@ -39,6 +41,19 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _C_INT64_MAX = 2 ** 63 - 1
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+# Status codes of qgauss_lyapunov: the exception the Python loop raises at
+# the same step.
+_LYAPUNOV_ERRORS = {
+    1: (ZeroDivisionError, "division by zero in the Lyapunov derivative"),
+    2: (OverflowError, "the Lyapunov derivative is out of double range"),
+}
+
+_RADIAL_ARGTYPES = [
+    ctypes.c_int, ctypes.c_int, ctypes.c_int64,
+    ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+    ctypes.c_double,
+]
 
 
 def cache_dir() -> Path:
@@ -68,12 +83,17 @@ def _private_dir(path: Path) -> bool:
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     fn = lib.qgauss_orbit
     fn.argtypes = [
-        ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int64,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-        ctypes.c_double, ctypes.c_double,
+        ctypes.c_int, *_RADIAL_ARGTYPES, ctypes.c_double,
         _DOUBLE_P, ctypes.c_int64, _DOUBLE_P, _DOUBLE_P,
     ]
     fn.restype = None
+    fn = lib.qgauss_lyapunov
+    fn.argtypes = [
+        *_RADIAL_ARGTYPES, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64, ctypes.c_int64,
+        _DOUBLE_P, ctypes.POINTER(ctypes.c_int64),
+    ]
+    fn.restype = ctypes.c_int
     return lib
 
 
@@ -116,8 +136,8 @@ def build(directory: Path, cc: str = "cc") -> Optional[ctypes.CDLL]:
 
 @functools.cache
 def kernel() -> Optional[ctypes.CDLL]:
-    """The compiled orbit for this process, built on the first call; None
-    when it cannot be built or loaded here."""
+    """The compiled library for this process, built on the first call;
+    None when it cannot be built or loaded here."""
     return build(cache_dir())
 
 
@@ -135,6 +155,11 @@ def _out_array(name: str, a: np.ndarray, n: int) -> None:
         )
 
 
+def _check_count(name: str, n: int, lo: int) -> None:
+    if not (isinstance(n, int) and lo <= n <= _C_INT64_MAX):
+        raise ValueError("%s must be an integer in %d..2**63-1, got %r" % (name, lo, n))
+
+
 def orbit(
     lib: ctypes.CDLL,
     d: int,
@@ -149,10 +174,8 @@ def orbit(
     the end (w, v, z).  Checks every argument the C loop trusts."""
     if not (isinstance(d, int) and 2 <= d <= 8):
         raise ValueError("d must be an integer in 2..8, got %r" % (d,))
-    if not (isinstance(radial.c, int) and 1 <= radial.c <= _C_INT64_MAX):
-        raise ValueError("c must be an integer in 1..2**63-1, got %r" % (radial.c,))
-    if not (isinstance(n, int) and 0 <= n <= _C_INT64_MAX):
-        raise ValueError("n must be a non-negative integer, got %r" % (n,))
+    _check_count("c", radial.c, 1)
+    _check_count("n", n, 0)
     _out_array("xi", xi, n)
     _out_array("eta", eta, n)
     state = (ctypes.c_double * 3)(*wvz)
@@ -161,3 +184,29 @@ def orbit(
         xi.ctypes.data_as(_DOUBLE_P), eta.ctypes.data_as(_DOUBLE_P),
     )
     return state[0], state[1], state[2]
+
+
+def lyapunov(
+    lib: ctypes.CDLL,
+    q_int: float,
+    radial: _RadialParams,
+    z0: float,
+    t: int,
+    burn_in: int,
+) -> Tuple[float, int]:
+    """Run stats.lyapunov's burn-in and t averaged steps from z0 in C;
+    returns (sum of the log-derivatives, steps used), or raises the
+    ZeroDivisionError or OverflowError the Python loop raises.  Checks
+    every argument the C loop trusts; z0 is checked by the caller."""
+    _check_count("c", radial.c, 1)
+    _check_count("t", t, 0)
+    _check_count("burn_in", burn_in, 0)
+    acc = ctypes.c_double()
+    used = ctypes.c_int64()
+    status = lib.qgauss_lyapunov(
+        *radial, q_int, z0, burn_in, t, ctypes.byref(acc), ctypes.byref(used)
+    )
+    if status:
+        error, message = _LYAPUNOV_ERRORS[status]
+        raise error(message)
+    return acc.value, used.value

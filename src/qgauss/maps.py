@@ -17,15 +17,18 @@ Three layers:
 The radial step is written once in Python, in the private loop
 _radial_orbit, with the expression shapes of q_exp, tri_map and q_ln, and
 its constants come from _radial_params.  z_map is its argument checks plus
-one step of that loop; the chain-rule Lyapunov route (stats.lyapunov) and
-the generator's Python fallback (generator._run_python) step whole orbits
-through it.  The generator's compiled orbit (_orbit.c) repeats the same
-expressions in C, with the constants _radial_params gives it.  Only the
-analytic Lyapunov route keeps a fused copy, because its derivative reuses
-each step's u.  The tests hold every caller to the same bits:
-generate/step against z_map step by step and the compiled orbit against
-_run_python (tests/test_generator.py), and lyapunov against the per-call
-composition of the public functions (tests/lyapunov_reference.py).
+one step of that loop; the Python fallbacks of the generator
+(generator._run_python) and of the chain-rule Lyapunov route
+(stats._lyapunov_python) step whole orbits through it.  The compiled
+library (_orbit.c) writes the same expressions once in C, as the
+conjugation halves that its orbit and both of its Lyapunov routes call,
+with the constants _radial_params gives it.  Only the analytic route of
+the Python Lyapunov fallback keeps a fused copy, because its derivative
+reuses each step's u before the clamp.  The tests hold every caller to the
+same bits: generate/step against z_map step by step and the compiled orbit
+against _run_python (tests/test_generator.py), the compiled Lyapunov loop
+against _lyapunov_python, and lyapunov against the per-call composition of
+the public functions (tests/lyapunov_reference.py).
 """
 
 from __future__ import annotations

@@ -9,12 +9,12 @@ psi = 1 is the Kolmogorov-Smirnov statistic; psi(u) = 1/(u(1-u)) is the
 tail-weighted (Anderson-Darling style) variant, with F clipped to
 [1/(2M), 1-1/(2M)] so the weight stays finite.
 
-P-values come from Monte Carlo null replication.  The default null works in
-probability space: sorted uniforms against the identity cdf, which has
-exactly the null law of the statistic for any continuous model cdf and lets
-one null set serve every q.  A literal mode (samples drawn through the
-closed-form model quantile, scored through the model cdf) exists to
-validate that shortcut; the two agree to quantile round-off.
+P-values come from Monte Carlo null replication in probability space:
+sorted uniforms against the identity cdf, which has exactly the null law of
+the statistic for any continuous model cdf and lets one null set serve
+every q.  The tests validate that shortcut against the literal null
+(samples drawn through the closed-form model quantile, scored through the
+model cdf; tests/null_reference.py); the two agree to quantile round-off.
 
 The trial-table driver reruns the generator from many seeded starts and
 keeps the best p-value per deformation parameter, which is the selection
@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import distribution
+from . import _orbit, distribution
 from .generator import (
     QSpec,
     UniformStream,
@@ -45,6 +45,7 @@ from .maps import (
     _U_CLAMP_LO,
     MapConfig,
     _radial_orbit,
+    _radial_params,
     _u_floor,
     z_map,
 )
@@ -156,29 +157,6 @@ def _null_statistics(
     return ks, ad
 
 
-@functools.lru_cache(maxsize=_NULL_CACHE_SIZE)
-def _literal_null_statistics(
-    q_out: float, M: int, n_null: int, seed: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Null statistics drawn through the model quantile and scored by cdf.
-
-    Consumes the uniform stream in the same order as the probability-space
-    route, so the two null sets correspond replicate for replicate.  Slower
-    than that route (one scalar quantile call per draw); intended for
-    validation at small M.  Memoized like _null_statistics.
-    """
-    stream = UniformStream(seed)
-    ks = np.empty(n_null)
-    ad = np.empty(n_null)
-    for j in range(n_null):
-        u = stream.take(M)
-        u.sort()
-        x = np.array([distribution.quantile(q_out, t) for t in u])
-        F = distribution.cdf_array(q_out, x)
-        ks[j], ad[j] = _both_statistics(F)
-    return ks, ad
-
-
 def mc_p_value(
     spec: QSpec,
     M: int,
@@ -186,13 +164,11 @@ def mc_p_value(
     kind: str = "ks",
     n_null: int = 999,
     seed: int = DEFAULT_NULL_SEED,
-    method: str = "probability",
 ) -> float:
     """Monte Carlo p-value of an observed statistic: (1 + #{null >= obs})/(n_null + 1).
 
-    method "probability" (default) uses the distribution-free null in
-    probability space and ignores spec; "literal" replays the null through
-    spec's quantile and cdf.
+    The null is the distribution-free one in probability space
+    (_null_statistics), so spec does not change the result.
     """
     if kind not in ("ks", "ad"):
         raise ValueError("kind must be 'ks' or 'ad', got %r" % (kind,))
@@ -202,12 +178,7 @@ def mc_p_value(
         raise ValueError("n_null must be a positive integer, got %r" % (n_null,))
     if not (math.isfinite(observed) and observed >= 0.0):
         raise ValueError("observed statistic must be finite and >= 0, got %r" % (observed,))
-    if method == "probability":
-        ks_null, ad_null = _null_statistics(M, n_null, seed)
-    elif method == "literal":
-        ks_null, ad_null = _literal_null_statistics(spec.q_out, M, n_null, seed)
-    else:
-        raise ValueError("method must be 'probability' or 'literal', got %r" % (method,))
+    ks_null, ad_null = _null_statistics(M, n_null, seed)
     nulls = ks_null if kind == "ks" else ad_null
     exceed = int(np.count_nonzero(nulls >= observed))
     return (1.0 + exceed) / (n_null + 1.0)
@@ -290,21 +261,48 @@ def lyapunov(
     c*log(l*(1 - epsilon)) + O(1/t) whatever the orbit does, and the
     analytic average is the same product with epsilon = 0.
 
-    One z_map call validates z0.  The burn-in and the chain-rule route
-    step through maps._radial_orbit, the one copy of the radial step, in
-    blocks of _ORBIT_BLOCK; the chain-rule route sums its terms over each
-    block's (z, u0, u_c) lists.  The analytic route keeps a fused loop
-    that inlines z_map, z_map_derivative, q_exp and q_ln with their exact
-    expression shapes, because its derivative reuses each step's u before
-    the clamp, which the kernel does not return.  Both routes match the
-    per-call composition of the public functions bit for bit
-    (tests/lyapunov_reference.py keeps that composition, and
-    test_matches_per_call_reference compares the two).
+    One z_map call validates z0.  The burn-in and both routes then run in
+    the compiled library (_orbit.c, qgauss_lyapunov), which steps the radial
+    map through the same conjugation halves as the generator's orbit; where
+    it cannot be built, _lyapunov_python runs, with the same bits and the
+    same exceptions.  The analytic route raises ZeroDivisionError where
+    (1 - u)**(-q_int) meets u == 1 (z0 near 0 with burn_in=0), and
+    OverflowError where that power or its math.exp leaves double range,
+    which an orbit of 2*10**4 steps from z0 = 1 meets from q' = 2.95
+    (q_int = 79) up.  Both routes match the per-call composition of the
+    public functions bit for bit (tests/lyapunov_reference.py keeps that
+    composition, and test_matches_per_call_reference compares the two).
     """
     if not (isinstance(t, int) and t > 0):
         raise ValueError("t must be a positive integer, got %r" % (t,))
+    if not (isinstance(burn_in, int) and burn_in >= 0):
+        raise ValueError("burn_in must be a non-negative integer, got %r" % (burn_in,))
     z_map(q_int, cfg, z0)
-    z = z0
+    lib = _orbit.kernel()
+    if lib is None:
+        acc, used = _lyapunov_python(q_int, cfg, z0, t, burn_in)
+    else:
+        acc, used = _orbit.lyapunov(lib, q_int, _radial_params(q_int, cfg), z0, t, burn_in)
+    if used == 0:
+        raise ArithmeticError("no usable steps in the Lyapunov average")
+    return acc / used
+
+
+def _lyapunov_python(
+    q_int: float, cfg: MapConfig, z: float, t: int, burn_in: int
+) -> Tuple[float, int]:
+    """The Lyapunov loop in Python: the fallback for lyapunov and the
+    compiled loop's test oracle.  Returns (sum of the log-derivatives,
+    steps used).
+
+    The burn-in and the chain-rule route step through maps._radial_orbit,
+    the one Python copy of the radial step, in blocks of _ORBIT_BLOCK; the
+    chain-rule route sums its terms over each block's (z, u0, u_c) lists.
+    The analytic route keeps a fused loop that inlines z_map,
+    z_map_derivative, q_exp and q_ln with their exact expression shapes,
+    because its derivative reuses each step's u before the clamp, which
+    _radial_orbit does not return.
+    """
     for lo in range(0, burn_in, _ORBIT_BLOCK):
         z = _radial_orbit(q_int, cfg, z, min(_ORBIT_BLOCK, burn_in - lo))[0][-1]
     log_ = math.log
@@ -376,9 +374,7 @@ def lyapunov(
                     )
                     used += 1
                 z = z_next
-    if used == 0:
-        raise ArithmeticError("no usable steps in the Lyapunov average")
-    return acc / used
+    return acc, used
 
 
 @dataclass(frozen=True)
@@ -391,6 +387,7 @@ class TrialRow:
     p_ad_best: float
     p_ks: Tuple[float, ...]
     p_ad: Tuple[float, ...]
+    kernel: str  # the orbit loop that generated it, "c" or "python"
 
 
 @dataclass(frozen=True)
@@ -415,7 +412,10 @@ class TrialTable:
             )
 
     def metadata(self) -> Dict[str, object]:
+        """JSON-ready record.  "kernel" names the orbit loop that generated
+        the rows: "c" or "python", or "c,python" if pool workers differed."""
         return {
+            "kernel": ",".join(sorted({row.kernel for row in self.rows})),
             "d": self.cfg.d,
             "l": self.cfg.l,
             "c": self.cfg.c,
@@ -469,6 +469,7 @@ def _table_row(
         p_ad_best=max(p_ad),
         p_ks=tuple(p_ks),
         p_ad=tuple(p_ad),
+        kernel=batch.kernel,
     )
 
 

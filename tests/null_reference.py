@@ -1,12 +1,14 @@
-"""Per-replicate null loops on scalar next_float: the bit oracle for the nulls.
+"""Per-replicate null loops on scalar next_float: the oracles for the null.
 
-stats._null_statistics and stats._literal_null_statistics draw each
-replicate's M uniforms with one UniformStream.take(M), which mixes the
-whole block of SplitMix64 words in numpy uint64.  This module keeps the
-replicate loops as they were written on one next_float call per word, so
-the tests can hold the vectorised stream to the same bits, end to end
-through the statistics.  Do not optimise it; the package code is tested
-*against* it.
+stats._null_statistics draws each replicate's M uniforms with one
+UniformStream.take(M), which mixes the whole block of SplitMix64 words in
+numpy uint64.  reference_null_statistics keeps its replicate loop as it was
+written on one next_float call per word, so the tests can hold the
+vectorised stream to the same bits, end to end through the statistics.
+reference_literal_null_statistics is the literal null: the same uniforms
+drawn through the model quantile and scored by the model cdf, which the
+tests hold the distribution-free shortcut to, up to the round trip.  Do not
+optimise either; the package code is tested *against* them.
 """
 
 import numpy as np

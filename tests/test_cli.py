@@ -173,6 +173,7 @@ class TestTable:
         assert meta["command"] == "table"
         assert meta["trials"] == 2
         assert meta["samples"] == 200
+        assert meta["kernel"] in ("c", "python")
 
     def test_empty_q_list_is_usage_error(self, capsys):
         code, _, err = _run_expect_exit(capsys, "table", "--q-list", ",",
@@ -205,6 +206,14 @@ class TestDiag:
         lam, theory, rel = (float(v) for v in lines[1].split(","))
         assert abs(rel) < 0.05
         assert theory == pytest.approx(0.6931471805599453)
+
+    def test_lyapunov_out_of_range_is_domain_error(self, capsys):
+        """The analytic route's OverflowError at q' = 2.99 reaches the user
+        as the JSON domain error."""
+        code, _, err = _run_expect_exit(capsys, "diag", "--what", "lyapunov",
+                                        "--q", "2.99")
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "domain"
 
     def test_autocorr_ratio_column(self, capsys):
         code, out, _ = _run(capsys, "diag", "--what", "autocorr",

@@ -42,6 +42,7 @@ from qgauss.generator import (
     step,
 )
 from qgauss.maps import MapConfig, _radial_params, z_map
+from qgauss.stats import lyapunov
 
 REF_CFG = MapConfig()  # d=8, l=2, c=1: the only configuration the C code has
 
@@ -304,6 +305,19 @@ class TestOrbitBuild:
         assert lib.stat().st_mtime_ns == mtime
         assert cache.stat().st_mode & 0o777 == 0o700
 
+    def test_source_is_strict_c99(self):
+        """_orbit.c passes a strict C99 syntax check with every warning an
+        error.  The check is a test, not a build flag, because the build
+        flags are hashed into the cache key."""
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        done = subprocess.run(
+            ["cc", "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror",
+             "-fsyntax-only", str(_orbit._SOURCE)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_returns_none_when_it_cannot_build(self, tmp_path):
         cache = tmp_path / "qgauss"
         assert _orbit.build(cache, cc="qgauss-no-such-compiler") is None
@@ -319,8 +333,9 @@ class TestOrbitBuild:
 
     def test_import_builds_nothing_and_fallback_keeps_bytes(self, tmp_path):
         """A fresh interpreter without cc on PATH: importing the package
-        creates no cache, and generate runs the Python loop with the bytes
-        the compiled orbit gives here."""
+        creates no cache, generate runs the Python loop with the bytes the
+        compiled orbit gives here, and lyapunov's Python loop gives the
+        compiled loop's bits on both routes."""
         empty = tmp_path / "bin"
         empty.mkdir()
         cache_home = tmp_path / "cache"
@@ -332,10 +347,14 @@ class TestOrbitBuild:
                 qgauss.MapConfig(d=6, c=6), v0=0.3, z0=0.6), 5000)
             print(b.metadata()["kernel"])
             print(hashlib.sha256(b.xi.tobytes() + b.eta.tobytes()).hexdigest())
+            for l, c in ((2, 1), (3, 6)):
+                print(qgauss.lyapunov(1.5, qgauss.MapConfig(l=l, c=c), 0.6, 5000).hex())
         """, cache_home, empty)
-        assert out == ["False", "python", _python_digest(1.5, MapConfig(d=6, c=6), 5000)]
+        assert out[:3] == ["False", "python", _python_digest(1.5, MapConfig(d=6, c=6), 5000)]
         batch = generate(init(make_spec(1.5), MapConfig(d=6, c=6), v0=0.3, z0=0.6), 5000)
         assert hashlib.sha256(batch.xi.tobytes() + batch.eta.tobytes()).hexdigest() == out[2]
+        assert out[3:] == [lyapunov(1.5, MapConfig(l=l, c=c), 0.6, 5000).hex()
+                           for l, c in ((2, 1), (3, 6))]
 
     def test_concurrent_first_builds(self, tmp_path, monkeypatch):
         """Four spawned processes, more than the cores, build into one fresh

@@ -12,12 +12,13 @@ from null_reference import (
     reference_null_statistics,
 )
 
+from qgauss import _orbit
 from qgauss.generator import UniformStream, generate, init, make_spec
-from qgauss.maps import MapConfig
+from qgauss.maps import MapConfig, _radial_params
 from qgauss.stats import (
     _NULL_CACHE_SIZE,
     DEFAULT_NULL_SEED,
-    _literal_null_statistics,
+    _lyapunov_python,
     _null_statistics,
     autocorrelation,
     gof_test,
@@ -101,14 +102,14 @@ class TestMcPValue:
         assert abs(p - 0.5) < 2.0 / math.sqrt(499)
 
     def test_probability_and_literal_modes_agree(self):
-        """The quantile-drawing wording and the probability-space shortcut
-        are the same law; on a small case the p-values coincide."""
+        """The quantile-drawing wording (the literal null of
+        tests/null_reference.py) and the probability-space shortcut are the
+        same law; on a small case the p-values coincide."""
         spec = make_spec(1.5)
+        ks_lit, _ = reference_literal_null_statistics(1.5, 50, 99, 5)
         for observed in (0.4, 0.8, 1.2, 2.0):
-            p_fast = mc_p_value(spec, 50, observed, n_null=99, seed=5,
-                                method="probability")
-            p_lit = mc_p_value(spec, 50, observed, n_null=99, seed=5,
-                               method="literal")
+            p_fast = mc_p_value(spec, 50, observed, n_null=99, seed=5)
+            p_lit = (1.0 + np.count_nonzero(ks_lit >= observed)) / 100.0
             assert p_fast == pytest.approx(p_lit, abs=0.05)
 
     def test_rejects_nonpositive_n_null(self):
@@ -146,10 +147,14 @@ class TestNullStatistics:
         (-0.5, 37, 11, 9), (1.0, 60, 7, 2 ** 64 - 3), (1.5, 37, 11, 9),
     ])
     def test_literal_matches_per_word_reference(self, q_out, M, n_null, seed):
-        ks, ad = _literal_null_statistics(q_out, M, n_null, seed)
+        """The literal null (uniforms drawn through the model quantile and
+        scored by the model cdf) equals the probability-space null replicate
+        for replicate, up to the quantile/cdf round trip (measured at most
+        1.6e-13 relative here)."""
+        ks, ad = _null_statistics(M, n_null, seed)
         ks_ref, ad_ref = reference_literal_null_statistics(q_out, M, n_null, seed)
-        assert ks.tobytes() == ks_ref.tobytes()
-        assert ad.tobytes() == ad_ref.tobytes()
+        np.testing.assert_allclose(ks_ref, ks, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(ad_ref, ad, rtol=1e-11, atol=0.0)
 
     def test_memo_is_bounded(self):
         """A process scoring against fresh null seeds keeps only the latest
@@ -243,6 +248,11 @@ class TestLyapunov:
         with pytest.raises(ValueError):
             lyapunov(1.0, MapConfig(), z0=1.0, t=0)
 
+    @pytest.mark.parametrize("burn_in", [-1, 1.5, None])
+    def test_rejects_bad_burn_in(self, burn_in):
+        with pytest.raises(ValueError):
+            lyapunov(1.0, MapConfig(), z0=1.0, t=10, burn_in=burn_in)
+
     # q' = 0.5, 1, 1.5 give q_int < 1, q_int = 1 and q_int > 1; (2, 1) is
     # the analytic route, the rest the chain-rule route.  The 1% checks
     # above cannot see a drifting inlined loop, so compare bits.
@@ -267,6 +277,79 @@ class TestLyapunov:
         for z0 in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 lyapunov(make_spec(1.5).q_int, cfg, z0=z0, t=100, burn_in=burn_in)
+
+
+LYAPUNOV_Q = [-1.0, -0.5, 0.0, 0.5, 1.0 - 5e-13, 1.0, 1.0 + 5e-13, 1.5,
+              2.5, 2.9, 2.95, 2.99]
+
+
+def _lyapunov_outcome(run, q_int, cfg, z0, t, burn_in):
+    """(acc.hex(), used) of one Lyapunov loop, or the type it raised."""
+    try:
+        acc, used = run(q_int, cfg, z0, t, burn_in)
+    except ArithmeticError as exc:
+        return type(exc)
+    return acc.hex(), used
+
+
+def _compiled_lyapunov(q_int, cfg, z0, t, burn_in):
+    return _orbit.lyapunov(_orbit.kernel(), q_int, _radial_params(q_int, cfg),
+                           z0, t, burn_in)
+
+
+class TestCompiledLyapunov:
+    """lyapunov runs the compiled loop (qgauss_lyapunov in _orbit.c)
+    wherever it can be built; _lyapunov_python is its oracle, bit for bit
+    and exception type for exception type."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_kernel(self):
+        if _orbit.kernel() is None:
+            pytest.skip("the compiled library cannot be built here")
+
+    @pytest.mark.parametrize("l,c", [(2, 1), (2, 6), (3, 1), (3, 6), (2 ** 64 + 7, 1)],
+                             ids=["2-1", "2-6", "3-1", "3-6", "2**64+7-1"])
+    def test_matches_python_loop(self, l, c):
+        """Burn-ins and lengths on both sides of the Python loop's 4096-step
+        blocks, over q' on both sides of 1 and up to where the analytic
+        route raises; then starts where u rounds to 1 (z0 = 1e-9), inside,
+        and at the support edge, or for q_int >= 1 so far out that u
+        underflows to 0 and the clamp acts."""
+        cfg = MapConfig(l=l, c=c)
+        for q_out in LYAPUNOV_Q:
+            q_int = make_spec(q_out).q_int
+            cases = [(0.9, t, b) for b in (0, 1, 4097) for t in (1, 4095, 4097)]
+            z0s = [1e-9, 0.3, math.sqrt(2.0 / (1.0 - q_int)) if q_int < 1.0 else 1e200]
+            cases += [(z0, t, 0) for z0 in z0s for t in (1, 4095, 4097)]
+            for z0, t, burn_in in cases:
+                args = (q_int, cfg, z0, t, burn_in)
+                assert (_lyapunov_outcome(_compiled_lyapunov, *args)
+                        == _lyapunov_outcome(_lyapunov_python, *args)), args
+
+    def test_raises_where_python_raises(self):
+        """The two exceptions the Python loop raises, through lyapunov."""
+        for q_int in (0.5, 1.5):
+            with pytest.raises(ZeroDivisionError):
+                lyapunov(q_int, MapConfig(), z0=1e-9, t=10, burn_in=0)
+        q_int = make_spec(2.99).q_int
+        with pytest.raises(OverflowError):
+            lyapunov(q_int, MapConfig(), z0=1.0, t=4097)
+        # 1 - u is about 0.1: (1 - u)**(-q_int) overflows on the first step,
+        # the math.exp after it would not
+        with pytest.raises(OverflowError):
+            lyapunov(q_int, MapConfig(), z0=1e11, t=1, burn_in=0)
+        # the underflowing powers of the chain-rule route do not raise
+        lam = lyapunov(make_spec(2.99).q_int, MapConfig(l=3), z0=1.0, t=4097)
+        assert math.isfinite(lam)
+
+    def test_rejects_counts_it_cannot_run(self):
+        lib = _orbit.kernel()
+        radial = _radial_params(1.5, MapConfig())
+        for c, t, burn_in in ((0, 10, 0), (2 ** 63, 10, 0), (1, -1, 0),
+                              (1, 2 ** 63, 0), (1, 10, -1), (1, 10, 2 ** 63),
+                              (1, 10.0, 0), (1, 10, 1.0)):
+            with pytest.raises(ValueError):
+                _orbit.lyapunov(lib, 1.5, radial._replace(c=c), 1.0, t, burn_in)
 
 
 class TestTrialTable:
@@ -306,6 +389,22 @@ class TestTrialTable:
         assert meta["samples"] == 100
         assert meta["master_seed"] == 4
         assert meta["d"] == 8
+
+    def test_metadata_names_the_orbit_loop(self, monkeypatch):
+        """The sidecar says which orbit loop generated the rows; the CSV
+        bytes are the same from either loop."""
+        def run():
+            tab = run_trial_table([0.5, 1.5], trials=2, samples=300, n_null=99,
+                                  master_seed=6, jobs=1)
+            buf = io.StringIO()
+            tab.to_csv(buf)
+            return buf.getvalue(), tab.metadata()["kernel"]
+
+        expected = "python" if _orbit.kernel() is None else "c"
+        csv, kernel = run()
+        assert kernel == expected
+        monkeypatch.setattr(_orbit, "kernel", lambda: None)
+        assert run() == (csv, "python")
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
