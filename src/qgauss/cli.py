@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from typing import List, Optional, Sequence, TextIO
 
 import numpy as np
@@ -197,6 +198,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     q_list = _parse_q_list(args.q_list)
     if not q_list:
         raise ValueError("--q-list resolved to no grid points")
+    t0 = time.perf_counter()
     table = run_trial_table(
         q_list,
         cfg=_map_config(args),
@@ -207,6 +209,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         null_seed=args.null_seed,
         jobs=args.jobs,
     )
+    elapsed = time.perf_counter() - t0
     fh, close = _open_out(args.out)
     try:
         table.to_csv(fh)
@@ -214,7 +217,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         if close:
             fh.close()
     if close:
-        meta = {"command": "table"}
+        meta = {"command": "table", "elapsed_s": round(elapsed, 2)}
         meta.update(table.metadata())
         _write_sidecar(args.out, meta)
     return EXIT_OK

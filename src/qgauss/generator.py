@@ -39,6 +39,7 @@ from .maps import (
     _radial_orbit,
     _radial_params,
     _u_floor,
+    _z_edge,
 )
 from .specfun import q_ln
 
@@ -121,7 +122,7 @@ def init(
     if w0_sign not in (1, -1):
         raise ValueError("w0_sign must be +1 or -1, got %r" % (w0_sign,))
     if spec.q_int < 1.0:
-        z_edge = math.sqrt(2.0 / (1.0 - spec.q_int))
+        z_edge = _z_edge(spec.q_int)
         if z0 >= z_edge:
             raise ValueError(
                 "z0=%r is outside the radial support [0, %r) for q_int=%r"

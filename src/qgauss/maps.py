@@ -18,17 +18,17 @@ The radial step is written once in Python, in the private loop
 _radial_orbit, with the expression shapes of q_exp, tri_map and q_ln, and
 its constants come from _radial_params.  z_map is its argument checks plus
 one step of that loop; the Python fallbacks of the generator
-(generator._run_python) and of the chain-rule Lyapunov route
-(stats._lyapunov_python) step whole orbits through it.  The compiled
+(generator._run_python) and of both Lyapunov routes
+(stats._lyapunov_python) step whole orbits through it.  The analytic
+derivative is written once too, in _fold_derivative, which
+z_map_derivative and the Python Lyapunov fallback share.  The compiled
 library (_orbit.c) writes the same expressions once in C, as the
 conjugation halves that its orbit and both of its Lyapunov routes call,
-with the constants _radial_params gives it.  Only the analytic route of
-the Python Lyapunov fallback keeps a fused copy, because its derivative
-reuses each step's u before the clamp.  The tests hold every caller to the
-same bits: generate/step against z_map step by step and the compiled orbit
-against _run_python (tests/test_generator.py), the compiled Lyapunov loop
-against _lyapunov_python, and lyapunov against the per-call composition of
-the public functions (tests/lyapunov_reference.py).
+with the constants _radial_params gives it.  The tests hold every caller
+to the same bits: generate/step against z_map step by step and the
+compiled orbit against _run_python (tests/test_generator.py), the compiled
+Lyapunov loop against _lyapunov_python, and lyapunov against the per-call
+composition of the public functions (tests/lyapunov_reference.py).
 """
 
 from __future__ import annotations
@@ -242,6 +242,22 @@ def _u_floor(q_int: float) -> float:
     return max(_U_CLAMP_LO, math.exp(-709.0 / (q_int - 1.0)))
 
 
+def _z_edge(q_int: float) -> float:
+    """Support edge sqrt(2/(1 - q_int)) of the radius, for q_int < 1."""
+    return math.sqrt(2.0 / (1.0 - q_int))
+
+
+def _check_support(q_int: float, z: float) -> None:
+    """Reject z beyond the support edge (q_int < 1 only)."""
+    if q_int < 1.0:
+        z_edge = _z_edge(q_int)
+        if z > z_edge:
+            raise ValueError(
+                "z=%r is outside the radial support [0, %r] for q_int=%r"
+                % (z, z_edge, q_int)
+            )
+
+
 # Steps per _radial_orbit call in the callers that run long orbits, so that
 # an orbit of 10**6 steps never holds 10**6 floats per list.
 _ORBIT_BLOCK = 4096
@@ -272,7 +288,7 @@ def _radial_params(q_int: float, cfg: MapConfig) -> _RadialParams:
         one_m_q=one_m_q,
         u_clamp=_U_CLAMP_LO if q_ge_1 else 0.0,
         u_lo=_u_floor(q_int) if q_ge_1 else 0.0,
-        z_edge=math.sqrt(2.0 / one_m_q) if q_int < 1.0 else 0.0,
+        z_edge=_z_edge(q_int) if q_int < 1.0 else 0.0,
         s=cfg.l * (1.0 - cfg.epsilon),
     )
 
@@ -282,11 +298,13 @@ def _radial_orbit(
 ) -> Tuple[List[float], List[float], List[float]]:
     """n steps of the radial map from a valid z: (zs, u0s, us).
 
-    zs are the successive z values, u0s each step's fold input (after the
-    clamp at _U_CLAMP_LO) and us its fold output (after the floor of
-    _u_floor).  The branches and expression shapes are those of q_exp,
-    tri_map and q_ln, so each step equals their composition bit for bit.
-    z is not checked; z_map does that for a single step.
+    zs are the successive z values, u0s each step's fold input g_inv(z)
+    taken before the clamp at u_clamp (z_map_derivative's arithmetic uses
+    that value; the chain-rule Lyapunov route applies the clamp itself),
+    and us its fold output (after the floor of _u_floor).  The branches and
+    expression shapes are those of q_exp, tri_map and q_ln, so each step
+    equals their composition bit for bit.  z is not checked; z_map does
+    that for a single step.
     """
     exp_ = math.exp
     log_ = math.log
@@ -302,9 +320,9 @@ def _radial_orbit(
         else:
             a = 1.0 + one_m_q * (-z * z * 0.5)
             u = exp_(log_(a) / one_m_q) if a > 0.0 else 0.0
+        u0s.append(u)
         if u < u_clamp:
             u = u_clamp
-        u0s.append(u)
         if tent:
             for _ in folds:
                 u = 1.0 - abs(1.0 - s * u)
@@ -342,13 +360,7 @@ def z_map(q_int: float, cfg: MapConfig, z: float) -> float:
     """
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError("z must be finite and >= 0, got %r" % (z,))
-    if q_int < 1.0:
-        z_edge = math.sqrt(2.0 / (1.0 - q_int))
-        if z > z_edge:
-            raise ValueError(
-                "z=%r is outside the radial support [0, %r] for q_int=%r"
-                % (z, z_edge, q_int)
-            )
+    _check_support(q_int, z)
     return _radial_orbit(q_int, cfg, z, 1)[0][0]
 
 
@@ -362,19 +374,28 @@ def z_map_derivative(q_int: float, z: float) -> float:
     """
     if not (math.isfinite(z) and z > 0.0):
         raise ValueError("z must be finite and > 0, got %r" % (z,))
-    if q_int < 1.0:
-        z_edge = math.sqrt(2.0 / (1.0 - q_int))
-        if z > z_edge:
-            raise ValueError(
-                "z=%r is outside the radial support [0, %r] for q_int=%r"
-                % (z, z_edge, q_int)
-            )
-    z_star = math.sqrt(-2.0 * q_ln(q_int, 0.5))
+    _check_support(q_int, z)
+    return _fold_derivative(q_int, z, q_exp(q_int, -z * z * 0.5), _fold_point(q_int))
+
+
+def _fold_point(q_int: float) -> float:
+    """The fold point z*, where g_inv(z*) = 1/2."""
+    return math.sqrt(-2.0 * q_ln(q_int, 0.5))
+
+
+def _fold_derivative(q_int: float, z: float, u: float, z_star: float) -> float:
+    """z_map_derivative at a valid z > 0, from u = g_inv(z) (before the
+    clamp, as _radial_orbit returns it) and the fold point z_star.
+
+    Raises ValueError within 1e-9 of z_star and where q_ln or the square
+    root leave their domain, ZeroDivisionError where u == 1 meets the
+    power (1 - u)**(-q_int), and OverflowError where that power or q_ln's
+    exponential leaves double range.
+    """
     if abs(z - z_star) <= 1e-9:
         raise ValueError(
             "derivative undefined within 1e-9 of the fold point z*=%r" % (z_star,)
         )
-    u = q_exp(q_int, -z * z * 0.5)
     scale = 2.0 ** (1.0 - q_int)
     if z > z_star:
         # u < 1/2: increasing arm of the fold

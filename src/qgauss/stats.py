@@ -42,14 +42,14 @@ from .generator import (
 )
 from .maps import (
     _ORBIT_BLOCK,
-    _U_CLAMP_LO,
     MapConfig,
+    _fold_derivative,
+    _fold_point,
     _radial_orbit,
     _radial_params,
-    _u_floor,
+    _z_edge,
     z_map,
 )
-from .specfun import _Q_ONE_EPS, q_ln
 
 __all__ = [
     "GofResult",
@@ -157,6 +157,11 @@ def _null_statistics(
     return ks, ad
 
 
+def _p_value(nulls: np.ndarray, stat: float) -> float:
+    """(1 + #{null >= stat})/(n_null + 1) over the null statistics nulls."""
+    return (1.0 + int(np.count_nonzero(nulls >= stat))) / (nulls.size + 1.0)
+
+
 def mc_p_value(
     spec: QSpec,
     M: int,
@@ -179,9 +184,7 @@ def mc_p_value(
     if not (math.isfinite(observed) and observed >= 0.0):
         raise ValueError("observed statistic must be finite and >= 0, got %r" % (observed,))
     ks_null, ad_null = _null_statistics(M, n_null, seed)
-    nulls = ks_null if kind == "ks" else ad_null
-    exceed = int(np.count_nonzero(nulls >= observed))
-    return (1.0 + exceed) / (n_null + 1.0)
+    return _p_value(ks_null if kind == "ks" else ad_null, observed)
 
 
 def _model_cdf_values(q_out: float, x: np.ndarray, arrangement: str) -> np.ndarray:
@@ -264,10 +267,11 @@ def lyapunov(
     One z_map call validates z0.  The burn-in and both routes then run in
     the compiled library (_orbit.c, qgauss_lyapunov), which steps the radial
     map through the same conjugation halves as the generator's orbit; where
-    it cannot be built, _lyapunov_python runs, with the same bits and the
+    it cannot be built, _lyapunov_python runs both routes over the one
+    Python radial loop (maps._radial_orbit), with the same bits and the
     same exceptions.  The analytic route raises ZeroDivisionError where
     (1 - u)**(-q_int) meets u == 1 (z0 near 0 with burn_in=0), and
-    OverflowError where that power or its math.exp leaves double range,
+    OverflowError where that power or q_ln's math.exp leaves double range,
     which an orbit of 2*10**4 steps from z0 = 1 meets from q' = 2.95
     (q_int = 79) up.  Both routes match the per-call composition of the
     public functions bit for bit (tests/lyapunov_reference.py keeps that
@@ -295,76 +299,43 @@ def _lyapunov_python(
     compiled loop's test oracle.  Returns (sum of the log-derivatives,
     steps used).
 
-    The burn-in and the chain-rule route step through maps._radial_orbit,
-    the one Python copy of the radial step, in blocks of _ORBIT_BLOCK; the
-    chain-rule route sums its terms over each block's (z, u0, u_c) lists.
-    The analytic route keeps a fused loop that inlines z_map,
-    z_map_derivative, q_exp and q_ln with their exact expression shapes,
-    because its derivative reuses each step's u before the clamp, which
-    _radial_orbit does not return.
+    Both routes step through maps._radial_orbit, the one Python copy of the
+    radial step, in blocks of _ORBIT_BLOCK, and form each step's term from
+    the block's (z, u0, u_c, z_next) lists: the analytic route from
+    maps._fold_derivative at (z, u0), where u0 is g_inv(z) before the
+    clamp, and the chain-rule route from the clamped u0.
     """
     for lo in range(0, burn_in, _ORBIT_BLOCK):
         z = _radial_orbit(q_int, cfg, z, min(_ORBIT_BLOCK, burn_in - lo))[0][-1]
     log_ = math.log
-    acc = 0.0
-    used = 0
-    if cfg.l == 2 and cfg.c == 1:
-        exp_ = math.exp
-        sqrt_ = math.sqrt
-        isfinite_ = math.isfinite
-        gaussian = abs(q_int - 1.0) < _Q_ONE_EPS
-        one_m_q = 1.0 - q_int
-        q_ge_1 = q_int >= 1.0
-        z_edge = math.sqrt(2.0 / one_m_q) if q_int < 1.0 else 0.0
-        u_clamp = _U_CLAMP_LO
-        u_lo = _u_floor(q_int) if q_ge_1 else 0.0
-        s = cfg.l * (1.0 - cfg.epsilon)
-        z_star = math.sqrt(-2.0 * q_ln(q_int, 0.5))
-        scale = 2.0 ** (1.0 - q_int)
-        for _ in range(t):
-            if gaussian:
-                u = exp_(-z * z * 0.5)
-            else:
-                a = 1.0 + one_m_q * (-z * z * 0.5)
-                u = 0.0 if a <= 0.0 else exp_(log_(a) / one_m_q)
-            # z_map_derivative(q_int, z); d = 0.0 where it raises ValueError.
-            # z comes from z_map arithmetic, so it is finite and inside the
-            # support: of the domain checks only z > 0 can fail.
-            d = 0.0
-            if z > 0.0 and abs(z - z_star) > 1e-9:
-                if z > z_star:
-                    num = scale * z
-                    w = 2.0 * u
-                else:
-                    num = -scale * (1.0 - u) ** (-q_int) * u ** q_int * z
-                    w = 2.0 * (1.0 - u)
-                if w > 0.0:
-                    if gaussian:
-                        x = -2.0 * log_(w)
-                    else:
-                        x = -2.0 * ((exp_(log_(w) * one_m_q) - 1.0) / one_m_q)
-                    if x >= 0.0:
-                        d = num / sqrt_(x)
-            # z_map(q_int, cfg, z)
-            if q_ge_1 and u < u_clamp:
-                u = u_clamp
-            u = 1.0 - abs(1.0 - s * u)
-            if q_ge_1 and u < u_lo:
-                u = u_lo
-            if u == 0.0:
-                z = z_edge
-            elif gaussian:
-                z = sqrt_(-2.0 * log_(u))
-            else:
-                z = sqrt_(-2.0 * ((exp_(log_(u) * one_m_q) - 1.0) / one_m_q))
-            if d and isfinite_(d):
-                acc += log_(abs(d))
-                used += 1
+    isfinite_ = math.isfinite
+    analytic = cfg.l == 2 and cfg.c == 1
+    if analytic:
+        z_star = _fold_point(q_int)
     else:
         log_slope = cfg.c * math.log(cfg.slope)
-        for lo in range(0, t, _ORBIT_BLOCK):
-            zs, u0s, us = _radial_orbit(q_int, cfg, z, min(_ORBIT_BLOCK, t - lo))
-            for z_next, u0, u in zip(zs, u0s, us):
+        u_clamp = _radial_params(q_int, cfg).u_clamp
+    acc = 0.0
+    used = 0
+    for lo in range(0, t, _ORBIT_BLOCK):
+        zs, u0s, us = _radial_orbit(q_int, cfg, z, min(_ORBIT_BLOCK, t - lo))
+        for z_next, u0, u in zip(zs, u0s, us):
+            if analytic:
+                # z_map_derivative(q_int, z), skipped where it raises
+                # ValueError; z comes from the radial loop, so it is finite
+                # and inside the support, and of its checks only z > 0 can fail.
+                d = 0.0
+                if z > 0.0:
+                    try:
+                        d = _fold_derivative(q_int, z, u0, z_star)
+                    except ValueError:
+                        pass
+                if d and isfinite_(d):
+                    acc += log_(abs(d))
+                    used += 1
+            else:
+                if u0 < u_clamp:
+                    u0 = u_clamp
                 if u0 > 0.0 and u > 0.0 and z > 0.0 and z_next > 0.0:
                     acc += (
                         log_slope
@@ -373,7 +344,7 @@ def _lyapunov_python(
                         - log_(z_next)
                     )
                     used += 1
-                z = z_next
+            z = z_next
     return acc, used
 
 
@@ -438,7 +409,7 @@ def _trial_start(
     u3 = stream.next_float()
     v0 = 0.05 + 0.9 * u1
     if spec.q_int < 1.0:
-        z0 = (0.05 + 0.9 * u2) * math.sqrt(2.0 / (1.0 - spec.q_int))
+        z0 = (0.05 + 0.9 * u2) * _z_edge(spec.q_int)
     else:
         z0 = 0.05 + 0.9 * u2
     w0_sign = 1 if u3 < 0.5 else -1
@@ -449,7 +420,6 @@ def _table_row(
     args: Tuple[float, int, MapConfig, int, int, int, np.ndarray, np.ndarray, str]
 ) -> TrialRow:
     q_out, iq, cfg, trials, samples, master_seed, ks_null, ad_null, arr = args
-    n_null = ks_null.size
     spec = make_spec(q_out)
     p_ks: List[float] = []
     p_ad: List[float] = []
@@ -460,8 +430,8 @@ def _table_row(
         x = np.sort(batch.xi)
         F = _model_cdf_values(q_out, x, arr)
         ks, ad = _both_statistics(F)
-        p_ks.append((1.0 + int(np.count_nonzero(ks_null >= ks))) / (n_null + 1.0))
-        p_ad.append((1.0 + int(np.count_nonzero(ad_null >= ad))) / (n_null + 1.0))
+        p_ks.append(_p_value(ks_null, ks))
+        p_ad.append(_p_value(ad_null, ad))
     return TrialRow(
         q_out=q_out,
         nu=spec.nu,
@@ -487,7 +457,9 @@ def run_trial_table(
     """Best-of-trials p-value table over a deformation grid.
 
     Every (q, trial) cell seeds its own generator start from a substream of
-    master_seed, so results do not depend on jobs or evaluation order.  The
+    master_seed, so results do not depend on jobs or evaluation order.
+    jobs must be an integer >= 1; rows run in a pool of at most one worker
+    per grid value when it is above 1.  The
     default "direct" cdf arrangement is part of the calibrated protocol; see
     _model_cdf_values for what "complement" changes.
     """
@@ -495,6 +467,8 @@ def run_trial_table(
         raise ValueError("trials must be a positive integer, got %r" % (trials,))
     if not (isinstance(samples, int) and samples > 0):
         raise ValueError("samples must be a positive integer, got %r" % (samples,))
+    if not (isinstance(jobs, int) and jobs > 0):
+        raise ValueError("jobs must be a positive integer, got %r" % (jobs,))
     # One null for every row, built here so pool workers do not rebuild it.
     ks_null, ad_null = _null_statistics(samples, n_null, null_seed)
     tasks = [
@@ -503,7 +477,7 @@ def run_trial_table(
         for iq, q in enumerate(q_list)
     ]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_table_row, tasks))
     else:
         rows = [_table_row(t) for t in tasks]

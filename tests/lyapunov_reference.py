@@ -1,10 +1,11 @@
 """Per-call Lyapunov loop: the bit oracle for stats.lyapunov.
 
-stats.lyapunov steps the radial map through maps._radial_orbit (burn-in
-and chain-rule route) and a fused loop (analytic route).  This module
-keeps the loop that composes the public scalar functions
-(z_map, z_map_derivative, tri_map, q_exp, q_ln) one call at a time, so the
-tests can hold the inlined loops to the same bits.  Do not optimise it;
+stats.lyapunov runs the compiled loop of _orbit.c, or its Python
+fallback, which steps the radial map of both routes (and the burn-in)
+through maps._radial_orbit in blocks.  This module keeps the loop that
+composes the public scalar functions (z_map, z_map_derivative, tri_map,
+q_exp, q_ln) one call at a time, so the tests can hold both block loops
+to the same bits.  Do not optimise it;
 the package code is tested *against* it.
 """
 

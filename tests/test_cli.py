@@ -12,9 +12,13 @@ from qgauss.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    _build_parser,
+    _parse_q_list,
     _write_pairs,
     main,
 )
+from qgauss.maps import MapConfig
+from qgauss.stats import run_trial_table
 
 
 def _run(capsys, *argv):
@@ -181,6 +185,35 @@ class TestTable:
                                         "--n-null", "99")
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "domain"
+
+    def test_zero_jobs_is_domain_error(self, capsys):
+        code, _, err = _run_expect_exit(capsys, "table", "--q-list", "0.5",
+                                        "--trials", "1", "--count", "50",
+                                        "--n-null", "99", "--jobs", "0")
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "domain"
+
+    def test_default_q_list_is_the_acceptance_grid(self):
+        args = _build_parser().parse_args(["table"])
+        assert _parse_q_list(args.q_list) == [
+            -1.0, 0.0, 1.0, 1.5, 2.0, 2.3, 2.4, 2.5, 2.6, 2.8, 2.9]
+
+    def test_table_two_bytes_match_run_trial_table(self, capsys, tmp_path):
+        """--d 6 --c 6 with the default seeds writes table two's protocol
+        CSV, byte for byte, with the run time in the sidecar."""
+        out_path = tmp_path / "t.csv"
+        code, _, _ = _run(capsys, "table", "--d", "6", "--c", "6",
+                          "--q-list", "0.5,2.9", "--trials", "2",
+                          "--count", "300", "--n-null", "99",
+                          "--out", str(out_path))
+        assert code == EXIT_OK
+        buf = io.StringIO()
+        run_trial_table([0.5, 2.9], cfg=MapConfig(d=6, c=6), trials=2,
+                        samples=300, n_null=99).to_csv(buf)
+        assert out_path.read_bytes() == buf.getvalue().encode()
+        meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+        assert meta["elapsed_s"] >= 0.0
+        assert (meta["d"], meta["l"], meta["c"]) == (6, 2, 6)
 
 
 class TestDiag:

@@ -12,7 +12,7 @@ from null_reference import (
     reference_null_statistics,
 )
 
-from qgauss import _orbit
+from qgauss import _orbit, stats
 from qgauss.generator import UniformStream, generate, init, make_spec
 from qgauss.maps import MapConfig, _radial_params
 from qgauss.stats import (
@@ -278,6 +278,23 @@ class TestLyapunov:
             with pytest.raises(ValueError):
                 lyapunov(make_spec(1.5).q_int, cfg, z0=z0, t=100, burn_in=burn_in)
 
+    @pytest.mark.parametrize("l,c", [(2, 1), (3, 1)])
+    def test_python_loop_steps_only_through_radial_orbit(self, monkeypatch, l, c):
+        """Both routes of the Python loop move z through maps._radial_orbit
+        alone: its steps add up to the burn-in plus the averaged steps."""
+        steps = []
+        real = stats._radial_orbit
+
+        def counting(q_int, cfg, z, n):
+            out = real(q_int, cfg, z, n)
+            steps.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(stats, "_radial_orbit", counting)
+        burn_in, t = 4097, 5000
+        _lyapunov_python(make_spec(1.5).q_int, MapConfig(l=l, c=c), 0.9, t, burn_in)
+        assert sum(steps) == burn_in + t
+
 
 LYAPUNOV_Q = [-1.0, -0.5, 0.0, 0.5, 1.0 - 5e-13, 1.0, 1.0 + 5e-13, 1.5,
               2.5, 2.9, 2.95, 2.99]
@@ -411,6 +428,36 @@ class TestTrialTable:
             run_trial_table([1.0], trials=0)
         with pytest.raises(ValueError):
             run_trial_table([1.0], samples=-5)
+
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, None])
+    def test_rejects_bad_jobs(self, jobs):
+        with pytest.raises(ValueError):
+            run_trial_table([1.0], trials=1, samples=100, n_null=99, jobs=jobs)
+
+    def test_pool_has_at_most_one_worker_per_row(self, monkeypatch):
+        """A huge jobs asks the pool for one worker per grid value.  A
+        stand-in pool records the request and maps serially, so no process
+        starts."""
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(stats, "ProcessPoolExecutor", SerialPool)
+        kw = dict(trials=2, samples=300, n_null=99, master_seed=2)
+        wide = run_trial_table([0.5, 1.5], jobs=10 ** 6, **kw)
+        assert workers == [2]
+        assert wide.rows == run_trial_table([0.5, 1.5], jobs=1, **kw).rows
 
 
 class TestSensitivityOrdering:
