@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, TextIO
 
 import numpy as np
 
-from . import distribution
+from . import __version__, distribution
 from .generator import (
     UniformStream,
     gbmm_generate,
@@ -93,8 +93,10 @@ def _open_out(path: str):
 
 
 def _write_sidecar(path: str, payload: dict) -> None:
+    """Write payload, with the package version, to <path>.meta.json."""
     with open(path + ".meta.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(dict(payload, version=__version__), fh, indent=2,
+                  sort_keys=True)
         fh.write("\n")
 
 

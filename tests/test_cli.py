@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qgauss import __version__
 from qgauss.cli import (
     _CSV_BLOCK,
     _FLOAT_FMT,
@@ -57,6 +58,7 @@ class TestGen:
         assert meta["q_out"] == 0.5
         assert meta["master_seed"] == 20260839
         assert meta["kernel"] in ("c", "python")
+        assert meta["version"] == __version__
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
@@ -178,6 +180,7 @@ class TestTable:
         assert meta["trials"] == 2
         assert meta["samples"] == 200
         assert meta["kernel"] in ("c", "python")
+        assert meta["version"] == __version__
 
     def test_empty_q_list_is_usage_error(self, capsys):
         code, _, err = _run_expect_exit(capsys, "table", "--q-list", ",",
@@ -190,6 +193,13 @@ class TestTable:
         code, _, err = _run_expect_exit(capsys, "table", "--q-list", "0.5",
                                         "--trials", "1", "--count", "50",
                                         "--n-null", "99", "--jobs", "0")
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "domain"
+
+    def test_zero_n_null_is_domain_error(self, capsys):
+        code, _, err = _run_expect_exit(capsys, "table", "--q-list", "2.9",
+                                        "--trials", "1", "--count", "50",
+                                        "--n-null", "0")
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "domain"
 

@@ -16,6 +16,7 @@ from qgauss import _orbit, stats
 from qgauss.generator import UniformStream, generate, init, make_spec
 from qgauss.maps import MapConfig, _radial_params
 from qgauss.stats import (
+    _NULL_BLOCK,
     _NULL_CACHE_SIZE,
     DEFAULT_NULL_SEED,
     _lyapunov_python,
@@ -136,6 +137,13 @@ class TestMcPValue:
 class TestNullStatistics:
     @pytest.mark.parametrize("M, n_null, seed", [
         (1, 7, 3), (50, 99, 5), (317, 41, 2 ** 64 - 1), (1000, 13, -7),
+        # block edges: one row per block at and past _NULL_BLOCK words,
+        # n_null one below and one above a multiple of the rows per block,
+        # and at M = 1 one replicate past a whole block
+        (_NULL_BLOCK, 3, 11), (_NULL_BLOCK + 1, 3, 12),
+        (100, 2 * (_NULL_BLOCK // 100) - 1, 13),
+        (100, 2 * (_NULL_BLOCK // 100) + 1, 14),
+        (1, _NULL_BLOCK + 1, 15),
     ])
     def test_matches_per_word_reference(self, M, n_null, seed):
         ks, ad = _null_statistics(M, n_null, seed)
@@ -167,6 +175,15 @@ class TestNullStatistics:
         again = _null_statistics(20, 5, 1000)
         assert again is not first
         assert again[0].tobytes() == first[0].tobytes()
+
+    def test_memoized_nulls_are_read_only(self):
+        """Every caller shares the memoized arrays, so a write must fail
+        rather than move every later p-value."""
+        ks, ad = _null_statistics(30, 9, 1)
+        for arr in (ks, ad):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert _null_statistics(30, 9, 1)[0].tobytes() == ks.tobytes()
 
     @pytest.mark.parametrize("M", [100, 10 ** 4])
     def test_ks_null_follows_kolmogorov_law(self, M):
@@ -428,6 +445,11 @@ class TestTrialTable:
             run_trial_table([1.0], trials=0)
         with pytest.raises(ValueError):
             run_trial_table([1.0], samples=-5)
+
+    @pytest.mark.parametrize("n_null", [0, -3, 2.5, None])
+    def test_rejects_bad_n_null(self, n_null):
+        with pytest.raises(ValueError):
+            run_trial_table([1.0], trials=1, samples=100, n_null=n_null)
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, None])
     def test_rejects_bad_jobs(self, jobs):
