@@ -10,7 +10,9 @@ into its own temporary file and renames it into place with os.replace, so
 processes that start together race only to write identical bytes.
 
 The library has two entry points: the generator's orbit (orbit) and the
-Lyapunov average (lyapunov).  kernel() returns None, and never raises, when
+Lyapunov average (lyapunov).  Their wrappers check every argument the C
+loops trust, the counts with maps._check_count, the rule of every public
+count; the callers check z0.  kernel() returns None, and never raises, when
 no compiler runs, the compile fails or the cache directory is unusable;
 the generator and stats.lyapunov then run their Python loops, which give
 the same bytes.
@@ -30,15 +32,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .maps import _RadialParams
+from .maps import _RadialParams, _check_count
 
 _SOURCE = Path(__file__).with_name("_orbit.c")
 
 # -ffp-contract=off keeps every product and sum separately rounded, as in
 # Python; a fused multiply-add changes the orbit's bits.
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-_C_INT64_MAX = 2 ** 63 - 1
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
@@ -153,11 +153,6 @@ def _out_array(name: str, a: np.ndarray, n: int) -> None:
             "%s must be a writeable C-contiguous float64 array of shape (%d,)"
             % (name, n)
         )
-
-
-def _check_count(name: str, n: int, lo: int) -> None:
-    if not (isinstance(n, int) and lo <= n <= _C_INT64_MAX):
-        raise ValueError("%s must be an integer in %d..2**63-1, got %r" % (name, lo, n))
 
 
 def orbit(

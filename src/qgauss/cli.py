@@ -29,8 +29,9 @@ from .generator import (
     make_spec,
     step,
 )
-from .maps import MapConfig, z_map
+from .maps import MapConfig, _check_support, z_map
 from .stats import (
+    _KINDS,
     DEFAULT_NULL_SEED,
     autocorrelation,
     gof_test,
@@ -68,18 +69,24 @@ class _Parser(argparse.ArgumentParser):
         _fail(EXIT_USAGE, "usage", message)
 
 
-def _add_generator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=float, default=1.0, help="output deformation q' (< 3)")
+def _add_map_args(p: argparse.ArgumentParser) -> None:
+    """The map flags and --seed, which every subcommand reads."""
     p.add_argument("--d", type=int, default=8, help="circle map degree (2..8)")
     p.add_argument("--l", type=int, default=2, help="fold order (>= 2)")
     p.add_argument("--c", type=int, default=1, help="folds per step (>= 1)")
     p.add_argument("--epsilon", type=float, default=5e-6, help="fold slope depression")
+    p.add_argument("--seed", type=int, default=20260839,
+                   help="master seed for uniform streams and trial starts")
+
+
+def _add_generator_args(p: argparse.ArgumentParser) -> None:
+    """The map flags plus q' and the orbit's start: gen, gof and diag."""
+    _add_map_args(p)
+    p.add_argument("--q", type=float, default=1.0, help="output deformation q' (< 3)")
     p.add_argument("--v0", type=float, default=0.1, help="circle seed, 0 < v0 < 1")
     p.add_argument("--z0", type=float, default=1.0, help="radial seed, z0 > 0")
     p.add_argument("--w0-sign", type=int, default=1, choices=(1, -1),
                    help="sign of the initial w component")
-    p.add_argument("--seed", type=int, default=20260839,
-                   help="master seed for uniform streams and trial starts")
 
 
 def _map_config(args: argparse.Namespace) -> MapConfig:
@@ -165,7 +172,7 @@ def cmd_gof(args: argparse.Namespace) -> int:
         samples = _read_sample_csv(args.infile)
     else:
         samples = _smoke_batch(args).xi
-    kinds = ("ks", "ad") if args.kind == "both" else (args.kind,)
+    kinds = _KINDS if args.kind == "both" else (args.kind,)
     results = []
     for kind in kinds:
         r = gof_test(samples, args.q, kind=kind, n_null=args.n_null,
@@ -230,7 +237,9 @@ def _diag_rows(args: argparse.Namespace):
     spec = make_spec(args.q)
     mc = _map_config(args)
     what = args.what
+    # Checked here, before cmd_diag opens the output: a bad start leaves no file.
     if what == "return_map":
+        _check_support(spec.q_int, args.z0)
         def rows():
             z = args.z0
             for _ in range(args.count):
@@ -239,8 +248,8 @@ def _diag_rows(args: argparse.Namespace):
                 z = z_next
         return "z,z_next", rows()
     if what == "sample_path":
+        state = init(spec, mc, v0=args.v0, z0=args.z0, w0_sign=args.w0_sign)
         def rows():
-            state = init(spec, mc, v0=args.v0, z0=args.z0, w0_sign=args.w0_sign)
             for n in range(args.count):
                 xi, eta = step(state)
                 yield (float(n + 1), xi, eta, state.w, state.v, state.z)
@@ -315,15 +324,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("chaotic", "gbmm"), default="chaotic")
     p.add_argument("--in", dest="infile", default=None,
                    help="CSV of samples (first column); default generates fresh")
-    p.add_argument("--kind", choices=("ks", "ad", "both"), default="both")
+    p.add_argument("--kind", choices=(*_KINDS, "both"), default="both")
     p.add_argument("--n-null", type=int, default=999, dest="n_null")
     p.add_argument("--null-seed", type=int, default=DEFAULT_NULL_SEED, dest="null_seed")
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_gof)
 
-    p = sub.add_parser("table",
+    # Whole flag names only, so gen's --q is not read as --q-list here.
+    p = sub.add_parser("table", allow_abbrev=False,
                        help="best-of-trials p-value table over a q grid")
-    _add_generator_args(p)
+    _add_map_args(p)
     p.add_argument("--q-list", dest="q_list",
                    default="-1.0,0.0,1.0,1.5,2.0,2.3,2.4,2.5,2.6,2.8,2.9",
                    help="comma separated q' grid")

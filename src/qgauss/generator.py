@@ -32,14 +32,16 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import _orbit
+from .distribution import _validate_q
 from .maps import (
     _CHEB,
     _ORBIT_BLOCK,
     MapConfig,
+    _check_count,
+    _check_start,
     _radial_orbit,
     _radial_params,
     _u_floor,
-    _z_edge,
 )
 from .specfun import q_ln
 
@@ -77,8 +79,7 @@ class QSpec:
 
 def make_spec(q_out: float) -> QSpec:
     """Build a QSpec from the output deformation parameter."""
-    if not (math.isfinite(q_out) and q_out < 3.0):
-        raise ValueError("q_out must be finite and < 3, got %r" % (q_out,))
+    _validate_q(q_out)
     q_int = (q_out + 1.0) / (3.0 - q_out)
     nu = (3.0 - q_out) / (q_out - 1.0) if q_out > 1.0 else None
     return QSpec(q_out=q_out, q_int=q_int, nu=nu)
@@ -109,25 +110,14 @@ def init(
     """Seed a generator orbit.
 
     v0 fixes the circle point as (w, v) = (w0_sign*sqrt(1 - v0*v0), v0) and
-    must lie strictly inside (0, 1); z0 seeds the radial map and must be
-    positive, finite, and (for q_int < 1) strictly below the support edge
-    z_edge, which the radial map sends to itself forever.
+    must lie strictly inside (0, 1); z0 seeds the radial map and must pass
+    maps._check_start: finite, > 0 and, for q_int < 1, below the edge.
     """
-    if not (math.isfinite(v0) and 0.0 < v0 < 1.0):
-        raise ValueError(
-            "v0 must lie strictly inside (0, 1), got %r" % (v0,)
-        )
-    if not (math.isfinite(z0) and z0 > 0.0):
-        raise ValueError("z0 must be finite and > 0, got %r" % (z0,))
+    if not 0.0 < v0 < 1.0:
+        raise ValueError("v0 must lie strictly inside (0, 1), got %r" % (v0,))
+    _check_start(spec.q_int, z0)
     if w0_sign not in (1, -1):
         raise ValueError("w0_sign must be +1 or -1, got %r" % (w0_sign,))
-    if spec.q_int < 1.0:
-        z_edge = _z_edge(spec.q_int)
-        if z0 >= z_edge:
-            raise ValueError(
-                "z0=%r is outside the radial support [0, %r) for q_int=%r"
-                % (z0, z_edge, spec.q_int)
-            )
     w0 = w0_sign * math.sqrt(1.0 - v0 * v0)
     return GeneratorState(
         spec=spec, cfg=cfg, w=w0, v=v0, z=z0, steps=0, v0=v0, z0=z0, w0_sign=w0_sign
@@ -241,8 +231,7 @@ class SampleBatch:
 
 def generate(state: GeneratorState, n: int) -> SampleBatch:
     """Generate n output pairs, advancing the state in place."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer, got %r" % (n,))
+    _check_count("n", n, 0)
     xi = np.empty(n)
     eta = np.empty(n)
     seed_info = {
@@ -267,10 +256,8 @@ def gbmm_sample(spec: QSpec, u1: float, u2: float) -> Tuple[float, float]:
     bound as the chaotic route (see maps._u_floor), which is unreachable
     from a 53-bit uniform for q_int below about 20.
     """
-    if not 0.0 < u1 < 1.0:
-        raise ValueError("u1 must lie strictly inside (0, 1), got %r" % (u1,))
-    if not 0.0 < u2 < 1.0:
-        raise ValueError("u2 must lie strictly inside (0, 1), got %r" % (u2,))
+    if not (0.0 < u1 < 1.0 and 0.0 < u2 < 1.0):
+        raise ValueError("u1 and u2 must lie strictly inside (0, 1), got %r, %r" % (u1, u2))
     if spec.q_int > 1.0:
         lo = _u_floor(spec.q_int)
         if u1 < lo:
@@ -282,8 +269,7 @@ def gbmm_sample(spec: QSpec, u1: float, u2: float) -> Tuple[float, float]:
 
 def gbmm_generate(spec: QSpec, stream: "UniformStream", n: int) -> SampleBatch:
     """Draw n transform-sampled pairs from a uniform stream."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer, got %r" % (n,))
+    _check_count("n", n, 0)
     seed_state = stream.state
     xi = np.empty(n)
     eta = np.empty(n)
@@ -360,8 +346,7 @@ class UniformStream:
         (+ 0.5) * 2**-53 and the clamp at 1 - 2**-53 are the same IEEE
         operations next_float performs.
         """
-        if not (isinstance(n, int) and n >= 0):
-            raise ValueError("n must be a non-negative integer, got %r" % (n,))
+        _check_count("n", n, 0)
         x = np.arange(1, n + 1, dtype=np.uint64)
         x *= np.uint64(_SM_GAMMA)
         x += np.uint64(self._s)

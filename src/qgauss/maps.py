@@ -49,6 +49,21 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, n: int, lo: int) -> None:
+    """Reject a count n unless it is an int in lo..2**63-1 (the compiled
+    loops count in int64): the one rule of every public count."""
+    if not (isinstance(n, int) and lo <= n < 2 ** 63):
+        raise ValueError("%s must be an integer in %d..2**63-1, got %r" % (name, lo, n))
+
+
+def _check_fold(l: int, epsilon: float) -> None:
+    """Reject a fold order l below 2 or a slope depression outside [0, 1e-3)."""
+    if not isinstance(l, int) or l < 2:
+        raise ValueError("l must be an integer >= 2, got %r" % (l,))
+    if not 0.0 <= epsilon < 1e-3:
+        raise ValueError("epsilon must satisfy 0 <= epsilon < 1e-3, got %r" % (epsilon,))
+
+
 class CirclePoint(NamedTuple):
     """Point (w, v) = (cos t, sin t) on (or numerically near) the unit circle."""
 
@@ -74,14 +89,8 @@ class MapConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.d, int) or not 2 <= self.d <= 8:
             raise ValueError("d must be an integer in 2..8, got %r" % (self.d,))
-        if not isinstance(self.l, int) or self.l < 2:
-            raise ValueError("l must be an integer >= 2, got %r" % (self.l,))
-        if not isinstance(self.c, int) or self.c < 1:
-            raise ValueError("c must be an integer >= 1, got %r" % (self.c,))
-        if not 0.0 <= self.epsilon < 1e-3:
-            raise ValueError(
-                "epsilon must satisfy 0 <= epsilon < 1e-3, got %r" % (self.epsilon,)
-            )
+        _check_fold(self.l, self.epsilon)
+        _check_count("c", self.c, 1)
 
     @property
     def slope(self) -> float:
@@ -201,10 +210,7 @@ def tri_map(l: int, epsilon: float, u: float) -> float:
     expression form as the reference implementation so that orbits agree
     bit for bit.
     """
-    if not isinstance(l, int) or l < 2:
-        raise ValueError("l must be an integer >= 2, got %r" % (l,))
-    if not 0.0 <= epsilon < 1e-3:
-        raise ValueError("epsilon must satisfy 0 <= epsilon < 1e-3, got %r" % (epsilon,))
+    _check_fold(l, epsilon)
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1], got %r" % (u,))
     s = l * (1.0 - epsilon)
@@ -247,15 +253,24 @@ def _z_edge(q_int: float) -> float:
     return math.sqrt(2.0 / (1.0 - q_int))
 
 
+def _check_start(q_int: float, z0: float) -> None:
+    """Reject an orbit start z0 unless it is finite, > 0 and, for q_int < 1,
+    below the support edge, which the radial map sends to itself forever."""
+    if not (math.isfinite(z0) and z0 > 0.0):
+        raise ValueError("z0 must be finite and > 0, got %r" % (z0,))
+    if q_int < 1.0 and z0 >= _z_edge(q_int):
+        raise ValueError("z0=%r is outside the radial support [0, %r) for q_int=%r"
+                         % (z0, _z_edge(q_int), q_int))
+
+
 def _check_support(q_int: float, z: float) -> None:
-    """Reject z beyond the support edge (q_int < 1 only)."""
-    if q_int < 1.0:
-        z_edge = _z_edge(q_int)
-        if z > z_edge:
-            raise ValueError(
-                "z=%r is outside the radial support [0, %r] for q_int=%r"
-                % (z, z_edge, q_int)
-            )
+    """Reject a radius z unless it is finite, >= 0 and, for q_int < 1, at
+    most the support edge: the domain of z_map."""
+    if not (math.isfinite(z) and z >= 0.0):
+        raise ValueError("z must be finite and >= 0, got %r" % (z,))
+    if q_int < 1.0 and z > _z_edge(q_int):
+        raise ValueError("z=%r is outside the radial support [0, %r] for q_int=%r"
+                         % (z, _z_edge(q_int), q_int))
 
 
 # Steps per _radial_orbit call in the callers that run long orbits, so that
@@ -358,8 +373,6 @@ def z_map(q_int: float, cfg: MapConfig, z: float) -> float:
     support edge.  For q_int >= 1 the fold output is floored (see _u_floor)
     so the returned z is always finite.
     """
-    if not (math.isfinite(z) and z >= 0.0):
-        raise ValueError("z must be finite and >= 0, got %r" % (z,))
     _check_support(q_int, z)
     return _radial_orbit(q_int, cfg, z, 1)[0][0]
 

@@ -43,12 +43,13 @@ from .generator import (
 from .maps import (
     _ORBIT_BLOCK,
     MapConfig,
+    _check_count,
+    _check_start,
     _fold_derivative,
     _fold_point,
     _radial_orbit,
     _radial_params,
     _z_edge,
-    z_map,
 )
 
 __all__ = [
@@ -67,7 +68,14 @@ __all__ = [
 # Null replication seed shared by default across commands, so the memoized
 # null statistics are reused between tables and single tests.
 DEFAULT_NULL_SEED = 0x900F
-_WEIGHTS = ("one", "anderson")
+_KINDS = ("ks", "ad")
+
+
+def _kind_index(kind: str) -> int:
+    """Index of kind in _both_statistics' and _null_statistics' pairs."""
+    if kind not in _KINDS:
+        raise ValueError("kind must be one of %r, got %r" % (_KINDS, kind))
+    return _KINDS.index(kind)
 
 
 @dataclass(frozen=True)
@@ -129,16 +137,15 @@ def _both_statistics(F: np.ndarray):
 def sup_weighted_statistic(
     samples: Sequence[float],
     cdf_fn: Callable[[np.ndarray], np.ndarray],
-    weight: str = "one",
+    kind: str = "ks",
 ) -> float:
     """Sup-weighted EDF distance between sorted samples and a model cdf.
 
     samples must already be sorted ascending; cdf_fn is applied to the
     whole sample array (it may be scalar-only, in which case it is mapped
-    elementwise).  weight selects psi: "one" or "anderson".
+    elementwise).  kind selects psi: "ks" or "ad".
     """
-    if weight not in _WEIGHTS:
-        raise ValueError("weight must be one of %r, got %r" % (_WEIGHTS, weight))
+    i = _kind_index(kind)
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("samples must be a non-empty 1-d array")
@@ -152,8 +159,7 @@ def sup_weighted_statistic(
         F = np.array([cdf_fn(t) for t in x], dtype=float)
     if F.min() < 0.0 or F.max() > 1.0:
         raise ValueError("cdf_fn returned values outside [0, 1]")
-    ks, ad = _both_statistics(F)
-    return ks if weight == "one" else ad
+    return _both_statistics(F)[i]
 
 
 # Nulls kept per process.  Each caller needs only its latest few (a table
@@ -202,7 +208,6 @@ def _p_value(nulls: np.ndarray, stat: float) -> float:
 
 
 def mc_p_value(
-    spec: QSpec,
     M: int,
     observed: float,
     kind: str = "ks",
@@ -212,22 +217,18 @@ def mc_p_value(
     """Monte Carlo p-value of an observed statistic: (1 + #{null >= obs})/(n_null + 1).
 
     The null is the distribution-free one in probability space
-    (_null_statistics), so spec does not change the result.
+    (_null_statistics), the same for every model, so none is taken.
     """
-    if kind not in ("ks", "ad"):
-        raise ValueError("kind must be 'ks' or 'ad', got %r" % (kind,))
-    if not (isinstance(M, int) and M > 0):
-        raise ValueError("M must be a positive integer, got %r" % (M,))
-    if not (isinstance(n_null, int) and n_null > 0):
-        raise ValueError("n_null must be a positive integer, got %r" % (n_null,))
+    i = _kind_index(kind)
+    _check_count("M", M, 1)
+    _check_count("n_null", n_null, 1)
     if not (math.isfinite(observed) and observed >= 0.0):
         raise ValueError("observed statistic must be finite and >= 0, got %r" % (observed,))
-    ks_null, ad_null = _null_statistics(M, n_null, seed)
-    return _p_value(ks_null if kind == "ks" else ad_null, observed)
+    return _p_value(_null_statistics(M, n_null, seed)[i], observed)
 
 
-def _model_cdf_values(q_out: float, x: np.ndarray, arrangement: str) -> np.ndarray:
-    """Model cdf at sorted sample points, in the requested arrangement.
+def _model_cdf(arrangement: str) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The model cdf (q_out, x) -> F(x) of an arrangement; ValueError if unknown.
 
     "direct" is the protocol arrangement: for 1 < q < 3 it saturates at
     exactly 1.0 deep in the tail (see distribution.cdf_array_direct), and the
@@ -237,9 +238,9 @@ def _model_cdf_values(q_out: float, x: np.ndarray, arrangement: str) -> np.ndarr
     for reproducing the calibrated tables.
     """
     if arrangement == "direct":
-        return distribution.cdf_array_direct(q_out, x)
+        return distribution.cdf_array_direct
     if arrangement == "complement":
-        return distribution.cdf_array(q_out, x)
+        return distribution.cdf_array
     raise ValueError(
         "arrangement must be 'direct' or 'complement', got %r" % (arrangement,)
     )
@@ -254,14 +255,13 @@ def gof_test(
     arrangement: str = "direct",
 ) -> GofResult:
     """Sort samples, score them against the model cdf, and attach a p-value."""
+    i = _kind_index(kind)
+    cdf = _model_cdf(arrangement)
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise ValueError("samples must be non-empty")
-    spec = make_spec(q_out)
-    F = _model_cdf_values(q_out, x, arrangement)
-    ks, ad = _both_statistics(F)
-    stat = ks if kind == "ks" else ad
-    p = mc_p_value(spec, int(x.size), stat, kind=kind, n_null=n_null, seed=seed)
+    stat = _both_statistics(cdf(q_out, x))[i]
+    p = mc_p_value(int(x.size), stat, kind=kind, n_null=n_null, seed=seed)
     return GofResult(
         q_out=q_out, kind=kind, statistic=stat, p_value=p,
         n_samples=int(x.size), n_null=n_null,
@@ -303,24 +303,23 @@ def lyapunov(
     c*log(l*(1 - epsilon)) + O(1/t) whatever the orbit does, and the
     analytic average is the same product with epsilon = 0.
 
-    One z_map call validates z0.  The burn-in and both routes then run in
-    the compiled library (_orbit.c, qgauss_lyapunov), which steps the radial
-    map through the same conjugation halves as the generator's orbit; where
-    it cannot be built, _lyapunov_python runs both routes over the one
-    Python radial loop (maps._radial_orbit), with the same bits and the
-    same exceptions.  The analytic route raises ZeroDivisionError where
-    (1 - u)**(-q_int) meets u == 1 (z0 near 0 with burn_in=0), and
-    OverflowError where that power or q_ln's math.exp leaves double range,
-    which an orbit of 2*10**4 steps from z0 = 1 meets from q' = 2.95
-    (q_int = 79) up.  Both routes match the per-call composition of the
-    public functions bit for bit (tests/lyapunov_reference.py keeps that
-    composition, and test_matches_per_call_reference compares the two).
+    z0 is held to init's start rule (maps._check_start).  The burn-in and
+    both routes then run in the compiled library (_orbit.c,
+    qgauss_lyapunov), which steps the radial map through the same
+    conjugation halves as the generator's orbit; where it cannot be built,
+    _lyapunov_python runs both routes over the one Python radial loop
+    (maps._radial_orbit), with the same bits and the same exceptions.  The
+    analytic route raises ZeroDivisionError where (1 - u)**(-q_int) meets
+    u == 1 (z0 near 0 with burn_in=0), and OverflowError where that power
+    or q_ln's math.exp leaves double range, which an orbit of 2*10**4 steps
+    from z0 = 1 meets from q' = 2.95 (q_int = 79) up.  Both routes match
+    the per-call composition of the public functions bit for bit
+    (tests/lyapunov_reference.py keeps that composition, and
+    test_matches_per_call_reference compares the two).
     """
-    if not (isinstance(t, int) and t > 0):
-        raise ValueError("t must be a positive integer, got %r" % (t,))
-    if not (isinstance(burn_in, int) and burn_in >= 0):
-        raise ValueError("burn_in must be a non-negative integer, got %r" % (burn_in,))
-    z_map(q_int, cfg, z0)
+    _check_count("t", t, 1)
+    _check_count("burn_in", burn_in, 0)
+    _check_start(q_int, z0)
     lib = _orbit.kernel()
     if lib is None:
         acc, used = _lyapunov_python(q_int, cfg, z0, t, burn_in)
@@ -460,15 +459,14 @@ def _table_row(
 ) -> TrialRow:
     q_out, iq, cfg, trials, samples, master_seed, ks_null, ad_null, arr = args
     spec = make_spec(q_out)
+    cdf = _model_cdf(arr)
     p_ks: List[float] = []
     p_ad: List[float] = []
     for trial in range(trials):
         v0, z0, w0_sign = _trial_start(spec, master_seed, iq, trial)
         state = init(spec, cfg, v0=v0, z0=z0, w0_sign=w0_sign)
         batch = generate(state, samples)
-        x = np.sort(batch.xi)
-        F = _model_cdf_values(q_out, x, arr)
-        ks, ad = _both_statistics(F)
+        ks, ad = _both_statistics(cdf(q_out, np.sort(batch.xi)))
         p_ks.append(_p_value(ks_null, ks))
         p_ad.append(_p_value(ad_null, ad))
     return TrialRow(
@@ -496,20 +494,17 @@ def run_trial_table(
     """Best-of-trials p-value table over a deformation grid.
 
     Every (q, trial) cell seeds its own generator start from a substream of
-    master_seed, so results do not depend on jobs or evaluation order.
-    jobs must be an integer >= 1; rows run in a pool of at most one worker
-    per grid value when it is above 1.  The
-    default "direct" cdf arrangement is part of the calibrated protocol; see
-    _model_cdf_values for what "complement" changes.
+    master_seed, so results do not depend on jobs or evaluation order; rows
+    run in a pool of at most one worker per grid value when jobs > 1.  The
+    default "direct" cdf arrangement is the calibrated protocol's; see
+    _model_cdf for what "complement" changes.  Every argument but q_list
+    is checked before the null is built or a worker starts.
     """
-    if not (isinstance(trials, int) and trials > 0):
-        raise ValueError("trials must be a positive integer, got %r" % (trials,))
-    if not (isinstance(samples, int) and samples > 0):
-        raise ValueError("samples must be a positive integer, got %r" % (samples,))
-    if not (isinstance(n_null, int) and n_null > 0):
-        raise ValueError("n_null must be a positive integer, got %r" % (n_null,))
-    if not (isinstance(jobs, int) and jobs > 0):
-        raise ValueError("jobs must be a positive integer, got %r" % (jobs,))
+    _check_count("trials", trials, 1)
+    _check_count("samples", samples, 1)
+    _check_count("n_null", n_null, 1)
+    _check_count("jobs", jobs, 1)
+    _model_cdf(arrangement)
     # One null for every row, built here so pool workers do not rebuild it.
     ks_null, ad_null = _null_statistics(samples, n_null, null_seed)
     tasks = [

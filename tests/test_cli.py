@@ -203,6 +203,19 @@ class TestTable:
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "domain"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--q", "2"), ("--v0", "0.7"), ("--z0", "0.2"), ("--w0-sign", "-1"),
+    ])
+    def test_start_flags_are_usage_errors(self, capsys, flag, value):
+        """table takes a q' grid and derives every trial's start, so the
+        start flags of gen, gof and diag are unknown to it; --q is not read
+        as an abbreviation of --q-list."""
+        code, _, err = _run_expect_exit(capsys, "table", "--q-list", "0.5",
+                                        "--trials", "1", "--count", "50",
+                                        "--n-null", "9", flag, value)
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "usage"
+
     def test_default_q_list_is_the_acceptance_grid(self):
         args = _build_parser().parse_args(["table"])
         assert _parse_q_list(args.q_list) == [
@@ -257,6 +270,18 @@ class TestDiag:
                                         "--q", "2.99")
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "domain"
+
+    @pytest.mark.parametrize("what", ["return_map", "sample_path"])
+    def test_bad_start_leaves_no_file(self, capsys, tmp_path, what):
+        """z0 = 5 is outside the support at q' = 0.5: the domain error comes
+        before the output file is opened."""
+        out_path = tmp_path / "d.csv"
+        code, _, err = _run_expect_exit(capsys, "diag", "--what", what,
+                                        "--q", "0.5", "--z0", "5",
+                                        "--out", str(out_path))
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "domain"
+        assert not out_path.exists()
 
     def test_autocorr_ratio_column(self, capsys):
         code, out, _ = _run(capsys, "diag", "--what", "autocorr",

@@ -13,6 +13,7 @@ from null_reference import (
 )
 
 from qgauss import _orbit, stats
+from qgauss.distribution import cdf_array
 from qgauss.generator import UniformStream, generate, init, make_spec
 from qgauss.maps import MapConfig, _radial_params
 from qgauss.stats import (
@@ -49,15 +50,15 @@ class TestSupWeightedStatistic:
     def test_anderson_weight_dominates_ks(self):
         rng = np.random.default_rng(17)
         samples = np.sort(rng.uniform(size=250))
-        ks = sup_weighted_statistic(samples, _identity_cdf, weight="one")
-        ad = sup_weighted_statistic(samples, _identity_cdf, weight="anderson")
+        ks = sup_weighted_statistic(samples, _identity_cdf, kind="ks")
+        ad = sup_weighted_statistic(samples, _identity_cdf, kind="ad")
         assert ad >= ks
 
     def test_anderson_weight_at_median(self):
         # sqrt(1/(0.5*0.5)) = 2 exactly
         ks = sup_weighted_statistic([0.0], lambda a: np.full_like(a, 0.5))
         ad = sup_weighted_statistic([0.0], lambda a: np.full_like(a, 0.5),
-                                    weight="anderson")
+                                    kind="ad")
         assert ad == pytest.approx(2.0 * ks, abs=1e-14)
 
     def test_weight_clamp_keeps_statistic_finite(self):
@@ -66,7 +67,7 @@ class TestSupWeightedStatistic:
         samples = np.sort(np.linspace(0.01, 0.99, M))
         F = _identity_cdf(samples).copy()
         F[-1] = 1.0
-        stat = sup_weighted_statistic(samples, lambda a: F, weight="anderson")
+        stat = sup_weighted_statistic(samples, lambda a: F, kind="ad")
         assert math.isfinite(stat)
         # the clamped weight at u = 1 - 1/(2M) is sqrt(2M/(1 - 1/(2M)))
         assert stat <= math.sqrt(M) * 1.0 * math.sqrt(2 * M / (1 - 1 / (2 * M)))
@@ -81,55 +82,50 @@ class TestSupWeightedStatistic:
 
     def test_rejects_unknown_weight(self):
         with pytest.raises(ValueError):
-            sup_weighted_statistic([0.5], _identity_cdf, weight="cvm")
+            sup_weighted_statistic([0.5], _identity_cdf, kind="cvm")
 
 
 class TestMcPValue:
     def test_zero_statistic_gives_one(self):
-        spec = make_spec(0.5)
-        assert mc_p_value(spec, 50, 0.0, n_null=99) == pytest.approx(1.0)
+        assert mc_p_value(50, 0.0, n_null=99) == pytest.approx(1.0)
 
     def test_huge_statistic_gives_floor(self):
-        spec = make_spec(0.5)
-        p = mc_p_value(spec, 50, 1e9, n_null=99)
+        p = mc_p_value(50, 1e9, n_null=99)
         assert p == pytest.approx(1.0 / 100.0)
 
     def test_median_statistic_near_half(self):
-        spec = make_spec(1.5)
         # draw one replicate and use its own null median as observed
         ks_null, _ = _null_statistics(100, 499, DEFAULT_NULL_SEED)
         observed = float(np.median(ks_null))
-        p = mc_p_value(spec, 100, observed, n_null=499)
+        p = mc_p_value(100, observed, n_null=499)
         assert abs(p - 0.5) < 2.0 / math.sqrt(499)
 
     def test_probability_and_literal_modes_agree(self):
         """The quantile-drawing wording (the literal null of
         tests/null_reference.py) and the probability-space shortcut are the
         same law; on a small case the p-values coincide."""
-        spec = make_spec(1.5)
         ks_lit, _ = reference_literal_null_statistics(1.5, 50, 99, 5)
         for observed in (0.4, 0.8, 1.2, 2.0):
-            p_fast = mc_p_value(spec, 50, observed, n_null=99, seed=5)
+            p_fast = mc_p_value(50, observed, n_null=99, seed=5)
             p_lit = (1.0 + np.count_nonzero(ks_lit >= observed)) / 100.0
             assert p_fast == pytest.approx(p_lit, abs=0.05)
 
     def test_rejects_nonpositive_n_null(self):
         with pytest.raises(ValueError):
-            mc_p_value(make_spec(1.0), 50, 0.5, n_null=0)
+            mc_p_value(50, 0.5, n_null=0)
 
     def test_rejects_negative_statistic(self):
         with pytest.raises(ValueError):
-            mc_p_value(make_spec(1.0), 50, -0.1)
+            mc_p_value(50, -0.1)
 
     def test_null_p_values_are_uniform(self):
         """Self-consistency: p-values of null draws are ~Uniform(0,1)."""
         stream = UniformStream(314159)
-        spec = make_spec(0.5)
         pvals = []
         for _ in range(200):
             u = np.sort(stream.take(100))
             stat = sup_weighted_statistic(u, _identity_cdf)
-            pvals.append(mc_p_value(spec, 100, stat, n_null=499))
+            pvals.append(mc_p_value(100, stat, n_null=499))
         p = spstats.kstest(pvals, "uniform").pvalue
         assert p > 0.01
 
@@ -451,6 +447,38 @@ class TestTrialTable:
         with pytest.raises(ValueError):
             run_trial_table([1.0], trials=1, samples=100, n_null=n_null)
 
+    def test_rejects_unknown_arrangement_before_work(self, monkeypatch):
+        """The arrangement is checked with the counts, before the null is
+        built or a worker starts."""
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the arrangement was checked")
+
+        monkeypatch.setattr(stats, "_null_statistics", fail)
+        monkeypatch.setattr(stats, "ProcessPoolExecutor", fail)
+        with pytest.raises(ValueError):
+            run_trial_table([0.5, 1.5], trials=1, samples=100, n_null=99,
+                            jobs=2, arrangement="fast")
+
+    def test_complement_table_scores_with_cdf_array(self):
+        """A complement table's p-values are each trial scored through
+        distribution.cdf_array against the same null; at q' = 2.9, where the
+        direct arrangement saturates, its row differs from the direct one."""
+        q_list = [1.5, 2.9]
+        kw = dict(trials=2, samples=1000, n_null=99, master_seed=5)
+        comp = run_trial_table(q_list, arrangement="complement", **kw)
+        direct = run_trial_table(q_list, **kw)
+        for iq, (q_out, row) in enumerate(zip(q_list, comp.rows)):
+            spec = make_spec(q_out)
+            for trial in range(2):
+                v0, z0, w0_sign = stats._trial_start(spec, 5, iq, trial)
+                state = init(spec, MapConfig(), v0=v0, z0=z0, w0_sign=w0_sign)
+                x = np.sort(generate(state, 1000).xi)
+                for kind, p in (("ks", row.p_ks[trial]), ("ad", row.p_ad[trial])):
+                    stat = sup_weighted_statistic(x, lambda a: cdf_array(q_out, a),
+                                                  kind=kind)
+                    assert p == mc_p_value(1000, stat, kind=kind, n_null=99)
+        assert comp.rows[1] != direct.rows[1]
+
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, None])
     def test_rejects_bad_jobs(self, jobs):
         with pytest.raises(ValueError):
@@ -497,10 +525,10 @@ class TestSensitivityOrdering:
         ks_dirty = sup_weighted_statistic(contaminated,
                                           lambda a: cdf_array(1.0, a))
         ad_clean = sup_weighted_statistic(base, lambda a: cdf_array(1.0, a),
-                                          weight="anderson")
+                                          kind="ad")
         ad_dirty = sup_weighted_statistic(contaminated,
                                           lambda a: cdf_array(1.0, a),
-                                          weight="anderson")
+                                          kind="ad")
         assert (ad_dirty / ad_clean) > (ks_dirty / ks_clean)
         # with the weight clamped at sqrt(2M), four surplus points contribute
         # about sqrt(M) * (4/M) * sqrt(2M) = 4*sqrt(2) to the weighted sup
