@@ -4,19 +4,21 @@ All subcommands validate their arguments up front, emit machine-readable
 errors as single-line JSON on stderr, and use three exit codes: 0 for
 success, 2 for argument or domain errors, 3 for unreadable or malformed
 input data.  CSV output is LF-terminated with a header row and 17
-significant digits, enough to round-trip doubles exactly; file outputs get
-a JSON sidecar (<out>.meta.json) recording everything needed to reproduce
-them byte for byte.
+significant digits, enough to round-trip doubles exactly.  The CSV files
+that gen and table write get a JSON sidecar (<out>.meta.json) recording
+everything needed to reproduce them byte for byte; gof's JSON report and
+diag's CSV get none.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import time
-from typing import List, Optional, Sequence, TextIO
+from typing import Iterator, List, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -80,7 +82,7 @@ def _add_map_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_generator_args(p: argparse.ArgumentParser) -> None:
-    """The map flags plus q' and the orbit's start: gen, gof and diag."""
+    """The map flags plus q' and the orbit's start: gen and diag."""
     _add_map_args(p)
     p.add_argument("--q", type=float, default=1.0, help="output deformation q' (< 3)")
     p.add_argument("--v0", type=float, default=0.1, help="circle seed, 0 < v0 < 1")
@@ -93,10 +95,15 @@ def _map_config(args: argparse.Namespace) -> MapConfig:
     return MapConfig(d=args.d, l=args.l, c=args.c, epsilon=args.epsilon)
 
 
-def _open_out(path: str):
+@contextlib.contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """stdout for "-", which is left open, or the file at path, opened
+    with LF line ends and closed on exit."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        yield sys.stdout
+        return
+    with open(path, "w", newline="\n") as fh:
+        yield fh
 
 
 def _write_sidecar(path: str, payload: dict) -> None:
@@ -126,14 +133,10 @@ def _write_pairs(fh: TextIO, xi: np.ndarray, eta: np.ndarray) -> None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     batch = _smoke_batch(args)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         fh.write("xi,eta\n")
         _write_pairs(fh, batch.xi, batch.eta)
-    finally:
-        if close:
-            fh.close()
-    if close:
+    if args.out != "-":
         meta = {"command": "gen", "master_seed": args.seed}
         meta.update(batch.metadata())
         _write_sidecar(args.out, meta)
@@ -168,10 +171,7 @@ def _read_sample_csv(path: str) -> np.ndarray:
 
 
 def cmd_gof(args: argparse.Namespace) -> int:
-    if args.infile is not None:
-        samples = _read_sample_csv(args.infile)
-    else:
-        samples = _smoke_batch(args).xi
+    samples = _read_sample_csv(args.infile)
     kinds = _KINDS if args.kind == "both" else (args.kind,)
     results = []
     for kind in kinds:
@@ -186,13 +186,9 @@ def cmd_gof(args: argparse.Namespace) -> int:
             "n_null": r.n_null,
             "pass_at_0.05": bool(r.p_value > 0.05),
         })
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         json.dump({"results": results}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -219,13 +215,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
     elapsed = time.perf_counter() - t0
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         table.to_csv(fh)
-    finally:
-        if close:
-            fh.close()
-    if close:
+    if args.out != "-":
         meta = {"command": "table", "elapsed_s": round(elapsed, 2)}
         meta.update(table.metadata())
         _write_sidecar(args.out, meta)
@@ -237,7 +229,8 @@ def _diag_rows(args: argparse.Namespace):
     spec = make_spec(args.q)
     mc = _map_config(args)
     what = args.what
-    # Checked here, before cmd_diag opens the output: a bad start leaves no file.
+    # Domain errors are raised here, before cmd_diag opens the output, so
+    # they leave no file.
     if what == "return_map":
         _check_support(spec.q_int, args.z0)
         def rows():
@@ -274,6 +267,9 @@ def _diag_rows(args: argparse.Namespace):
         batch = _smoke_batch(args)
         lags = range(0, min(args.max_lag, batch.count - 1) + 1)
         c0 = autocorrelation(batch.xi, 0)
+        if c0 == 0.0:
+            raise ValueError("autocorr needs a sample that varies: "
+                             "the lag-0 autocovariance is 0")
         def rows():
             for m in lags:
                 cm = autocorrelation(batch.xi, m)
@@ -293,14 +289,10 @@ def _diag_rows(args: argparse.Namespace):
 
 def cmd_diag(args: argparse.Namespace) -> int:
     header, rows = _diag_rows(args)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -317,13 +309,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
     p.set_defaults(fn=cmd_gen)
 
+    # Scores a sample file only; `qgauss gen --out FILE` makes a fresh one.
     p = sub.add_parser("gof",
-                       help="goodness-of-fit test against the model cdf")
-    _add_generator_args(p)
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--method", choices=("chaotic", "gbmm"), default="chaotic")
-    p.add_argument("--in", dest="infile", default=None,
-                   help="CSV of samples (first column); default generates fresh")
+                       help="goodness-of-fit test of a sample file against the model cdf")
+    p.add_argument("--q", type=float, default=1.0, help="model deformation q' (< 3)")
+    p.add_argument("--in", dest="infile", required=True,
+                   help="CSV of samples (first column)")
     p.add_argument("--kind", choices=(*_KINDS, "both"), default="both")
     p.add_argument("--n-null", type=int, default=999, dest="n_null")
     p.add_argument("--null-seed", type=int, default=DEFAULT_NULL_SEED, dest="null_seed")

@@ -142,8 +142,8 @@ def sup_weighted_statistic(
     """Sup-weighted EDF distance between sorted samples and a model cdf.
 
     samples must already be sorted ascending; cdf_fn is applied to the
-    whole sample array (it may be scalar-only, in which case it is mapped
-    elementwise).  kind selects psi: "ks" or "ad".
+    whole sample array and must return one value per sample.  kind selects
+    psi: "ks" or "ad".
     """
     i = _kind_index(kind)
     x = np.asarray(samples, dtype=float)
@@ -151,12 +151,11 @@ def sup_weighted_statistic(
         raise ValueError("samples must be a non-empty 1-d array")
     if np.any(np.diff(x) < 0.0):
         raise ValueError("samples must be sorted ascending")
-    try:
-        F = np.asarray(cdf_fn(x), dtype=float)
-        if F.shape != x.shape:
-            raise TypeError
-    except TypeError:
-        F = np.array([cdf_fn(t) for t in x], dtype=float)
+    F = np.asarray(cdf_fn(x), dtype=float)
+    if F.shape != x.shape:
+        raise ValueError(
+            "cdf_fn must return one value per sample: shape %r for %r"
+            % (F.shape, x.shape))
     if F.min() < 0.0 or F.max() > 1.0:
         raise ValueError("cdf_fn returned values outside [0, 1]")
     return _both_statistics(F)[i]
@@ -227,44 +226,36 @@ def mc_p_value(
     return _p_value(_null_statistics(M, n_null, seed)[i], observed)
 
 
-def _model_cdf(arrangement: str) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The model cdf (q_out, x) -> F(x) of an arrangement; ValueError if unknown.
-
-    "direct" is the protocol arrangement: for 1 < q < 3 it saturates at
-    exactly 1.0 deep in the tail (see distribution.cdf_array_direct), and the
-    trial tables' sensitivity profile above q_out = 2.3 depends on that.
-    "complement" is tail-exact; under it the chaotic generator passes both
-    tests at every q_out on this grid, so it is offered for diagnostics, not
-    for reproducing the calibrated tables.
-    """
-    if arrangement == "direct":
-        return distribution.cdf_array_direct
-    if arrangement == "complement":
-        return distribution.cdf_array
-    raise ValueError(
-        "arrangement must be 'direct' or 'complement', got %r" % (arrangement,)
-    )
-
-
 def gof_test(
     samples: Sequence[float],
     q_out: float,
     kind: str = "ks",
     n_null: int = 999,
     seed: int = DEFAULT_NULL_SEED,
-    arrangement: str = "direct",
 ) -> GofResult:
-    """Sort samples, score them against the model cdf, and attach a p-value."""
+    """Score samples against the protocol cdf and attach a Monte Carlo p-value.
+
+    The verdict is the one a trial-table cell gives: the sorted samples
+    through distribution.cdf_array_direct, which for 1 < q < 3 saturates at
+    exactly 1.0 deep in the tail (the trial tables' sensitivity profile
+    above q_out = 2.3 depends on that), scored against _null_statistics.
+    For tail-exact scoring, compose sup_weighted_statistic over
+    distribution.cdf_array with mc_p_value instead.
+    """
     i = _kind_index(kind)
-    cdf = _model_cdf(arrangement)
+    _check_count("n_null", n_null, 1)
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise ValueError("samples must be non-empty")
-    stat = _both_statistics(cdf(q_out, x))[i]
-    p = mc_p_value(int(x.size), stat, kind=kind, n_null=n_null, seed=seed)
+    stat = _both_statistics(distribution.cdf_array_direct(q_out, x))[i]
+    if math.isnan(stat):
+        raise ValueError("the model cdf is undefined at some sample "
+                         "(non-finite, or |x| too large to square)")
+    M = int(x.size)
     return GofResult(
-        q_out=q_out, kind=kind, statistic=stat, p_value=p,
-        n_samples=int(x.size), n_null=n_null,
+        q_out=q_out, kind=kind, statistic=stat,
+        p_value=_p_value(_null_statistics(M, n_null, seed)[i], stat),
+        n_samples=M, n_null=n_null,
     )
 
 
@@ -455,18 +446,18 @@ def _trial_start(
 
 
 def _table_row(
-    args: Tuple[float, int, MapConfig, int, int, int, np.ndarray, np.ndarray, str]
+    args: Tuple[float, int, MapConfig, int, int, int, np.ndarray, np.ndarray]
 ) -> TrialRow:
-    q_out, iq, cfg, trials, samples, master_seed, ks_null, ad_null, arr = args
+    q_out, iq, cfg, trials, samples, master_seed, ks_null, ad_null = args
     spec = make_spec(q_out)
-    cdf = _model_cdf(arr)
     p_ks: List[float] = []
     p_ad: List[float] = []
     for trial in range(trials):
         v0, z0, w0_sign = _trial_start(spec, master_seed, iq, trial)
         state = init(spec, cfg, v0=v0, z0=z0, w0_sign=w0_sign)
         batch = generate(state, samples)
-        ks, ad = _both_statistics(cdf(q_out, np.sort(batch.xi)))
+        ks, ad = _both_statistics(
+            distribution.cdf_array_direct(q_out, np.sort(batch.xi)))
         p_ks.append(_p_value(ks_null, ks))
         p_ad.append(_p_value(ad_null, ad))
     return TrialRow(
@@ -489,28 +480,28 @@ def run_trial_table(
     n_null: int = 999,
     null_seed: int = DEFAULT_NULL_SEED,
     jobs: int = 1,
-    arrangement: str = "direct",
 ) -> TrialTable:
     """Best-of-trials p-value table over a deformation grid.
 
     Every (q, trial) cell seeds its own generator start from a substream of
     master_seed, so results do not depend on jobs or evaluation order; rows
-    run in a pool of at most one worker per grid value when jobs > 1.  The
-    default "direct" cdf arrangement is the calibrated protocol's; see
-    _model_cdf for what "complement" changes.  Every argument but q_list
-    is checked before the null is built or a worker starts.
+    run in a pool of at most one worker per grid value when jobs > 1.  Each
+    trial is scored as gof_test scores a sample.  Every argument, each q'
+    of q_list included, is checked before the null is built or a worker
+    starts.
     """
     _check_count("trials", trials, 1)
     _check_count("samples", samples, 1)
     _check_count("n_null", n_null, 1)
     _check_count("jobs", jobs, 1)
-    _model_cdf(arrangement)
+    q_out = [float(q) for q in q_list]
+    for q in q_out:
+        distribution._validate_q(q)
     # One null for every row, built here so pool workers do not rebuild it.
     ks_null, ad_null = _null_statistics(samples, n_null, null_seed)
     tasks = [
-        (float(q), iq, cfg, trials, samples, master_seed, ks_null, ad_null,
-         arrangement)
-        for iq, q in enumerate(q_list)
+        (q, iq, cfg, trials, samples, master_seed, ks_null, ad_null)
+        for iq, q in enumerate(q_out)
     ]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

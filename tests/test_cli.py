@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from qgauss.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _build_parser,
+    _output,
     _parse_q_list,
     _write_pairs,
     main,
 )
 from qgauss.maps import MapConfig
-from qgauss.stats import run_trial_table
+from qgauss.stats import gof_test, run_trial_table
 
 
 def _run(capsys, *argv):
@@ -123,15 +125,40 @@ class TestPairWriter:
 
 
 class TestGof:
-    def test_inline_generation(self, capsys):
-        code, out, _ = _run(capsys, "gof", "--q", "1.5", "--count", "400",
+    def test_requires_in_file(self, capsys):
+        """gof scores a sample file only; it generates none of its own."""
+        code, out, err = _run_expect_exit(capsys, "gof", "--q", "1.5",
+                                          "--count", "400")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--v0", "5"), ("--z0", "-1"), ("--w0-sign", "-1"), ("--count", "-3"),
+        ("--method", "gbmm"), ("--d", "2"), ("--seed", "1"),
+    ])
+    def test_generator_flags_are_usage_errors(self, capsys, tmp_path, flag, value):
+        path = tmp_path / "xi.csv"
+        path.write_text("xi\n0.25\n-0.5\n")
+        code, _, err = _run_expect_exit(capsys, "gof", "--q", "1.5",
+                                        "--in", str(path), flag, value)
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "usage"
+
+    def test_scores_generated_file_as_gof_test(self, capsys, tmp_path):
+        """`gen --out FILE` then `gof --in FILE` reports gof_test's verdict
+        on the file's first column."""
+        path = tmp_path / "xi.csv"
+        _run(capsys, "gen", "--q", "1.5", "--count", "400", "--out", str(path))
+        code, out, _ = _run(capsys, "gof", "--q", "1.5", "--in", str(path),
                             "--n-null", "99")
         assert code == EXIT_OK
-        report = json.loads(out)
-        kinds = {r["kind"] for r in report["results"]}
-        assert kinds == {"ks", "ad"}
-        for r in report["results"]:
-            assert 0.0 < r["p_value"] <= 1.0
+        xi = np.loadtxt(path, delimiter=",", skiprows=1)[:, 0]
+        report = json.loads(out)["results"]
+        assert [r["kind"] for r in report] == ["ks", "ad"]
+        for r in report:
+            res = gof_test(xi, 1.5, kind=r["kind"], n_null=99)
+            assert (r["statistic"], r["p_value"]) == (res.statistic, res.p_value)
             assert r["n_samples"] == 400
             assert r["pass_at_0.05"] is True
 
@@ -193,6 +220,14 @@ class TestTable:
         code, _, err = _run_expect_exit(capsys, "table", "--q-list", "0.5",
                                         "--trials", "1", "--count", "50",
                                         "--n-null", "99", "--jobs", "0")
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "domain"
+
+    @pytest.mark.parametrize("q_list", ["0.5,nan", "0.5,3.5"])
+    def test_bad_q_is_domain_error(self, capsys, q_list):
+        code, _, err = _run_expect_exit(capsys, "table", "--q-list", q_list,
+                                        "--trials", "1", "--count", "50",
+                                        "--n-null", "99")
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "domain"
 
@@ -283,6 +318,16 @@ class TestDiag:
         assert json.loads(err)["error"] == "domain"
         assert not out_path.exists()
 
+    def test_constant_autocorr_leaves_no_file(self, capsys, tmp_path):
+        """One sample has a lag-0 autocovariance of 0, so there is no ratio
+        to report: a domain error, raised before the output file is opened."""
+        out_path = tmp_path / "a.csv"
+        code, _, err = _run_expect_exit(capsys, "diag", "--what", "autocorr",
+                                        "--count", "1", "--out", str(out_path))
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"] == "domain"
+        assert not out_path.exists()
+
     def test_autocorr_ratio_column(self, capsys):
         code, out, _ = _run(capsys, "diag", "--what", "autocorr",
                             "--q", "1.5", "--count", "2000", "--max-lag", "3")
@@ -305,3 +350,33 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, err = _run_expect_exit(capsys, "shuffle")
         assert code == EXIT_USAGE
+
+
+class TestOutput:
+    def test_stdout_is_left_open(self, capsys):
+        with _output("-") as fh:
+            fh.write("x\n")
+        assert not sys.stdout.closed
+        assert capsys.readouterr().out == "x\n"
+
+    def test_file_is_closed_with_lf_line_ends(self, tmp_path):
+        path = tmp_path / "o.csv"
+        with _output(str(path)) as fh:
+            fh.write("a\nb\n")
+        assert fh.closed
+        assert path.read_bytes() == b"a\nb\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["gof", "--n-null", "9"],
+        ["diag", "--what", "return_map", "--count", "5"],
+    ])
+    def test_gof_and_diag_write_no_sidecar(self, capsys, tmp_path, argv):
+        sample = tmp_path / "xi.csv"
+        sample.write_text("xi\n0.25\n-0.5\n")
+        out_path = tmp_path / "o"
+        if argv[0] == "gof":
+            argv = argv + ["--in", str(sample)]
+        code, _, _ = _run(capsys, *argv, "--out", str(out_path))
+        assert code == EXIT_OK
+        assert out_path.exists()
+        assert list(tmp_path.glob("*.meta.json")) == []

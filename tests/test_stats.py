@@ -13,7 +13,7 @@ from null_reference import (
 )
 
 from qgauss import _orbit, stats
-from qgauss.distribution import cdf_array
+from qgauss.distribution import cdf_array, cdf_array_direct
 from qgauss.generator import UniformStream, generate, init, make_spec
 from qgauss.maps import MapConfig, _radial_params
 from qgauss.stats import (
@@ -83,6 +83,16 @@ class TestSupWeightedStatistic:
     def test_rejects_unknown_weight(self):
         with pytest.raises(ValueError):
             sup_weighted_statistic([0.5], _identity_cdf, kind="cvm")
+
+    @pytest.mark.parametrize("cdf_fn", [
+        lambda a: 0.5,                     # one value for the whole sample
+        lambda a: np.append(a, 1.0),       # one value too many
+    ])
+    def test_rejects_cdf_of_wrong_shape(self, cdf_fn):
+        """cdf_fn is applied to the whole array and must return one value
+        per sample; a scalar-only cdf_fn is an error, not mapped elementwise."""
+        with pytest.raises(ValueError, match="one value per sample"):
+            sup_weighted_statistic([0.25, 0.5], cdf_fn)
 
 
 class TestMcPValue:
@@ -208,19 +218,42 @@ class TestGofTest:
         res = gof_test(samples, 1.0, kind="ks", n_null=199)
         assert res.p_value <= 0.01
 
+    @pytest.mark.parametrize("kind", ["ks", "ad"])
+    @pytest.mark.parametrize("q_out", [0.5, 1.5, 2.9])
+    def test_is_the_protocol_cdf_composition(self, q_out, kind):
+        """gof_test's verdict is sup_weighted_statistic over
+        cdf_array_direct followed by mc_p_value, bit for bit."""
+        x = UniformStream(780).take(500) * 8.0 - 4.0
+        res = gof_test(x, q_out, kind=kind, n_null=99, seed=3)
+        stat = sup_weighted_statistic(
+            np.sort(x), lambda a: cdf_array_direct(q_out, a), kind=kind)
+        assert res.statistic == stat
+        assert res.p_value == mc_p_value(500, stat, kind=kind, n_null=99, seed=3)
+
     def test_arrangements_identical_for_compact_family(self):
+        """For q' < 1 the tail-exact composition over cdf_array gives
+        gof_test's verdict to round-off."""
         stream = UniformStream(779)
         from qgauss.distribution import quantile
         samples = [quantile(0.0, u) for u in stream.take(300)]
-        a = gof_test(samples, 0.0, kind="ad", n_null=99, arrangement="direct")
-        b = gof_test(samples, 0.0, kind="ad", n_null=99,
-                     arrangement="complement")
-        assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
-        assert a.p_value == b.p_value
+        a = gof_test(samples, 0.0, kind="ad", n_null=99)
+        stat = sup_weighted_statistic(
+            np.sort(samples), lambda x: cdf_array(0.0, x), kind="ad")
+        assert a.statistic == pytest.approx(stat, rel=1e-12)
+        assert a.p_value == mc_p_value(300, stat, kind="ad", n_null=99)
 
-    def test_rejects_unknown_arrangement(self):
+    @pytest.mark.parametrize("n_null", [0, -3, 2.5, None])
+    def test_rejects_bad_n_null(self, n_null):
         with pytest.raises(ValueError):
-            gof_test([0.0], 1.0, arrangement="fast")
+            gof_test([0.0, 0.5], 1.0, n_null=n_null)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_rejects_sample_outside_the_cdf(self, bad):
+        """A sample the model cdf cannot score (nan, inf, or one whose
+        square overflows) is a ValueError, not a NaN statistic.  numpy's
+        overflow and invalid warnings on the way are not what is tested."""
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            gof_test([0.0, 0.5, bad], 1.5, n_null=99)
 
 
 class TestAutocorrelation:
@@ -447,37 +480,42 @@ class TestTrialTable:
         with pytest.raises(ValueError):
             run_trial_table([1.0], trials=1, samples=100, n_null=n_null)
 
-    def test_rejects_unknown_arrangement_before_work(self, monkeypatch):
-        """The arrangement is checked with the counts, before the null is
+    @pytest.mark.parametrize("bad_q", [3.5, math.nan, math.inf])
+    def test_rejects_bad_q_before_work(self, monkeypatch, bad_q):
+        """Each q' of q_list is checked with the counts, before the null is
         built or a worker starts."""
         def fail(*args, **kwargs):
-            raise AssertionError("work started before the arrangement was checked")
+            raise AssertionError("work started before q' was checked")
 
         monkeypatch.setattr(stats, "_null_statistics", fail)
         monkeypatch.setattr(stats, "ProcessPoolExecutor", fail)
         with pytest.raises(ValueError):
-            run_trial_table([0.5, 1.5], trials=1, samples=100, n_null=99,
-                            jobs=2, arrangement="fast")
+            run_trial_table([0.5, bad_q], trials=1, samples=100, n_null=99,
+                            jobs=2)
 
     def test_complement_table_scores_with_cdf_array(self):
-        """A complement table's p-values are each trial scored through
-        distribution.cdf_array against the same null; at q' = 2.9, where the
-        direct arrangement saturates, its row differs from the direct one."""
+        """Each p-value of a table is its trial scored as gof_test scores
+        it, through cdf_array_direct.  Tail-exact scoring composes
+        sup_weighted_statistic over cdf_array with mc_p_value; at q' = 2.9,
+        where the direct arrangement saturates, it gives other p-values."""
         q_list = [1.5, 2.9]
-        kw = dict(trials=2, samples=1000, n_null=99, master_seed=5)
-        comp = run_trial_table(q_list, arrangement="complement", **kw)
-        direct = run_trial_table(q_list, **kw)
-        for iq, (q_out, row) in enumerate(zip(q_list, comp.rows)):
+        table = run_trial_table(q_list, trials=2, samples=1000, n_null=99,
+                                master_seed=5)
+        moved = 0
+        for iq, (q_out, row) in enumerate(zip(q_list, table.rows)):
             spec = make_spec(q_out)
             for trial in range(2):
                 v0, z0, w0_sign = stats._trial_start(spec, 5, iq, trial)
                 state = init(spec, MapConfig(), v0=v0, z0=z0, w0_sign=w0_sign)
-                x = np.sort(generate(state, 1000).xi)
+                xi = generate(state, 1000).xi
+                x = np.sort(xi)
                 for kind, p in (("ks", row.p_ks[trial]), ("ad", row.p_ad[trial])):
+                    assert p == gof_test(xi, q_out, kind=kind, n_null=99).p_value
                     stat = sup_weighted_statistic(x, lambda a: cdf_array(q_out, a),
                                                   kind=kind)
-                    assert p == mc_p_value(1000, stat, kind=kind, n_null=99)
-        assert comp.rows[1] != direct.rows[1]
+                    p_exact = mc_p_value(1000, stat, kind=kind, n_null=99)
+                    moved += q_out == 2.9 and p_exact != p
+        assert moved > 0
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, None])
     def test_rejects_bad_jobs(self, jobs):
