@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 from typing import Iterator, List, Optional, Sequence, TextIO
@@ -333,8 +334,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--n-null", type=int, default=999, dest="n_null")
     p.add_argument("--null-seed", type=int, default=DEFAULT_NULL_SEED, dest="null_seed")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (results independent of this)")
+    p.add_argument("--jobs", type=int, default=len(os.sched_getaffinity(0)),
+                   help="worker processes, at most one per q' (default: the "
+                   "usable CPU count, %(default)s; results independent of this)")
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_table)
 

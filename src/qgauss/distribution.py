@@ -12,17 +12,23 @@ probability of |x| through scipy.special, so both tails are computed without
 cancellation, and the scalar cdf/ccdf call it.  quantile inverts the family
 in closed form through the inverses scipy.special ships; for the
 Student-t members it inverts the same tail cdf_array evaluates.
+
+Importing this module does not import scipy.special: the generator, the
+Lyapunov estimate and the density need none of it, and it is most of the
+package's import time.  _special() imports it on the first cdf_array,
+cdf_array_direct or quantile call (so on the first cdf, ccdf, gof_test or
+table row), and every later call reuses that module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.special as sc
 
 from .specfun import _Q_ONE_EPS, beta, q_exp
 
@@ -45,6 +51,14 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _Y_FAR = 1e300
 _LOG_FAR = math.log(_Y_FAR)
 _LOG_MAX = math.log(sys.float_info.max)
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on first use (see the module docstring)."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _validate_q(q_out: float) -> None:
@@ -131,6 +145,7 @@ def cdf_array(q_out: float, x: np.ndarray) -> np.ndarray:
     kept out to the largest finite double.
     """
     _validate_q(q_out)
+    sc = _special()
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     if abs(q_out - 1.0) < _Q_ONE_EPS:
@@ -170,12 +185,14 @@ def cdf_array_direct(q_out: float, x: np.ndarray) -> np.ndarray:
     Use cdf_array when tail-exact values are wanted instead.
     """
     _validate_q(q_out)
+    sc = _special()
     x = np.asarray(x, dtype=float)
     if abs(q_out - 1.0) < _Q_ONE_EPS:
         return sc.ndtr(x)
     if q_out < 1.0:
         b = (2.0 - q_out) / (1.0 - q_out)
-        y = np.clip((1.0 - q_out) / (3.0 - q_out) * x * x, 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            y = np.clip((1.0 - q_out) / (3.0 - q_out) * x * x, 0.0, 1.0)
         inner = sc.betainc(0.5, b, y)
         out = 0.5 * (1.0 + np.sign(x) * inner)
         half = math.sqrt((3.0 - q_out) / (1.0 - q_out))
@@ -183,8 +200,11 @@ def cdf_array_direct(q_out: float, x: np.ndarray) -> np.ndarray:
         out = np.where(x >= half, 1.0, out)
         return out
     b = 1.0 / (q_out - 1.0) - 0.5
-    y = (q_out - 1.0) / (3.0 - q_out) * x * x
-    r = y / (1.0 + y)
+    # |x| past about 1e154 overflows y to inf and r to nan: the result is
+    # nan there, without numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (q_out - 1.0) / (3.0 - q_out) * x * x
+        r = y / (1.0 + y)
     inner = sc.betainc(0.5, b, r)
     return 0.5 * (1.0 + np.sign(x) * inner)
 
@@ -220,6 +240,7 @@ def quantile(q_out: float, p: float) -> float:
     _validate_q(q_out)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1), got %r" % (p,))
+    sc = _special()
     if abs(q_out - 1.0) < _Q_ONE_EPS:
         return float(sc.ndtri(p))
     if q_out > 1.0:

@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgauss
 from qgauss import __version__
 from qgauss.cli import (
     _CSV_BLOCK,
@@ -35,6 +39,17 @@ def _run_expect_exit(capsys, *argv):
         main(list(argv))
     captured = capsys.readouterr()
     return exc_info.value.code, captured.out, captured.err
+
+
+def _run_process(*argv):
+    """`python -m qgauss.cli argv` in a fresh interpreter, so that stderr
+    holds everything the process writes there, warnings included."""
+    env = dict(os.environ)
+    src = str(Path(qgauss.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "qgauss.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestGen:
@@ -191,6 +206,22 @@ class TestGof:
         code, _, err = _run_expect_exit(capsys, "gof", "--in", str(path))
         assert code == EXIT_DATA
 
+    def test_huge_sample_writes_no_warning(self, tmp_path):
+        """A finite sample too large to square: the compact q' scores it
+        with nothing on stderr, and the heavy-tailed q' exits with its one
+        JSON error line alone, without numpy's overflow warnings."""
+        path = tmp_path / "huge.csv"
+        path.write_text("x\n0.5\n1e200\n")
+        code, out, err = _run_process("gof", "--q", "0.5", "--in", str(path),
+                                      "--n-null", "9")
+        assert (code, err) == (EXIT_OK, "")
+        assert len(json.loads(out)["results"]) == 2
+        code, out, err = _run_process("gof", "--q", "1.5", "--in", str(path),
+                                      "--n-null", "9")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "domain"
+
 
 class TestTable:
     def test_small_table_csv(self, capsys, tmp_path):
@@ -250,6 +281,10 @@ class TestTable:
                                         "--n-null", "9", flag, value)
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "usage"
+
+    def test_default_jobs_is_the_usable_cpu_count(self):
+        args = _build_parser().parse_args(["table"])
+        assert args.jobs == len(os.sched_getaffinity(0))
 
     def test_default_q_list_is_the_acceptance_grid(self):
         args = _build_parser().parse_args(["table"])
