@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -23,6 +24,14 @@ from typing import Callable, Dict
 import numpy as np
 
 from qgauss import cli
+from qgauss.distribution import (
+    cdf_array,
+    cdf_array_direct,
+    joint_pdf,
+    pdf,
+    quantile,
+    support,
+)
 from qgauss.generator import UniformStream, gbmm_generate, generate, init, make_spec
 from qgauss.maps import MapConfig
 from qgauss.stats import _null_statistics, lyapunov
@@ -42,6 +51,26 @@ NULL_CASES = ((50, 199), (3_000, 199))  # (M, n_null): one block, many blocks
 LYAPUNOV_MAPS = ((2, 1), (2, 6), (3, 1))  # (l, c) of criterion 6
 LYAPUNOV_Q = (-0.5, 0.5, 1.5)
 LYAPUNOV_T = 20_000
+# The closed forms are pinned at the q' of GENERATE_Q, which reach the same
+# branches: the compact members, the two sides of the Gaussian band, the
+# Student-t members and q' = 2.99.  At -0.7, 0.9 and 1.7 the x**2 scale
+# |1-q'|/(3-q') differs in its last bit from |1-q'|*(1/(3-q')), so there
+# the pins also see a constant derived in another order.  x crosses the
+# compact supports' edges and is extended by 0 and the edges +-L
+# themselves where L is finite; the cdf arrays also see +-1e200, far past
+# where k*x*x overflows.
+DIST_Q = GENERATE_Q + (-0.7, 0.9, 1.7)
+DIST_X = np.linspace(-5.0, 5.0, 41)
+DIST_FAR_X = (-1e200, 1e200)
+DIST_P = (1e-299, 1e-100, 1e-12, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0 - 1e-12)
+DIST_FUNCTIONS = {
+    "support": lambda q, x: support(q),
+    "pdf": lambda q, x: [pdf(q, v) for v in x],
+    "cdf_array": lambda q, x: cdf_array(q, np.append(x, DIST_FAR_X)),
+    "cdf_array_direct": lambda q, x: cdf_array_direct(q, np.append(x, DIST_FAR_X)),
+    "quantile": lambda q, x: [quantile(q, p) for p in DIST_P],
+    "joint_pdf": lambda q, x: [joint_pdf(q, a, b) for a in x[::4] for b in x[::4]],
+}
 
 
 def _sha(*parts: bytes) -> str:
@@ -74,6 +103,12 @@ def _lyapunov(l: int, c: int, q: float) -> str:
     return lyapunov(make_spec(q).q_int, MapConfig(l=l, c=c), 1.0, LYAPUNOV_T).hex()
 
 
+def _distribution(name: str, q: float) -> str:
+    lo, hi = support(q)
+    x = np.append(DIST_X, [0.0, lo, hi] if math.isfinite(hi) else [0.0])
+    return _sha(_f8(np.asarray(DIST_FUNCTIONS[name](q, x), dtype=float)))
+
+
 def _cli() -> str:
     """`qgauss gen --out f` then `qgauss gof --in f`: both files' bytes."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -102,6 +137,9 @@ def cases() -> Dict[str, Callable[[], str]]:
         for q in LYAPUNOV_Q:
             name = "lyapunov l=%d c=%d q=%r" % (l, c, q)
             out[name] = lambda l=l, c=c, q=q: _lyapunov(l, c, q)
+    for name in DIST_FUNCTIONS:
+        for q in DIST_Q:
+            out["distribution %s q=%r" % (name, q)] = lambda f=name, q=q: _distribution(f, q)
     out["cli gen then gof --in"] = _cli
     return out
 

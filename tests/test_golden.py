@@ -4,8 +4,8 @@ Every other test holds one implementation to another: the compiled loops to
 the Python loops, the block null to the per-word null.  A change made to
 both sides of such a pair moves output bits with those tests green.  These
 digests were recorded from the package by tests/record_golden.py and fail on
-any moved bit of the generator, gbmm, the null, lyapunov or the gen/gof
-command line.  The two acceptance tables' digests are checked in
+any moved bit of the generator, gbmm, the null, lyapunov, the closed forms
+of qgauss.distribution or the gen/gof command line.  The two acceptance tables' digests are checked in
 test_acceptance.py, from the tables its criteria build.
 """
 
