@@ -4,21 +4,20 @@ a Monte Carlo goodness-of-fit harness.
 """
 
 from .distribution import (
-    DistSummary,
+    QSpec,
     ccdf,
     cdf,
     cdf_array,
     cdf_array_direct,
     joint_pdf,
+    make_spec,
     pdf,
     quantile,
-    summarize,
     support,
     variance,
 )
 from .generator import (
     GeneratorState,
-    QSpec,
     SampleBatch,
     UniformStream,
     derive_seed,
@@ -26,7 +25,6 @@ from .generator import (
     gbmm_sample,
     generate,
     init,
-    make_spec,
     step,
 )
 from .maps import (
@@ -60,10 +58,10 @@ __all__ = [
     "CirclePoint", "MapConfig", "chebyshev_pair", "tri_map",
     "z_map", "z_map_derivative",
     # distribution
-    "DistSummary", "summarize", "support", "pdf", "cdf", "ccdf",
+    "QSpec", "make_spec", "support", "pdf", "cdf", "ccdf",
     "cdf_array", "cdf_array_direct", "variance", "quantile", "joint_pdf",
     # generator
-    "QSpec", "make_spec", "GeneratorState", "init", "step", "generate",
+    "GeneratorState", "init", "step", "generate",
     "SampleBatch", "gbmm_sample", "gbmm_generate", "UniformStream",
     "derive_seed",
     # stats

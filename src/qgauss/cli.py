@@ -24,15 +24,9 @@ from typing import Iterator, List, Optional, Sequence, TextIO
 import numpy as np
 
 from . import __version__, distribution
-from .generator import (
-    UniformStream,
-    gbmm_generate,
-    generate,
-    init,
-    make_spec,
-    step,
-)
-from .maps import MapConfig, _check_support, z_map
+from .distribution import make_spec
+from .generator import UniformStream, gbmm_generate, generate, init, step
+from .maps import MapConfig, _check_start, z_map
 from .stats import (
     _KINDS,
     DEFAULT_NULL_SEED,
@@ -233,7 +227,7 @@ def _diag_rows(args: argparse.Namespace):
     # Domain errors are raised here, before cmd_diag opens the output, so
     # they leave no file.
     if what == "return_map":
-        _check_support(spec.q_int, args.z0)
+        _check_start(spec.q_int, mc, args.z0)
         def rows():
             z = args.z0
             for _ in range(args.count):

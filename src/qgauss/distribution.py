@@ -7,6 +7,10 @@ always used here at unit shape scale:
 * q_out = 1   standard Gaussian
 * 1 < q_out < 3  Student-t with nu = (3-q_out)/(q_out-1) degrees of freedom
 
+make_spec(q_out) is the only check of q_out.  Its QSpec record holds
+q_int, at which the generator runs its map, nu, and the constants every
+closed form below reads instead of deriving them again.
+
 cdf_array is the one cdf implementation: it evaluates the upper tail
 probability of |x| through scipy.special, so both tails are computed without
 cancellation, and the scalar cdf/ccdf call it.  quantile inverts the family
@@ -33,8 +37,8 @@ import numpy as np
 from .specfun import _Q_ONE_EPS, beta, q_exp
 
 __all__ = [
-    "DistSummary",
-    "summarize",
+    "QSpec",
+    "make_spec",
     "support",
     "pdf",
     "cdf",
@@ -61,68 +65,71 @@ def _special():
     return scipy.special
 
 
-def _validate_q(q_out: float) -> None:
-    if not (math.isfinite(q_out) and q_out < 3.0):
-        raise ValueError("q_out must be finite and < 3, got %r" % (q_out,))
-
-
 @dataclass(frozen=True)
-class DistSummary:
-    """Static facts about one family member."""
+class QSpec:
+    """One member of the family, and the constants its closed forms read.
+
+    q_out       the family parameter, finite and < 3
+    q_int       internal map deformation (q_out + 1)/(3 - q_out)
+    nu          tail index (3 - q_out)/(q_out - 1) for q_out > 1, else None
+    gaussian    |q_out - 1| < _Q_ONE_EPS: the closed forms are Gaussian
+    a           incomplete-beta parameter (2 - q_out)/(1 - q_out) below 1,
+                1/(q_out - 1) - 1/2 above, inf at 1
+    k           x**2 scale |1 - q_out|/(3 - q_out)
+    half_width  support half-width L = sqrt((3 - q_out)/(1 - q_out)) below 1,
+                else inf
+    """
 
     q_out: float
     q_int: float
     nu: Optional[float]
-    support: Tuple[float, float]
-    variance: Optional[float]
+    gaussian: bool
+    a: float
+    k: float
+    half_width: float
 
 
-def summarize(q_out: float) -> DistSummary:
-    """Collect support, tail index, and variance for q_out."""
-    _validate_q(q_out)
-    nu = (3.0 - q_out) / (q_out - 1.0) if q_out > 1.0 else None
-    var = variance(q_out) if q_out < 5.0 / 3.0 else None
-    return DistSummary(
+def make_spec(q_out: float) -> QSpec:
+    """The family member q_out: the one check of q_out and the one place
+    its constants are derived."""
+    if not (math.isfinite(q_out) and q_out < 3.0):
+        raise ValueError("q_out must be finite and < 3, got %r" % (q_out,))
+    if q_out < 1.0:
+        a = (2.0 - q_out) / (1.0 - q_out)
+    elif q_out > 1.0:
+        a = 1.0 / (q_out - 1.0) - 0.5
+    else:
+        a = math.inf
+    return QSpec(
         q_out=q_out,
         q_int=(q_out + 1.0) / (3.0 - q_out),
-        nu=nu,
-        support=support(q_out),
-        variance=var,
+        nu=(3.0 - q_out) / (q_out - 1.0) if q_out > 1.0 else None,
+        gaussian=abs(q_out - 1.0) < _Q_ONE_EPS,
+        a=a,
+        k=abs(1.0 - q_out) / (3.0 - q_out),
+        half_width=math.sqrt((3.0 - q_out) / (1.0 - q_out)) if q_out < 1.0 else math.inf,
     )
 
 
 def support(q_out: float) -> Tuple[float, float]:
     """Support interval; (-inf, inf) for q_out >= 1."""
-    _validate_q(q_out)
-    if q_out < 1.0:
-        half = math.sqrt((3.0 - q_out) / (1.0 - q_out))
-        return (-half, half)
-    return (-math.inf, math.inf)
-
-
-def _norm_const(q_out: float) -> float:
-    """Density value at the origin (the normalizing prefactor)."""
-    if q_out < 1.0:
-        return math.sqrt((1.0 - q_out) / (3.0 - q_out)) / beta(
-            (2.0 - q_out) / (1.0 - q_out), 0.5
-        )
-    return math.sqrt((q_out - 1.0) / (3.0 - q_out)) / beta(
-        1.0 / (q_out - 1.0) - 0.5, 0.5
-    )
+    half = make_spec(q_out).half_width
+    return (-half, half)
 
 
 def pdf(q_out: float, x: float) -> float:
     """Probability density at x."""
-    _validate_q(q_out)
-    if abs(q_out - 1.0) < _Q_ONE_EPS:
+    spec = make_spec(q_out)
+    if spec.gaussian:
         return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
     if q_out < 1.0:
-        t = 1.0 - (1.0 - q_out) / (3.0 - q_out) * x * x
+        t = 1.0 - spec.k * x * x
         if t <= 0.0:
             return 0.0
-        return _norm_const(q_out) * t ** (1.0 / (1.0 - q_out))
-    t = 1.0 + (q_out - 1.0) / (3.0 - q_out) * x * x
-    return _norm_const(q_out) * t ** (1.0 / (1.0 - q_out))
+    else:
+        t = 1.0 + spec.k * x * x
+    # the density at the origin times the deformed kernel
+    return math.sqrt(spec.k) / beta(spec.a, 0.5) * t ** (1.0 / (1.0 - q_out))
 
 
 def cdf(q_out: float, x: float) -> float:
@@ -144,20 +151,18 @@ def cdf_array(q_out: float, x: np.ndarray) -> np.ndarray:
     the tail is the leading term of its incomplete-beta series, so mass is
     kept out to the largest finite double.
     """
-    _validate_q(q_out)
+    spec = make_spec(q_out)
+    a, k = spec.a, spec.k
     sc = _special()
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
-    if abs(q_out - 1.0) < _Q_ONE_EPS:
+    if spec.gaussian:
         upper = 0.5 * sc.erfc(ax / _SQRT2)
     elif q_out < 1.0:
-        a = (2.0 - q_out) / (1.0 - q_out)
         with np.errstate(over="ignore"):
-            t = np.clip(1.0 - (1.0 - q_out) / (3.0 - q_out) * ax * ax, 0.0, 1.0)
+            t = np.clip(1.0 - k * ax * ax, 0.0, 1.0)
         upper = 0.5 * sc.betainc(a, 0.5, t)
     else:
-        a = 1.0 / (q_out - 1.0) - 0.5
-        k = (q_out - 1.0) / (3.0 - q_out)
         with np.errstate(over="ignore"):
             y = k * ax * ax
         w = 1.0 / (1.0 + y)
@@ -184,34 +189,31 @@ def cdf_array_direct(q_out: float, x: np.ndarray) -> np.ndarray:
     q_out = 2.3 comes precisely from those saturated values (see stats).
     Use cdf_array when tail-exact values are wanted instead.
     """
-    _validate_q(q_out)
+    spec = make_spec(q_out)
     sc = _special()
     x = np.asarray(x, dtype=float)
-    if abs(q_out - 1.0) < _Q_ONE_EPS:
+    if spec.gaussian:
         return sc.ndtr(x)
     if q_out < 1.0:
-        b = (2.0 - q_out) / (1.0 - q_out)
         with np.errstate(over="ignore"):
-            y = np.clip((1.0 - q_out) / (3.0 - q_out) * x * x, 0.0, 1.0)
-        inner = sc.betainc(0.5, b, y)
+            y = np.clip(spec.k * x * x, 0.0, 1.0)
+        inner = sc.betainc(0.5, spec.a, y)
         out = 0.5 * (1.0 + np.sign(x) * inner)
-        half = math.sqrt((3.0 - q_out) / (1.0 - q_out))
-        out = np.where(x <= -half, 0.0, out)
-        out = np.where(x >= half, 1.0, out)
+        out = np.where(x <= -spec.half_width, 0.0, out)
+        out = np.where(x >= spec.half_width, 1.0, out)
         return out
-    b = 1.0 / (q_out - 1.0) - 0.5
     # |x| past about 1e154 overflows y to inf and r to nan: the result is
     # nan there, without numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (q_out - 1.0) / (3.0 - q_out) * x * x
+        y = spec.k * x * x
         r = y / (1.0 + y)
-    inner = sc.betainc(0.5, b, r)
+    inner = sc.betainc(0.5, spec.a, r)
     return 0.5 * (1.0 + np.sign(x) * inner)
 
 
 def variance(q_out: float) -> float:
     """Variance (3-q_out)/(5-3*q_out); finite only for q_out < 5/3."""
-    _validate_q(q_out)
+    make_spec(q_out)
     if q_out >= 5.0 / 3.0:
         raise ValueError(
             "variance is finite only for q_out < 5/3, got %r" % (q_out,)
@@ -237,15 +239,14 @@ def quantile(q_out: float, p: float) -> float:
     1/|q_out - 1|.  For q_out > 1 every finite result also holds the tail,
     within about 1.5e-13 of min(p, 1-p) relative, down to p = 1e-299.
     """
-    _validate_q(q_out)
+    spec = make_spec(q_out)
+    a, k = spec.a, spec.k
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1), got %r" % (p,))
     sc = _special()
-    if abs(q_out - 1.0) < _Q_ONE_EPS:
+    if spec.gaussian:
         return float(sc.ndtri(p))
     if q_out > 1.0:
-        a = 1.0 / (q_out - 1.0) - 0.5
-        k = (q_out - 1.0) / (3.0 - q_out)
         tail = 2.0 * min(p, 1.0 - p)
         # log w of the leading term 0.5 * w^a / (a B(a, 1/2)) = tail / 2
         log_w = (math.log(tail) + math.log(a) + float(sc.betaln(a, 0.5))) / a
@@ -256,9 +257,7 @@ def quantile(q_out: float, p: float) -> float:
             w = float(sc.betaincinv(a, 0.5, tail))
             x = math.sqrt((1.0 - w) / (w * k))
         return math.copysign(x, p - 0.5)
-    a = (2.0 - q_out) / (1.0 - q_out)
-    half = math.sqrt((3.0 - q_out) / (1.0 - q_out))
-    return half * (2.0 * float(sc.betaincinv(a, a, p)) - 1.0)
+    return spec.half_width * (2.0 * float(sc.betaincinv(a, a, p)) - 1.0)
 
 
 def joint_pdf(q_out: float, xi: float, eta: float) -> float:
@@ -268,8 +267,7 @@ def joint_pdf(q_out: float, xi: float, eta: float) -> float:
     its two marginals are the q_out family member.  Zero outside the
     radial support when q_int < 1.
     """
-    _validate_q(q_out)
-    q_int = (q_out + 1.0) / (3.0 - q_out)
+    q_int = make_spec(q_out).q_int
     u = q_exp(q_int, -(xi * xi + eta * eta) * 0.5)
     if u == 0.0:
         return 0.0

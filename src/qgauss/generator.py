@@ -4,6 +4,8 @@ The chaotic generator carries three floats of state: a point (w, v) on the
 unit circle advanced by the degree-d polynomial pair, and a radial value z
 advanced by the conjugated fold map.  Each step emits the pair
 (xi, eta) = (w*z, v*z), whose marginals converge to the q_out family member.
+That member is a distribution.QSpec from distribution.make_spec (both
+re-exported here), and the radial map runs at its q_int.
 
 Bit discipline: generate() and step() share one entry point (_run).  It
 runs the compiled orbit of _orbit.c, built with the system C compiler on
@@ -27,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import _orbit
-from .distribution import _validate_q
+# Re-exported: callers take the family record from here with init.
+from .distribution import QSpec, make_spec
 from .maps import (
     _CHEB,
     _ORBIT_BLOCK,
@@ -63,28 +66,6 @@ __all__ = [
 _RADIUS_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class QSpec:
-    """Deformation parameters of one generator instance.
-
-    q_out  the family parameter of the emitted marginals, q_out < 3
-    q_int  internal map deformation (q_out + 1)/(3 - q_out)
-    nu     tail index (3 - q_out)/(q_out - 1) for q_out > 1, else None
-    """
-
-    q_out: float
-    q_int: float
-    nu: Optional[float]
-
-
-def make_spec(q_out: float) -> QSpec:
-    """Build a QSpec from the output deformation parameter."""
-    _validate_q(q_out)
-    q_int = (q_out + 1.0) / (3.0 - q_out)
-    nu = (3.0 - q_out) / (q_out - 1.0) if q_out > 1.0 else None
-    return QSpec(q_out=q_out, q_int=q_int, nu=nu)
-
-
 @dataclass
 class GeneratorState:
     """Mutable orbit state plus the seeds it was started from."""
@@ -111,11 +92,12 @@ def init(
 
     v0 fixes the circle point as (w, v) = (w0_sign*sqrt(1 - v0*v0), v0) and
     must lie strictly inside (0, 1); z0 seeds the radial map and must pass
-    maps._check_start: finite, > 0 and, for q_int < 1, below the edge.
+    maps._check_start: finite, > 0 and, for q_int < 1, below the edge and
+    not sent onto it by the first step.
     """
     if not 0.0 < v0 < 1.0:
         raise ValueError("v0 must lie strictly inside (0, 1), got %r" % (v0,))
-    _check_start(spec.q_int, z0)
+    _check_start(spec.q_int, cfg, z0)
     if w0_sign not in (1, -1):
         raise ValueError("w0_sign must be +1 or -1, got %r" % (w0_sign,))
     w0 = w0_sign * math.sqrt(1.0 - v0 * v0)

@@ -32,14 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _orbit, distribution
-from .generator import (
-    QSpec,
-    UniformStream,
-    derive_seed,
-    generate,
-    init,
-    make_spec,
-)
+from .distribution import QSpec, make_spec
+from .generator import UniformStream, derive_seed, generate, init
 from .maps import (
     _ORBIT_BLOCK,
     MapConfig,
@@ -47,6 +41,7 @@ from .maps import (
     _check_start,
     _fold_derivative,
     _fold_point,
+    _lands_on_edge,
     _radial_orbit,
     _radial_params,
     _z_edge,
@@ -310,7 +305,7 @@ def lyapunov(
     """
     _check_count("t", t, 1)
     _check_count("burn_in", burn_in, 0)
-    _check_start(q_int, z0)
+    _check_start(q_int, cfg, z0)
     lib = _orbit.kernel()
     if lib is None:
         acc, used = _lyapunov_python(q_int, cfg, z0, t, burn_in)
@@ -429,9 +424,14 @@ class TrialTable:
 
 
 def _trial_start(
-    spec: QSpec, master_seed: int, iq: int, trial: int
+    spec: QSpec, cfg: MapConfig, master_seed: int, iq: int, trial: int
 ) -> Tuple[float, float, int]:
-    """Derive (v0, z0, w0_sign) for one trial from its substream."""
+    """Derive (v0, z0, w0_sign) for one trial from its substream.
+
+    For q_int < 1, z0 is halved until maps._check_start passes it, that is
+    until its first radial step no longer lands on the support edge; a
+    start that passes at once keeps its bits.
+    """
     stream = UniformStream(derive_seed(master_seed, iq, trial))
     u1 = stream.next_float()
     u2 = stream.next_float()
@@ -439,6 +439,8 @@ def _trial_start(
     v0 = 0.05 + 0.9 * u1
     if spec.q_int < 1.0:
         z0 = (0.05 + 0.9 * u2) * _z_edge(spec.q_int)
+        while _lands_on_edge(spec.q_int, cfg, z0):
+            z0 *= 0.5
     else:
         z0 = 0.05 + 0.9 * u2
     w0_sign = 1 if u3 < 0.5 else -1
@@ -453,7 +455,7 @@ def _table_row(
     p_ks: List[float] = []
     p_ad: List[float] = []
     for trial in range(trials):
-        v0, z0, w0_sign = _trial_start(spec, master_seed, iq, trial)
+        v0, z0, w0_sign = _trial_start(spec, cfg, master_seed, iq, trial)
         state = init(spec, cfg, v0=v0, z0=z0, w0_sign=w0_sign)
         batch = generate(state, samples)
         ks, ad = _both_statistics(
@@ -496,7 +498,7 @@ def run_trial_table(
     _check_count("jobs", jobs, 1)
     q_out = [float(q) for q in q_list]
     for q in q_out:
-        distribution._validate_q(q)
+        make_spec(q)
     # One null for every row, built here so pool workers do not rebuild it.
     ks_null, ad_null = _null_statistics(samples, n_null, null_seed)
     tasks = [

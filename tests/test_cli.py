@@ -341,13 +341,17 @@ class TestDiag:
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "domain"
 
-    @pytest.mark.parametrize("what", ["return_map", "sample_path"])
-    def test_bad_start_leaves_no_file(self, capsys, tmp_path, what):
-        """z0 = 5 is outside the support at q' = 0.5: the domain error comes
-        before the output file is opened."""
+    @pytest.mark.parametrize("what,q,z0", [
+        ("return_map", "0.5", "5"), ("sample_path", "0.5", "5"),
+        ("return_map", "0.99", "10"), ("sample_path", "0.99", "10"),
+    ], ids=["return_map", "sample_path", "return_map-absorbed", "sample_path-absorbed"])
+    def test_bad_start_leaves_no_file(self, capsys, tmp_path, what, q, z0):
+        """z0 = 5 is outside the support at q' = 0.5, and z0 = 10 is inside
+        it at q' = 0.99 but its first radial step lands on the edge: the
+        domain error comes before the output file is opened."""
         out_path = tmp_path / "d.csv"
         code, _, err = _run_expect_exit(capsys, "diag", "--what", what,
-                                        "--q", "0.5", "--z0", "5",
+                                        "--q", q, "--z0", z0,
                                         "--out", str(out_path))
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "domain"

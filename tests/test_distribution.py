@@ -21,9 +21,9 @@ from qgauss.distribution import (
     cdf_array,
     cdf_array_direct,
     joint_pdf,
+    make_spec,
     pdf,
     quantile,
-    summarize,
     support,
     variance,
 )
@@ -237,20 +237,24 @@ class TestQuantile:
             quantile(1.0, 1.0)
 
 
-class TestSummarize:
+class TestMakeSpec:
+    """make_spec, support and variance give the static facts of a member."""
+
     def test_fields_compact(self):
-        s = summarize(-1.0)
+        s = make_spec(-1.0)
         assert s.q_out == -1.0
         assert s.q_int == 0.0
-        assert s.support[1] == pytest.approx(math.sqrt(2.0))
+        assert support(-1.0)[1] == pytest.approx(math.sqrt(2.0))
+        assert s.half_width == support(-1.0)[1]
         assert s.nu is None
-        assert s.variance == pytest.approx(0.5)
+        assert variance(-1.0) == pytest.approx(0.5)
 
     def test_fields_heavy(self):
-        s = summarize(2.0)
-        assert math.isinf(s.support[1])
+        s = make_spec(2.0)
+        assert math.isinf(support(2.0)[1])
         assert s.nu == pytest.approx(1.0)
-        assert s.variance is None
+        with pytest.raises(ValueError):
+            variance(2.0)
 
 
 class TestJointPdf:

@@ -261,9 +261,11 @@ class TestCompiledOrbit:
     @pytest.mark.parametrize("l", [2 ** 62, 2 ** 64 + 7, 10 ** 300],
                              ids=["2**62", "2**64+7", "10**300"])
     def test_matches_python_loop_at_huge_fold_order(self, l, c):
-        """Fold cells past 2**63, where an integer cast of trunc(y) overflows."""
+        """Fold cells past 2**63, where an integer cast of trunc(y) overflows.
+        Only the q' >= 1 members: below 1, every fold output of so large a
+        slope is 0, so init rejects the start as absorbed."""
         cfg = MapConfig(l=l, c=c)
-        for q_out in ORBIT_Q:
+        for q_out in (q for q in ORBIT_Q if q >= 1.0):
             assert _split_run(_run, q_out, cfg) == _split_run(_run_python, q_out, cfg), q_out
 
     def test_rejects_arrays_it_cannot_fill(self):

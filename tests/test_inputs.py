@@ -80,3 +80,14 @@ def test_lyapunov_takes_the_starts_init_takes(q_out, l, c):
     for z0, ok in starts:
         assert _accepts(init, spec, cfg, z0=z0) is ok, z0
         assert _accepts(lyapunov, spec.q_int, cfg, z0, 100) is ok, z0
+
+
+def test_absorbed_start_is_rejected():
+    """At q' = 0.99 the tent fold rounds s*u to 0 from every z0 above about
+    7.97 (z_edge = 14.18), and 0 maps to the edge for good: z0 = 10 is
+    rejected by both, z0 = 5 taken by both."""
+    spec = make_spec(0.99)
+    cfg = MapConfig()
+    for z0, ok in ((10.0, False), (5.0, True)):
+        assert _accepts(init, spec, cfg, z0=z0) is ok, z0
+        assert _accepts(lyapunov, spec.q_int, cfg, z0, 100) is ok, z0

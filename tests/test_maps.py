@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qgauss.generator import init, make_spec
 from qgauss.maps import (
     _U_CLAMP_LO,
     CirclePoint,
     MapConfig,
     chebyshev_pair,
+    _radial_orbit,
     _u_floor,
+    _z_edge,
     tri_map,
     z_map,
     z_map_derivative,
@@ -160,6 +163,32 @@ class TestZMap:
                         want = math.sqrt(-2.0 * q_ln(q_int, u))
                     z = z_map(q_int, cfg, z)
                     assert z == want, (q_int, l, c, i)
+
+
+class TestRadialStarts:
+    # q' = 0.9 from z0 = 0.99 z_edge and q' = 0.99 from 0.7 z_edge: starts
+    # whose first tent fold rounds s*u to 0, which maps to the edge.
+    @given(q_out=st.floats(-5.0, 1.0, exclude_max=True),
+           frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           l=st.sampled_from([2, 3]), c=st.sampled_from([1, 6]))
+    @example(q_out=0.9, frac=0.99, l=2, c=1)
+    @example(q_out=0.99, frac=0.7, l=2, c=1)
+    @settings(max_examples=100, deadline=None)
+    def test_accepted_start_never_reaches_the_edge(self, q_out, frac, l, c):
+        """From every z0 that init accepts, drawn as a fraction of the
+        support edge, 200 radial steps neither reach the edge nor stay put."""
+        q_int = make_spec(q_out).q_int
+        if q_int >= 1.0:  # q' within rounding of 1: no edge
+            return
+        cfg = MapConfig(l=l, c=c)
+        z_edge = _z_edge(q_int)
+        try:
+            init(make_spec(q_out), cfg, z0=frac * z_edge)
+        except ValueError:
+            return
+        zs = _radial_orbit(q_int, cfg, frac * z_edge, 200)[0]
+        assert z_edge not in zs
+        assert len(set(zs)) > 1
 
 
 class TestZMapDerivative:

@@ -15,7 +15,7 @@ from null_reference import (
 from qgauss import _orbit, stats
 from qgauss.distribution import cdf_array, cdf_array_direct
 from qgauss.generator import UniformStream, generate, init, make_spec
-from qgauss.maps import MapConfig, _radial_params
+from qgauss.maps import MapConfig, _radial_params, _z_edge
 from qgauss.stats import (
     _NULL_BLOCK,
     _NULL_CACHE_SIZE,
@@ -427,6 +427,23 @@ class TestTrialTable:
         assert all(len(r.p_ks) == 3 for r in t1.rows)
         assert t1.rows[0].p_ks_best == max(t1.rows[0].p_ks)
 
+    def test_no_trial_ends_on_the_support_edge(self, monkeypatch):
+        """At q' = 0.99, 41 of the first 100 protocol starts have a first
+        radial step that lands on the support edge, where the orbit stays;
+        _trial_start halves those z0 until the step does not."""
+        ends = []
+        real = stats.generate
+
+        def recording(state, n):
+            batch = real(state, n)
+            ends.append(state.z)
+            return batch
+
+        monkeypatch.setattr(stats, "generate", recording)
+        run_trial_table([0.99], trials=100, samples=50, n_null=19)
+        assert len(ends) == 100
+        assert _z_edge(make_spec(0.99).q_int) not in ends
+
     def test_jobs_do_not_change_results(self):
         q_list = [0.5, 1.5]
         serial = run_trial_table(q_list, trials=2, samples=300, n_null=99,
@@ -505,7 +522,7 @@ class TestTrialTable:
         for iq, (q_out, row) in enumerate(zip(q_list, table.rows)):
             spec = make_spec(q_out)
             for trial in range(2):
-                v0, z0, w0_sign = stats._trial_start(spec, 5, iq, trial)
+                v0, z0, w0_sign = stats._trial_start(spec, MapConfig(), 5, iq, trial)
                 state = init(spec, MapConfig(), v0=v0, z0=z0, w0_sign=w0_sign)
                 xi = generate(state, 1000).xi
                 x = np.sort(xi)
