@@ -177,16 +177,17 @@ class TestRadialStarts:
     def test_accepted_start_never_reaches_the_edge(self, q_out, frac, l, c):
         """From every z0 that init accepts, drawn as a fraction of the
         support edge, 200 radial steps neither reach the edge nor stay put."""
-        q_int = make_spec(q_out).q_int
-        if q_int >= 1.0:  # q' within rounding of 1: no edge
+        spec = make_spec(q_out)
+        if spec.q_int >= 1.0:  # q' within rounding of 1: no edge
             return
         cfg = MapConfig(l=l, c=c)
-        z_edge = _z_edge(q_int)
+        z_edge = _z_edge(spec.q_int)
+        z0 = frac * z_edge
         try:
-            init(make_spec(q_out), cfg, z0=frac * z_edge)
+            init(spec, cfg, z0=z0)
         except ValueError:
             return
-        zs = _radial_orbit(q_int, cfg, frac * z_edge, 200)[0]
+        zs = _radial_orbit(spec.q_int, cfg, z0, 200)[0]
         assert z_edge not in zs
         assert len(set(zs)) > 1
 
