@@ -430,7 +430,9 @@ def _trial_start(
 
     For q_int < 1, z0 is halved until maps._check_start passes it, that is
     until its first radial step no longer lands on the support edge; a
-    start that passes at once keeps its bits.
+    start that passes at once keeps its bits.  Where every halving lands
+    there (fold orders l of about 2**52 and up, where s*g_inv(z0) is an
+    even integer), z0 reaches 0 and ValueError is raised.
     """
     stream = UniformStream(derive_seed(master_seed, iq, trial))
     u1 = stream.next_float()
@@ -439,8 +441,12 @@ def _trial_start(
     v0 = 0.05 + 0.9 * u1
     if spec.q_int < 1.0:
         z0 = (0.05 + 0.9 * u2) * _z_edge(spec.q_int)
-        while _lands_on_edge(spec.q_int, cfg, z0):
+        while z0 > 0.0 and _lands_on_edge(spec.q_int, cfg, z0):
             z0 *= 0.5
+        if z0 == 0.0:
+            raise ValueError("no trial start for q'=%r with l=%r, c=%r: every "
+                             "z0 lands on the support edge in one radial step"
+                             % (spec.q_out, cfg.l, cfg.c))
     else:
         z0 = 0.05 + 0.9 * u2
     w0_sign = 1 if u3 < 0.5 else -1
@@ -448,14 +454,14 @@ def _trial_start(
 
 
 def _table_row(
-    args: Tuple[float, int, MapConfig, int, int, int, np.ndarray, np.ndarray]
+    args: Tuple[float, MapConfig, List[Tuple[float, float, int]], int,
+                np.ndarray, np.ndarray]
 ) -> TrialRow:
-    q_out, iq, cfg, trials, samples, master_seed, ks_null, ad_null = args
+    q_out, cfg, starts, samples, ks_null, ad_null = args
     spec = make_spec(q_out)
     p_ks: List[float] = []
     p_ad: List[float] = []
-    for trial in range(trials):
-        v0, z0, w0_sign = _trial_start(spec, cfg, master_seed, iq, trial)
+    for v0, z0, w0_sign in starts:
         state = init(spec, cfg, v0=v0, z0=z0, w0_sign=w0_sign)
         batch = generate(state, samples)
         ks, ad = _both_statistics(
@@ -489,21 +495,24 @@ def run_trial_table(
     master_seed, so results do not depend on jobs or evaluation order; rows
     run in a pool of at most one worker per grid value when jobs > 1.  Each
     trial is scored as gof_test scores a sample.  Every argument, each q'
-    of q_list included, is checked before the null is built or a worker
-    starts.
+    of q_list included, is checked, and every trial's start derived, before
+    the null is built or a worker starts.
     """
     _check_count("trials", trials, 1)
     _check_count("samples", samples, 1)
     _check_count("n_null", n_null, 1)
     _check_count("jobs", jobs, 1)
     q_out = [float(q) for q in q_list]
-    for q in q_out:
-        make_spec(q)
+    starts = []
+    for iq, q in enumerate(q_out):
+        spec = make_spec(q)
+        starts.append([_trial_start(spec, cfg, master_seed, iq, trial)
+                       for trial in range(trials)])
     # One null for every row, built here so pool workers do not rebuild it.
     ks_null, ad_null = _null_statistics(samples, n_null, null_seed)
     tasks = [
-        (q, iq, cfg, trials, samples, master_seed, ks_null, ad_null)
-        for iq, q in enumerate(q_out)
+        (q, cfg, row_starts, samples, ks_null, ad_null)
+        for q, row_starts in zip(q_out, starts)
     ]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

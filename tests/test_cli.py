@@ -262,6 +262,14 @@ class TestTable:
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "domain"
 
+    def test_fold_order_that_absorbs_every_start_is_domain_error(self, capsys):
+        code, out, err = _run_expect_exit(capsys, "table", "--q-list", "0.5",
+                                          "--l", str(2**62), "--trials", "1",
+                                          "--count", "50", "--n-null", "19")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert json.loads(err)["error"] == "domain"
+
     def test_zero_n_null_is_domain_error(self, capsys):
         code, _, err = _run_expect_exit(capsys, "table", "--q-list", "2.9",
                                         "--trials", "1", "--count", "50",

@@ -2,6 +2,7 @@
 
 import io
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -443,6 +444,28 @@ class TestTrialTable:
         run_trial_table([0.99], trials=100, samples=50, n_null=19)
         assert len(ends) == 100
         assert _z_edge(make_spec(0.99).q_int) not in ends
+
+    def test_fold_order_that_absorbs_every_start_is_rejected(self, monkeypatch):
+        """At l = 2**62, s*g_inv(z0) is an even integer for every z0, so
+        every halving of a q' < 1 start still lands on the support edge.
+        The table raises ValueError before it builds the null, and within
+        the alarm (the halving stops at z0 = 0)."""
+        def no_null(*args):
+            raise AssertionError("null built before the starts were checked")
+
+        def hang(signum, frame):
+            raise AssertionError("no verdict within 20 s")
+
+        monkeypatch.setattr(stats, "_null_statistics", no_null)
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            with pytest.raises(ValueError, match="support edge"):
+                run_trial_table([0.5], trials=1, samples=50, n_null=19,
+                                cfg=MapConfig(l=2**62))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
 
     def test_jobs_do_not_change_results(self):
         q_list = [0.5, 1.5]
