@@ -1,17 +1,23 @@
-/* Compiled loops of the chaotic generator and its Lyapunov estimate.
+/* Compiled loops of the chaotic generator, its Lyapunov estimate and the
+ * Monte Carlo null.
  *
- * qgauss_orbit is generator._run in one C loop, and qgauss_lyapunov is
- * stats.lyapunov's burn-in and average.  Every expression has the shape and
- * evaluation order of the Python loop it replaces (generator._run_python,
- * stats._lyapunov_python): the circle step of the maps._p<d> / maps._q<d>
- * Horner forms with generator._RADIUS_TOL renormalization, and the radial
- * step of maps._radial_orbit, written once here as its conjugation halves
- * g_inv, clamp, fold (with its floor) and g, which both entry points call.
- * The orbit is chaotic, so one ulp anywhere changes every later sample; the
- * build therefore uses -ffp-contract=off (no fused multiply-add) and calls
- * only libm's exp, log, pow and sqrt, the functions Python's math module and
- * float power call.  The radial constants come from maps._radial_params, so
- * each is defined once, in Python.
+ * The library has four entry points.  qgauss_orbit is generator._run in
+ * one C loop, and qgauss_lyapunov is stats.lyapunov's burn-in and average.
+ * qgauss_take fills a block of generator.UniformStream words, and
+ * qgauss_scores forms stats._both_statistics' two EDF statistics of rows of
+ * sorted values; the null's sort stays in numpy.  Every expression has the
+ * shape and evaluation order of the Python or numpy code it replaces
+ * (generator._run_python, stats._lyapunov_python, generator._take_numpy,
+ * stats._both_statistics_numpy): the circle step of the maps._p<d> /
+ * maps._q<d> Horner forms with generator._RADIUS_TOL renormalization, and
+ * the radial step of maps._radial_orbit, written once here as its
+ * conjugation halves g_inv, clamp, fold (with its floor) and g, which the
+ * first two entry points call.  The orbit is chaotic, so one ulp anywhere
+ * changes every later sample; the build therefore uses -ffp-contract=off
+ * (no fused multiply-add) and calls only libm's exp, log, pow and sqrt, the
+ * functions Python's math module and float power call.  The radial
+ * constants come from maps._radial_params, so each is defined once, in
+ * Python.
  *
  * The fold of order l >= 3 tests the parity of k = trunc(y) with
  * fmod(k, 2.0): y reaches l*(1 - epsilon) and l is unbounded, so an integer
@@ -250,4 +256,76 @@ int qgauss_lyapunov(int gaussian, int tent, int64_t c, double one_m_q,
     *acc = sum;
     *used = n;
     return QG_OK;
+}
+
+/* SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) as generator.UniformStream
+ * draws it: out[k-1] is word k = mix64(state + k*gamma mod 2**64) for
+ * k = 1..n, mapped to ((word >> 11) + 0.5) * 2**-53 and clamped at
+ * 1 - 2**-53.  word >> 11 has 53 bits, so its conversion to double is
+ * exact, and the sum, product and clamp are the IEEE operations numpy
+ * performs.  The caller checks that out holds n doubles. */
+void qgauss_take(uint64_t state, int64_t n, double *out)
+{
+    const double u_max = 1.0 - 0x1p-53;
+    uint64_t x = state;
+    for (int64_t i = 0; i < n; i++) {
+        x += UINT64_C(0x9E3779B97F4A7C15);
+        uint64_t w = x;
+        w ^= w >> 30;
+        w *= UINT64_C(0xBF58476D1CE4E5B9);
+        w ^= w >> 27;
+        w *= UINT64_C(0x94D049BB133111EB);
+        w ^= w >> 31;
+        double u = ((double)(w >> 11) + 0.5) * 0x1p-53;
+        out[i] = u < u_max ? u : u_max;
+    }
+}
+
+/* The (KS, tail-weighted) statistics of each of rows rows of M sorted
+ * values F (row-major), in stats._both_statistics_numpy's expression
+ * shapes: dev = max(hi - f, f - lo) over the EDF steps hi = i/M and
+ * lo = (i-1)/M; w = f clipped to [1/(2M), 1 - 1/(2M)], then w*(1 - w),
+ * its sqrt and dev over the sqrt; ks[r] and ad[r] are the row maxima times
+ * sqrt(M).  A row that holds a NaN gives NaN for both, as numpy's max
+ * does.  The caller checks M >= 1 and every array's length.
+ *
+ * The tail-weighted term skips the sqrt and the divide where
+ * dev*dev < gate*p, with p = w*(1 - w) and gate = ma*ma*(1 - 1e-9) for the
+ * row's running maximum ma.  Each of dev*dev, ma*ma, the product by
+ * 1 - 1e-9 and the product by p rounds by at most 2**-53 relative, so a
+ * skipped term has dev/sqrt(p) < ma*(1 - 5e-10 + 3e-16); the sqrt and the
+ * divide add at most a few ulps (about 3e-16) to it, so its computed value
+ * is below ma and cannot change the maximum.  No term is skipped while
+ * ma is 0, and no NaN or infinite dev is ever skipped. */
+void qgauss_scores(const double *F, int64_t rows, int64_t M, const double *hi,
+                   const double *lo, double *ks, double *ad)
+{
+    const double w_lo = 1.0 / (2.0 * (double)M);
+    const double w_hi = 1.0 - 1.0 / (2.0 * (double)M);
+    const double root_m = sqrt((double)M);
+    for (int64_t r = 0; r < rows; r++, F += M) {
+        double mk = 0.0, ma = 0.0, gate = 0.0;
+        int has_nan = 0;
+        for (int64_t i = 0; i < M; i++) {
+            double f = F[i];
+            double a = hi[i] - f, b = f - lo[i];
+            double dev = a > b ? a : b;
+            double w = f < w_lo ? w_lo : f;
+            if (w > w_hi)
+                w = w_hi;
+            double p = w * (1.0 - w);
+            has_nan |= f != f;
+            if (dev > mk)
+                mk = dev;
+            if (dev * dev < gate * p)
+                continue;
+            double t = dev / sqrt(p);
+            if (t > ma) {
+                ma = t;
+                gate = ma * ma * (1.0 - 1e-9);
+            }
+        }
+        ks[r] = has_nan ? NAN : root_m * mk;
+        ad[r] = has_nan ? NAN : root_m * ma;
+    }
 }

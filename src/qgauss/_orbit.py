@@ -9,13 +9,17 @@ source or changed flags never load a stale build.  Each process compiles
 into its own temporary file and renames it into place with os.replace, so
 processes that start together race only to write identical bytes.
 
-The library has two entry points: the generator's orbit (orbit) and the
-Lyapunov average (lyapunov).  Their wrappers check every argument the C
-loops trust, the counts with maps._check_count, the rule of every public
-count; the callers check z0.  kernel() returns None, and never raises, when
-no compiler runs, the compile fails or the cache directory is unusable;
-the generator and stats.lyapunov then run their Python loops, which give
-the same bytes.
+The library has four entry points, each behind a wrapper here: the
+generator's orbit (orbit), the Lyapunov average (lyapunov), a block of
+UniformStream words (take) and the two EDF statistics of rows of sorted
+values (scores), which the Monte Carlo null, the table trials and
+stats.gof_test call.  The wrappers check every argument the C loops trust,
+the counts with maps._check_count, the rule of every public count; the
+callers check z0.  take and scores are called thousands of times per null,
+so they pass pointers as arr.ctypes.data, not through data_as.  kernel()
+returns None, and never raises, when no compiler runs, the compile fails or
+the cache directory is unusable; the callers then run their Python or numpy
+code, which gives the same bytes.
 """
 
 from __future__ import annotations
@@ -94,6 +98,15 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         _DOUBLE_P, ctypes.POINTER(ctypes.c_int64),
     ]
     fn.restype = ctypes.c_int
+    fn = lib.qgauss_take
+    fn.argtypes = [ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p]
+    fn.restype = None
+    fn = lib.qgauss_scores
+    fn.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    ]
+    fn.restype = None
     return lib
 
 
@@ -141,17 +154,18 @@ def kernel() -> Optional[ctypes.CDLL]:
     return build(cache_dir())
 
 
-def _out_array(name: str, a: np.ndarray, n: int) -> None:
+def _check_array(name: str, a: np.ndarray, shape: Tuple[int, ...],
+                 writeable: bool = True) -> None:
     if not (
         isinstance(a, np.ndarray)
         and a.dtype == np.float64
-        and a.shape == (n,)
+        and a.shape == shape
         and a.flags.c_contiguous
-        and a.flags.writeable
+        and (a.flags.writeable or not writeable)
     ):
         raise ValueError(
-            "%s must be a writeable C-contiguous float64 array of shape (%d,)"
-            % (name, n)
+            "%s must be a %sC-contiguous float64 array of shape %r"
+            % (name, "writeable " if writeable else "", shape)
         )
 
 
@@ -171,8 +185,8 @@ def orbit(
         raise ValueError("d must be an integer in 2..8, got %r" % (d,))
     _check_count("c", radial.c, 1)
     _check_count("n", n, 0)
-    _out_array("xi", xi, n)
-    _out_array("eta", eta, n)
+    _check_array("xi", xi, (n,))
+    _check_array("eta", eta, (n,))
     state = (ctypes.c_double * 3)(*wvz)
     lib.qgauss_orbit(
         d, *radial, radius_tol, state, n,
@@ -205,3 +219,34 @@ def lyapunov(
         error, message = _LYAPUNOV_ERRORS[status]
         raise error(message)
     return acc.value, used.value
+
+
+def take(lib: ctypes.CDLL, state: int, n: int, out: np.ndarray) -> None:
+    """Fill out with UniformStream words 1..n after state (see
+    generator.UniformStream), in C.  Checks every argument the C loop
+    trusts; the caller advances its state."""
+    if not (isinstance(state, int) and 0 <= state < 2 ** 64):
+        raise ValueError("state must be an integer in [0, 2**64), got %r" % (state,))
+    _check_count("n", n, 0)
+    _check_array("out", out, (n,))
+    lib.qgauss_take(state, n, out.ctypes.data)
+
+
+def scores(lib: ctypes.CDLL, F: np.ndarray, steps: np.ndarray,
+           out: np.ndarray) -> None:
+    """Fill out[0] and out[1] with the (KS, tail-weighted) statistics of
+    each row of the sorted values F, of shape (rows, M), against the EDF
+    steps of stats._edf_steps(M), in C.  Checks every argument the C loop
+    trusts."""
+    if not (isinstance(F, np.ndarray) and F.ndim == 2):
+        raise ValueError("F must be a 2-d array of rows of sorted values")
+    rows, M = F.shape
+    _check_count("M", M, 1)
+    _check_array("F", F, (rows, M), writeable=False)
+    _check_array("steps", steps, (2, M), writeable=False)
+    _check_array("out", out, (2, rows))
+    # Row 1 of steps (lo) and of out (ad) starts one row of doubles after
+    # row 0 (hi, ks).
+    hi = steps.ctypes.data
+    ks = out.ctypes.data
+    lib.qgauss_scores(F.ctypes.data, rows, M, hi, hi + 8 * M, ks, ks + 8 * rows)

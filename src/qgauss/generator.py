@@ -322,24 +322,41 @@ class UniformStream:
     def take(self, n: int) -> np.ndarray:
         """Draw n floats as an array: the same bits as n next_float calls.
 
-        Words 1..n are mixed at once in numpy uint64, whose multiply and add
-        wrap mod 2**64 as the masked Python arithmetic does; word >> 11 fits
-        in 53 bits, so the conversion to float64 is exact and the final
-        (+ 0.5) * 2**-53 and the clamp at 1 - 2**-53 are the same IEEE
-        operations next_float performs.
+        The words come from the compiled library (_orbit.c, qgauss_take)
+        wherever it can be built, and from _take_numpy, its byte oracle,
+        otherwise.
         """
         _check_count("n", n, 0)
-        x = np.arange(1, n + 1, dtype=np.uint64)
-        x *= np.uint64(_SM_GAMMA)
-        x += np.uint64(self._s)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(_SM_MIX1)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(_SM_MIX2)
-        x ^= x >> np.uint64(31)
+        lib = _orbit.kernel()
+        if lib is None:
+            u = _take_numpy(self._s, n)
+        else:
+            u = np.empty(n)
+            _orbit.take(lib, self._s, n, u)
         self._s = (self._s + n * _SM_GAMMA) & _MASK64
-        u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
-        return np.minimum(u, _U_MAX, out=u)
+        return u
+
+
+def _take_numpy(s: int, n: int) -> np.ndarray:
+    """Words 1..n after state s as floats in numpy: UniformStream.take's
+    fallback and the compiled loop's test oracle.
+
+    Words 1..n are mixed at once in numpy uint64, whose multiply and add
+    wrap mod 2**64 as the masked Python arithmetic does; word >> 11 fits in
+    53 bits, so the conversion to float64 is exact and the final
+    (+ 0.5) * 2**-53 and the clamp at 1 - 2**-53 are the same IEEE
+    operations next_float performs.
+    """
+    x = np.arange(1, n + 1, dtype=np.uint64)
+    x *= np.uint64(_SM_GAMMA)
+    x += np.uint64(s)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_SM_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_SM_MIX2)
+    x ^= x >> np.uint64(31)
+    u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
+    return np.minimum(u, _U_MAX, out=u)
 
 
 def derive_seed(master: int, *indices: int) -> int:

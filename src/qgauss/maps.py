@@ -255,24 +255,30 @@ def _z_edge(q_int: float) -> float:
 
 def _check_start(q_int: float, cfg: MapConfig, z0: float) -> None:
     """Reject an orbit start z0 unless it is finite, > 0 and, for q_int < 1,
-    below the support edge and not sent onto it by the first radial step:
-    the radial map keeps the edge forever.  A fold output of 0 maps to the
-    edge, and g_inv's underflow or the tent fold's rounding of an s*u below
-    about 2**-54 gives 0 from every z0 above 0.56 z_edge at q' = 0.99."""
+    below the support edge and not absorbed by the first radial step
+    (_is_absorbed).  A fold output of 0 maps to the edge, and g_inv's
+    underflow or the tent fold's rounding of an s*u below about 2**-54 gives
+    0 from every z0 above 0.56 z_edge at q' = 0.99."""
     if not (math.isfinite(z0) and z0 > 0.0):
         raise ValueError("z0 must be finite and > 0, got %r" % (z0,))
     if q_int < 1.0 and z0 >= _z_edge(q_int):
         raise ValueError("z0=%r is outside the radial support [0, %r) for q_int=%r"
                          % (z0, _z_edge(q_int), q_int))
-    if q_int < 1.0 and _lands_on_edge(q_int, cfg, z0):
+    if q_int < 1.0 and _is_absorbed(q_int, cfg, z0):
         raise ValueError("z0=%r is absorbed: its first radial step lands on the "
-                         "support edge for q_int=%r" % (z0, q_int))
+                         "support edge or on a point the radial map keeps, for "
+                         "q_int=%r" % (z0, q_int))
 
 
-def _lands_on_edge(q_int: float, cfg: MapConfig, z0: float) -> bool:
+def _is_absorbed(q_int: float, cfg: MapConfig, z0: float) -> bool:
     """Whether the first radial step from z0, inside the support of a
-    q_int < 1, lands on the support edge."""
-    return _radial_orbit(q_int, cfg, z0, 1)[0][0] == _z_edge(q_int)
+    q_int < 1, lands where the radial map stays for good: on the support
+    edge, or on a point that the next step returns unchanged.  Such points
+    lie a few ulps below the edge at l = 3 (seen at q' = 0.75 and 0.9 with
+    c = 1): g_inv(z) is far below 2**-52 there, and g rounds the folded
+    value back to the same z."""
+    zs = _radial_orbit(q_int, cfg, z0, 2)[0]
+    return zs[0] == _z_edge(q_int) or zs[0] == zs[1]
 
 
 def _check_support(q_int: float, z: float) -> None:

@@ -41,7 +41,7 @@ from .maps import (
     _check_start,
     _fold_derivative,
     _fold_point,
-    _lands_on_edge,
+    _is_absorbed,
     _radial_orbit,
     _radial_params,
     _z_edge,
@@ -86,19 +86,20 @@ class GofResult:
 
 
 @functools.lru_cache(maxsize=8)
-def _edf_steps(M: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The EDF's steps (i/M, (i-1)/M) for i = 1..M, read-only.
+def _edf_steps(M: int) -> np.ndarray:
+    """The EDF's steps as one read-only array of shape (2, M): row 0 is
+    i/M and row 1 is (i-1)/M for i = 1..M.
 
-    Memoized because every statistic at one M needs the same two arrays:
+    Memoized because every statistic at one M needs the same two rows:
     at M = 10**4 forming them costs about half as much as sorting the
-    sample.
+    sample.  One array, so the compiled scoring takes one pointer for both.
     """
     i = np.arange(1, M + 1, dtype=float)
-    hi = i / M
-    lo = (i - 1.0) / M
-    hi.setflags(write=False)
-    lo.setflags(write=False)
-    return hi, lo
+    steps = np.empty((2, M))
+    np.divide(i, M, out=steps[0])
+    np.divide(i - 1.0, M, out=steps[1])
+    steps.setflags(write=False)
+    return steps
 
 
 def _both_statistics(F: np.ndarray):
@@ -107,11 +108,33 @@ def _both_statistics(F: np.ndarray):
     F holds one sample's sorted cdf values along its last axis.  A 1-d F
     gives two Python floats; an F of shape (..., M) gives two arrays of
     shape (...), one statistic per row, each with the bits the 1-d call
-    gives that row: every step is an elementwise IEEE operation and the
-    reduction an exact max.  The deviation max(|i/M - F_i|, |(i-1)/M - F_i|)
-    is written max(i/M - F_i, F_i - (i-1)/M), which is the same double for
-    any F_i because i/M > (i-1)/M and rounding is sign-symmetric and
-    monotone.
+    gives that row.  A row that holds a NaN gives NaN for both.  The rows
+    are scored in one pass of the compiled library (_orbit.c,
+    qgauss_scores) wherever it can be built, and by
+    _both_statistics_numpy, its byte oracle, otherwise.
+    """
+    lib = _orbit.kernel()
+    if lib is None:
+        return _both_statistics_numpy(F)
+    M = F.shape[-1]
+    rows = np.ascontiguousarray(F, dtype=np.float64).reshape(-1, M)
+    out = np.empty((2, rows.shape[0]))
+    _orbit.scores(lib, rows, _edf_steps(M), out)
+    ks, ad = out
+    if F.ndim == 1:
+        return float(ks[0]), float(ad[0])
+    return ks.reshape(F.shape[:-1]), ad.reshape(F.shape[:-1])
+
+
+def _both_statistics_numpy(F: np.ndarray):
+    """_both_statistics in numpy: its fallback and the compiled loop's
+    test oracle.
+
+    Every step is an elementwise IEEE operation and the reduction an exact
+    max, so each row of a 2-d F gets the bits of its 1-d call.  The
+    deviation max(|i/M - F_i|, |(i-1)/M - F_i|) is written
+    max(i/M - F_i, F_i - (i-1)/M), which is the same double for any F_i
+    because i/M > (i-1)/M and rounding is sign-symmetric and monotone.
     """
     M = F.shape[-1]
     hi, lo = _edf_steps(M)
@@ -161,9 +184,11 @@ def sup_weighted_statistic(
 # that scores against fresh null seeds must not keep every null it built.
 _NULL_CACHE_SIZE = 8
 # Uniform words per null block: max(1, _NULL_BLOCK // M) replicates are
-# drawn, sorted and scored together, so numpy's per-call overhead is paid
-# per block, not per replicate.  Each temporary of a block is 64 KB at
-# 2**13 words; 2**15-word blocks raised peak memory by about 0.8 MB.
+# drawn, sorted and scored together, so the per-call overhead (of the
+# foreign calls into _orbit.c and of numpy's sort) is paid per block, not
+# per replicate.  A block of 2**13 words is one 64 KB array, sorted in
+# place; the numpy fallback's scoring makes a few temporaries of that size,
+# and with it 2**15-word blocks raised peak memory by about 0.8 MB.
 _NULL_BLOCK = 8192
 
 
@@ -429,10 +454,11 @@ def _trial_start(
     """Derive (v0, z0, w0_sign) for one trial from its substream.
 
     For q_int < 1, z0 is halved until maps._check_start passes it, that is
-    until its first radial step no longer lands on the support edge; a
-    start that passes at once keeps its bits.  Where every halving lands
-    there (fold orders l of about 2**52 and up, where s*g_inv(z0) is an
-    even integer), z0 reaches 0 and ValueError is raised.
+    until its first radial step no longer lands on the support edge or on
+    another point the radial map keeps (maps._is_absorbed); a start that
+    passes at once keeps its bits.  Where every halving lands there (fold
+    orders l of about 2**52 and up, where s*g_inv(z0) is an even integer),
+    z0 reaches 0 and ValueError is raised.
     """
     stream = UniformStream(derive_seed(master_seed, iq, trial))
     u1 = stream.next_float()
@@ -441,11 +467,12 @@ def _trial_start(
     v0 = 0.05 + 0.9 * u1
     if spec.q_int < 1.0:
         z0 = (0.05 + 0.9 * u2) * _z_edge(spec.q_int)
-        while z0 > 0.0 and _lands_on_edge(spec.q_int, cfg, z0):
+        while z0 > 0.0 and _is_absorbed(spec.q_int, cfg, z0):
             z0 *= 0.5
         if z0 == 0.0:
             raise ValueError("no trial start for q'=%r with l=%r, c=%r: every "
-                             "z0 lands on the support edge in one radial step"
+                             "z0 is absorbed in one radial step, on the "
+                             "support edge or a point the radial map keeps"
                              % (spec.q_out, cfg.l, cfg.c))
     else:
         z0 = 0.05 + 0.9 * u2

@@ -2,12 +2,13 @@
 
 stats._null_statistics draws a block of replicates with one
 UniformStream.take, which mixes the whole block of SplitMix64 words in
-numpy uint64, and scores the block's rows with one 2-d _both_statistics
-call.  reference_null_statistics keeps its replicate loop as it was
-written on one next_float call per word, and scores each replicate with
-its own copy of the 1-d statistics below, so the tests hold the block
-stream, the row-wise sort and the package's statistic arithmetic to the
-same bits, end to end.  reference_literal_null_statistics is the literal
+one compiled loop (or in numpy uint64 where the library cannot be built),
+and scores the block's rows with one 2-d _both_statistics call.
+reference_null_statistics keeps its replicate loop as it was written on
+one next_float call per word, and scores each replicate with its own copy
+of the 1-d statistics below, so the tests hold the block stream, the
+row-wise sort and the package's statistic arithmetic to the same bits,
+end to end.  reference_literal_null_statistics is the literal
 null: the same uniforms drawn through the model quantile and scored by the
 model cdf, which the tests hold the distribution-free shortcut to, up to
 the round trip.  Do not optimise any of this; the package code is tested

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qgauss
-from qgauss import __version__
+from qgauss import __version__, _orbit, stats
 from qgauss.cli import (
     _CSV_BLOCK,
     _FLOAT_FMT,
@@ -186,6 +186,28 @@ class TestGof:
         report = json.loads(out)
         assert len(report["results"]) == 1
         assert report["results"][0]["n_samples"] == 300
+
+    def test_fallback_gives_the_same_bytes(self, capsys, tmp_path, monkeypatch):
+        """Without the compiled library the null's words and scores and the
+        sample's statistics come from numpy: the report and the table CSV
+        are byte for byte the same, each from a freshly built null."""
+        path = tmp_path / "xi.csv"
+        _run(capsys, "gen", "--q", "1.5", "--count", "700", "--out", str(path))
+        gof = ("gof", "--q", "1.5", "--in", str(path), "--n-null", "99",
+               "--null-seed", "7007")
+        table = ("table", "--q-list", "0.5,1.5", "--trials", "2", "--count",
+                 "300", "--n-null", "99", "--null-seed", "7008", "--jobs", "1")
+
+        def outputs(tag):
+            stats._null_statistics.cache_clear()
+            report = _run(capsys, *gof)[1]
+            csv = tmp_path / ("t-%s.csv" % tag)
+            _run(capsys, *table, "--out", str(csv))
+            return report, csv.read_bytes()
+
+        compiled = outputs("compiled")
+        monkeypatch.setattr(_orbit, "kernel", lambda: None)
+        assert outputs("numpy") == compiled
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = _run_expect_exit(capsys, "gof", "--in",

@@ -42,7 +42,7 @@ from qgauss.generator import (
     step,
 )
 from qgauss.maps import MapConfig, _radial_params, z_map
-from qgauss.stats import lyapunov
+from qgauss.stats import _both_statistics_numpy, _edf_steps, lyapunov
 
 REF_CFG = MapConfig()  # d=8, l=2, c=1: the only configuration the C code has
 
@@ -286,6 +286,48 @@ class TestCompiledOrbit:
         assert (state.w, state.v, state.z, state.steps) == (
             fresh.w, fresh.v, fresh.z, 0)
 
+        lib = _orbit.kernel()
+        read_only = np.empty(4)
+        read_only.setflags(write=False)
+        for bad in (np.empty(3), np.empty(4, np.float32), np.empty(8)[::2],
+                    np.empty((2, 2)), [0.0] * 4, read_only):
+            with pytest.raises(ValueError):
+                _orbit.take(lib, 1, 4, bad)
+        for seed, n in ((-1, 4), (2 ** 64, 4), (1.0, 4), (1, -1), (1, 4.0), (1, 5)):
+            with pytest.raises(ValueError):
+                _orbit.take(lib, seed, n, good)
+
+        rows, M = 3, 4
+        F = np.sort(np.random.default_rng(0).random((rows, M)), axis=-1)
+        F.setflags(write=False)  # the inputs may be read-only
+        steps = _edf_steps(M)
+        out = np.empty((2, rows))
+        _orbit.scores(lib, F, steps, out)
+        assert out.tobytes() == np.array(_both_statistics_numpy(F)).tobytes()
+        out_read_only = np.empty((2, rows))
+        out_read_only.setflags(write=False)
+        bad_args = [
+            (F.astype(np.float32), steps, out),
+            (np.empty((rows, 2 * M))[:, ::2], steps, out),
+            (F[0], steps, out),
+            (F[None], steps, out),
+            (F.tolist(), steps, out),
+            (np.empty((rows, 0)), np.empty((2, 0)), out),  # M < 1
+            (F, _edf_steps(M + 1), out),
+            (F, steps[0], out),
+            (F, steps.astype(np.float32), out),
+            (F, np.empty((2, 2 * M))[:, ::2], out),
+            (F, steps, np.empty((2, rows + 1))),
+            (F, steps, np.empty((rows, 2))),
+            (F, steps, np.empty(2 * rows)),
+            (F, steps, np.empty((2, rows), np.float32)),
+            (F, steps, np.empty((2, 2 * rows))[:, ::2]),
+            (F, steps, out_read_only),
+        ]
+        for args in bad_args:
+            with pytest.raises(ValueError):
+                _orbit.scores(lib, *args)
+
 
 class TestOrbitBuild:
     def test_active_whenever_cc_is_on_path(self):
@@ -513,6 +555,15 @@ class TestUniformStream:
     def test_derive_seed_spreads(self):
         seeds = {derive_seed(42, i, j) for i in range(8) for j in range(8)}
         assert len(seeds) == 64
+
+
+class TestUniformStreamWithoutKernel(TestUniformStream):
+    """Every stream test again on the numpy words (generator._take_numpy),
+    which take draws where the compiled library cannot be built."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_words(self, monkeypatch):
+        monkeypatch.setattr(_orbit, "kernel", lambda: None)
 
 
 def _unmix64(y):

@@ -7,7 +7,7 @@ import pytest
 
 from qgauss import generator, stats
 from qgauss.generator import UniformStream, gbmm_generate, generate, init, make_spec
-from qgauss.maps import MapConfig
+from qgauss.maps import MapConfig, _z_edge
 from qgauss.stats import lyapunov, mc_p_value, run_trial_table
 
 
@@ -89,5 +89,20 @@ def test_absorbed_start_is_rejected():
     spec = make_spec(0.99)
     cfg = MapConfig()
     for z0, ok in ((10.0, False), (5.0, True)):
+        assert _accepts(init, spec, cfg, z0=z0) is ok, z0
+        assert _accepts(lyapunov, spec.q_int, cfg, z0, 100) is ok, z0
+
+
+def test_start_on_a_kept_point_is_rejected():
+    """At q' = 0.75 (z_edge = 3) with l = 3, c = 1, the radial step keeps
+    the double just below the edge, and the next one down steps onto it:
+    both are rejected, by both.  Ten ulps below the edge the orbit moves."""
+    spec = make_spec(0.75)
+    cfg = MapConfig(l=3)
+    z_edge = _z_edge(spec.q_int)
+    below = [z_edge]
+    for _ in range(10):
+        below.append(math.nextafter(below[-1], 0.0))
+    for z0, ok in ((below[1], False), (below[2], False), (below[10], True)):
         assert _accepts(init, spec, cfg, z0=z0) is ok, z0
         assert _accepts(lyapunov, spec.q_int, cfg, z0, 100) is ok, z0

@@ -173,6 +173,7 @@ class TestRadialStarts:
            l=st.sampled_from([2, 3]), c=st.sampled_from([1, 6]))
     @example(q_out=0.9, frac=0.99, l=2, c=1)
     @example(q_out=0.99, frac=0.7, l=2, c=1)
+    @example(q_out=0.75, frac=0.9999999999999999, l=3, c=1)
     @settings(max_examples=100, deadline=None)
     def test_accepted_start_never_reaches_the_edge(self, q_out, frac, l, c):
         """From every z0 that init accepts, drawn as a fraction of the

@@ -7,6 +7,8 @@ import signal
 import numpy as np
 import pytest
 import scipy.stats as spstats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from lyapunov_reference import reference_lyapunov
 from null_reference import (
     reference_literal_null_statistics,
@@ -21,6 +23,9 @@ from qgauss.stats import (
     _NULL_BLOCK,
     _NULL_CACHE_SIZE,
     DEFAULT_NULL_SEED,
+    _both_statistics,
+    _both_statistics_numpy,
+    _edf_steps,
     _lyapunov_python,
     _null_statistics,
     autocorrelation,
@@ -158,6 +163,29 @@ class TestNullStatistics:
         assert ks.tobytes() == ks_ref.tobytes()
         assert ad.tobytes() == ad_ref.tobytes()
 
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("M, n_null, seed", [
+        (1, _NULL_BLOCK + 1, 2 ** 64 - 1), (2, 9, 3),
+        (_NULL_BLOCK, 3, 2 ** 64 - 1), (_NULL_BLOCK + 1, 3, -3),
+        (10 ** 4, 3, 2 ** 64 - 1),
+    ])
+    def test_both_paths_match_per_word_reference(self, monkeypatch, path, M, n_null, seed):
+        """The compiled words and scores, and the numpy fallback, each give
+        the per-word reference's bytes; either way the result is memoized
+        and read-only."""
+        if path == "numpy":
+            monkeypatch.setattr(_orbit, "kernel", lambda: None)
+        elif _orbit.kernel() is None:
+            pytest.skip("the compiled library cannot be built here")
+        _null_statistics.cache_clear()
+        ks, ad = _null_statistics(M, n_null, seed)
+        ks_ref, ad_ref = reference_null_statistics(M, n_null, seed)
+        assert ks.tobytes() == ks_ref.tobytes()
+        assert ad.tobytes() == ad_ref.tobytes()
+        again = _null_statistics(M, n_null, seed)
+        assert again[0] is ks and again[1] is ad
+        assert not ks.flags.writeable and not ad.flags.writeable
+
     @pytest.mark.parametrize("q_out, M, n_null, seed", [
         (-0.5, 37, 11, 9), (1.0, 60, 7, 2 ** 64 - 3), (1.5, 37, 11, 9),
     ])
@@ -200,6 +228,80 @@ class TestNullStatistics:
         ks_null, _ = _null_statistics(M, 999, DEFAULT_NULL_SEED)
         p = spstats.kstest(ks_null / math.sqrt(M), spstats.kstwo(M).cdf).pvalue
         assert p > 0.001
+
+
+def _scores_both_ways(F):
+    """(_both_statistics, _both_statistics_numpy) of F, each as one array."""
+    return np.array(_both_statistics(F)), np.array(_both_statistics_numpy(F))
+
+
+class TestCompiledScores:
+    """_both_statistics scores rows in the compiled library (qgauss_scores
+    in _orbit.c) wherever it can be built; _both_statistics_numpy is its
+    oracle, byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_kernel(self):
+        if _orbit.kernel() is None:
+            pytest.skip("the compiled library cannot be built here")
+
+    @pytest.mark.parametrize("F", [
+        _edf_steps(10)[0], _edf_steps(10)[1], _edf_steps(7)[0] * 0.5 + 0.25,
+        [0.3] * 5 + [0.7] * 5, [0.5] * 7,
+        [0.0, 0.0, 1e-300, 0.5, 1.0, 1.0], [0.0] * 4, [1.0] * 4, [1e-300] * 3,
+        [0.0], [0.5], [1.0], [1e-300], [1.0 - 2.0 ** -53],
+        [0.25, 0.75], [0.0, 1.0], [1e-300, 1.0], [0.5, 0.5],
+        # at M = 4 the clip is [0.125, 0.875]: on it and one ulp outside
+        [0.125] * 4, [0.875] * 4,
+        [np.nextafter(0.125, 0.0)] * 4, [np.nextafter(0.875, 1.0)] * 4,
+    ])
+    def test_matches_numpy_on_edge_rows(self, F):
+        """Values on the EDF steps i/M and (i-1)/M, ties, values at and past
+        both clip ends (0, 1e-300 and 1), and M = 1 and 2."""
+        F = np.array(F, dtype=float)
+        compiled, numpy_ = _scores_both_ways(F)
+        assert compiled.tobytes() == numpy_.tobytes()
+        compiled, numpy_ = _scores_both_ways(np.stack([F, F[::-1].copy(), F]))
+        assert compiled.tobytes() == numpy_.tobytes()
+
+    def test_matches_numpy_on_a_3d_array(self):
+        F = np.sort(np.random.default_rng(5).random((2, 3, 50)), axis=-1)
+        ks, ad = _both_statistics(F)
+        ks_ref, ad_ref = _both_statistics_numpy(F)
+        assert ks.shape == ad.shape == (2, 3)
+        assert ks.tobytes() == ks_ref.tobytes()
+        assert ad.tobytes() == ad_ref.tobytes()
+        for i in range(2):
+            for j in range(3):
+                assert _both_statistics(F[i, j]) == (ks[i, j], ad[i, j])
+
+    def test_a_row_holding_nan_scores_nan(self):
+        F = np.sort(np.random.default_rng(6).random((3, 20)), axis=-1)
+        F[1, 7] = math.nan
+        with np.errstate(invalid="ignore"):
+            compiled, numpy_ = _scores_both_ways(F)
+        assert np.isnan(compiled[:, 1]).all() and np.isnan(numpy_[:, 1]).all()
+        keep = [0, 2]
+        assert compiled[:, keep].tobytes() == numpy_[:, keep].tobytes()
+        assert all(math.isnan(s) for s in _both_statistics(F[1]))
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_gof_test_rejects_nan_on_both_paths(self, monkeypatch, path):
+        if path == "numpy":
+            monkeypatch.setattr(_orbit, "kernel", lambda: None)
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            gof_test([0.0, 0.5, math.nan], 1.5, n_null=99)
+
+    @given(M=st.integers(1, 64), rows=st.integers(1, 3), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_on_random_sorted_rows(self, M, rows, data):
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows * M,
+                                    max_size=rows * M))
+        F = np.sort(np.array(values).reshape(rows, M), axis=-1)
+        compiled, numpy_ = _scores_both_ways(F)
+        assert compiled.tobytes() == numpy_.tobytes()
+        compiled, numpy_ = _scores_both_ways(F[0])
+        assert compiled.tobytes() == numpy_.tobytes()
 
 
 class TestGofTest:
