@@ -8,11 +8,11 @@
  * sorted values; the null's sort stays in numpy.  Every expression has the
  * shape and evaluation order of the Python or numpy code it replaces
  * (generator._run_python, stats._lyapunov_python, generator._take_numpy,
- * stats._both_statistics_numpy): the circle step of the maps._p<d> /
- * maps._q<d> Horner forms with generator._RADIUS_TOL renormalization, and
- * the radial step of maps._radial_orbit, written once here as its
- * conjugation halves g_inv, clamp, fold (with its floor) and g, which the
- * first two entry points call.  The orbit is chaotic, so one ulp anywhere
+ * stats._both_statistics_numpy): the circle step of maps._circle_step's
+ * Horner forms with generator._RADIUS_TOL renormalization, and the radial
+ * step of maps._radial_steps, written once here as its conjugation halves
+ * g_inv, clamp, fold (with its floor) and g, which the first two entry
+ * points call.  The orbit is chaotic, so one ulp anywhere
  * changes every later sample; the build therefore uses -ffp-contract=off
  * (no fused multiply-add) and calls only libm's exp, log, pow and sqrt, the
  * functions Python's math module and float power call.  The radial

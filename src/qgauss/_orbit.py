@@ -71,7 +71,10 @@ def cache_dir() -> Path:
 def _private_dir(path: Path) -> bool:
     """Create path (mode 0700) if needed; True if it is a directory of
     ours that no other user can write, so a library loaded from it is one
-    this user built."""
+    this user built.  False where the platform has no user ids to check
+    (os.getuid is missing on Windows)."""
+    if not hasattr(os, "getuid"):
+        return False
     try:
         path.mkdir(mode=0o700, parents=True, exist_ok=True)
         st = path.stat()

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, distribution
 from .distribution import make_spec
 from .generator import UniformStream, gbmm_generate, generate, init, step
-from .maps import MapConfig, _check_start, z_map
+from .maps import MapConfig, _check_count, _check_start, z_map
 from .stats import (
     _KINDS,
     DEFAULT_NULL_SEED,
@@ -227,6 +227,7 @@ def _diag_rows(args: argparse.Namespace):
     # Domain errors are raised here, before cmd_diag opens the output, so
     # they leave no file.
     if what == "return_map":
+        _check_count("--count", args.count, 0)
         _check_start(spec.q_int, mc, args.z0)
         def rows():
             z = args.z0
@@ -236,6 +237,7 @@ def _diag_rows(args: argparse.Namespace):
                 z = z_next
         return "z,z_next", rows()
     if what == "sample_path":
+        _check_count("--count", args.count, 0)
         state = init(spec, mc, v0=args.v0, z0=args.z0, w0_sign=args.w0_sign)
         def rows():
             for n in range(args.count):
@@ -243,6 +245,7 @@ def _diag_rows(args: argparse.Namespace):
                 yield (float(n + 1), xi, eta, state.w, state.v, state.z)
         return "step,xi,eta,w,v,z", rows()
     if what == "ccdf_compare":
+        _check_count("--count", args.count, 1)
         batch = _smoke_batch(args)
         x = np.sort(batch.xi)[::-1]
         n = x.size
@@ -259,6 +262,7 @@ def _diag_rows(args: argparse.Namespace):
             yield (lam, theory, lam / theory - 1.0)
         return "lambda,c_log_l,rel_err", rows()
     if what == "autocorr":
+        _check_count("--max-lag", args.max_lag, 0)
         batch = _smoke_batch(args)
         lags = range(0, min(args.max_lag, batch.count - 1) + 1)
         c0 = autocorrelation(batch.xi, 0)
@@ -289,6 +293,14 @@ def cmd_diag(args: argparse.Namespace) -> int:
         for row in rows:
             fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
     return EXIT_OK
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; os.cpu_count() where the platform
+    has no affinity mask (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_parser() -> _Parser:
@@ -328,7 +340,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--n-null", type=int, default=999, dest="n_null")
     p.add_argument("--null-seed", type=int, default=DEFAULT_NULL_SEED, dest="null_seed")
-    p.add_argument("--jobs", type=int, default=len(os.sched_getaffinity(0)),
+    p.add_argument("--jobs", type=int, default=_usable_cpus(),
                    help="worker processes, at most one per q' (default: the "
                    "usable CPU count, %(default)s; results independent of this)")
     p.add_argument("--out", default="-")

@@ -11,9 +11,10 @@ Bit discipline: generate() and step() share one entry point (_run).  It
 runs the compiled orbit of _orbit.c, built with the system C compiler on
 the first call and cached per user (see qgauss._orbit), or, where that
 cannot be built, _run_python, which gives the same bytes and is the
-compiled orbit's test oracle.  Both step the circle with the raw
-maps.chebyshev_pair expressions and the radius with the expression shapes
-of maps._radial_orbit, the loop maps.z_map takes one step of, with its
+compiled orbit's test oracle.  Both take each step in the same order:
+the circle step of maps._circle_step (the raw maps.chebyshev_pair
+expressions), the renormalization, and the radial step of
+maps._radial_steps, the iterator maps.z_map takes one step of, with its
 constants from maps._radial_params.  The circle point is renormalized
 only when its squared radius drifts more than 1e-10 from 1, which keeps
 short orbits bit-identical to the unrenormalized reference recursion
@@ -37,13 +38,12 @@ from . import _orbit
 # Re-exported: callers take the family record from here with init.
 from .distribution import QSpec, make_spec
 from .maps import (
-    _CHEB,
-    _ORBIT_BLOCK,
     MapConfig,
     _check_count,
     _check_start,
-    _radial_orbit,
+    _circle_step,
     _radial_params,
+    _radial_steps,
     _u_floor,
 )
 from .specfun import q_ln
@@ -111,35 +111,26 @@ def _run_python(
 ) -> None:
     """The orbit loop in Python: the fallback for _run and its test oracle.
 
-    It steps the circle point with the raw maps.chebyshev_pair expressions
-    and writes (w, v) into the outputs; the radial values come from
-    maps._radial_orbit, the one Python copy of the radial step, in blocks
-    of _ORBIT_BLOCK, and multiply the outputs in place.  numpy's float64
-    product is the IEEE product, so each output is the same bits as w*z
-    formed in Python.
+    Each step is qgauss_orbit's: maps._circle_step, the renormalization,
+    the next z of maps._radial_steps (the one Python copy of the radial
+    step), then the outputs w*z and v*z.
     """
     w = state.w
     v = state.v
-    pf, qf = _CHEB[state.cfg.d]
+    z = state.z
+    d = state.cfg.d
     sqrt_ = math.sqrt
+    radial_step = _radial_steps(state.spec.q_int, state.cfg, z).__next__
     for i in range(n):
-        v = qf(w, v)
-        w = pf(w)
+        w, v = _circle_step(d, w, v)
         r2 = w * w + v * v
         if abs(r2 - 1.0) > _RADIUS_TOL:
             r = sqrt_(r2)
             w /= r
             v /= r
-        xi_out[i] = w
-        eta_out[i] = v
-    q_int = state.spec.q_int
-    z = state.z
-    for lo in range(0, n, _ORBIT_BLOCK):
-        zs = _radial_orbit(q_int, state.cfg, z, min(_ORBIT_BLOCK, n - lo))[0]
-        hi = lo + len(zs)
-        xi_out[lo:hi] *= zs
-        eta_out[lo:hi] *= zs
-        z = zs[-1]
+        z = radial_step()[0]
+        xi_out[i] = w * z
+        eta_out[i] = v * z
     state.w = w
     state.v = v
     state.z = z

@@ -14,28 +14,28 @@ Three layers:
   acting on the radial coordinate z.  Its orbit distributes z like the
   radial part of a two dimensional deformed Gaussian.
 
-The radial step is written once in Python, in the private loop
-_radial_orbit, with the expression shapes of q_exp, tri_map and q_ln, and
-its constants come from _radial_params.  z_map is its argument checks plus
-one step of that loop; the Python fallbacks of the generator
-(generator._run_python) and of both Lyapunov routes
-(stats._lyapunov_python) step whole orbits through it.  The analytic
-derivative is written once too, in _fold_derivative, which
-z_map_derivative and the Python Lyapunov fallback share.  The compiled
-library (_orbit.c) writes the same expressions once in C, as the
-conjugation halves that its orbit and both of its Lyapunov routes call,
-with the constants _radial_params gives it.  The tests hold every caller
-to the same bits: generate/step against z_map step by step and the
-compiled orbit against _run_python (tests/test_generator.py), the compiled
-Lyapunov loop against _lyapunov_python, and lyapunov against the per-call
-composition of the public functions (tests/lyapunov_reference.py).
+Each map's step is written once in Python, as the compiled library
+(_orbit.c) writes it once in C: the circle step in _circle_step, which
+chebyshev_pair calls, and the radial step in the iterator _radial_steps,
+with the expression shapes of q_exp, tri_map and q_ln and the constants of
+_radial_params.  z_map is its argument checks plus one step of that
+iterator; the Python fallbacks of the generator (generator._run_python)
+and of both Lyapunov routes (stats._lyapunov_python) step whole orbits
+through the two functions, in the order of the compiled loops.  The
+analytic derivative is written once too, in _fold_derivative, which
+z_map_derivative and the Python Lyapunov fallback share.  The tests hold
+every caller to the same bits: generate/step against z_map step by step
+and the compiled orbit against _run_python (tests/test_generator.py), the
+compiled Lyapunov loop against _lyapunov_python, and lyapunov against the
+per-call composition of the public functions
+(tests/lyapunov_reference.py).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 from .specfun import _Q_ONE_EPS, q_exp, q_ln
 
@@ -98,84 +98,33 @@ class MapConfig:
         return self.l * (1.0 - self.epsilon)
 
 
-# Cosine-side polynomials P_d(w) = cos(d t) for w = cos t, Horner form.
-
-def _p1(w: float) -> float:
-    return w
-
-
-def _p2(w: float) -> float:
-    return 2.0 * w * w - 1.0
-
-
-def _p3(w: float) -> float:
-    return (4.0 * w * w - 3.0) * w
-
-
-def _p4(w: float) -> float:
-    return (8.0 * w * w - 8.0) * w * w + 1.0
-
-
-def _p5(w: float) -> float:
-    return ((16.0 * w * w - 20.0) * w * w + 5.0) * w
-
-
-def _p6(w: float) -> float:
-    return ((32.0 * w * w - 48.0) * w * w + 18.0) * w * w - 1.0
-
-
-def _p7(w: float) -> float:
-    return (((64.0 * w * w - 112.0) * w * w + 56.0) * w * w - 7.0) * w
-
-
-def _p8(w: float) -> float:
-    return (((128.0 * w * w - 256.0) * w * w + 160.0) * w * w - 32.0) * w * w + 1.0
-
-
-# Sine-side companions Q_d(w, v) = sin(d t) for v = sin t.
-
-def _q1(w: float, v: float) -> float:
-    return v
-
-
-def _q2(w: float, v: float) -> float:
-    return 2.0 * w * v
-
-
-def _q3(w: float, v: float) -> float:
-    return v * (4.0 * w * w - 1.0)
-
-
-def _q4(w: float, v: float) -> float:
-    return v * ((8.0 * w * w - 4.0) * w)
-
-
-def _q5(w: float, v: float) -> float:
-    return v * ((16.0 * w * w - 12.0) * w * w + 1.0)
-
-
-def _q6(w: float, v: float) -> float:
-    return v * (((32.0 * w * w - 32.0) * w * w + 6.0) * w)
-
-
-def _q7(w: float, v: float) -> float:
-    return v * (((64.0 * w * w - 80.0) * w * w + 24.0) * w * w - 1.0)
-
-
-def _q8(w: float, v: float) -> float:
-    return 8 * w * v * (((16.0 * w * w - 24.0) * w * w + 10.0) * w * w - 1.0)
-
-
-_CHEB: Dict[int, Tuple[Callable[[float], float], Callable[[float, float], float]]] = {
-    1: (_p1, _q1),
-    2: (_p2, _q2),
-    3: (_p3, _q3),
-    4: (_p4, _q4),
-    5: (_p5, _q5),
-    6: (_p6, _q6),
-    7: (_p7, _q7),
-    8: (_p8, _q8),
-}
+def _circle_step(d: int, w: float, v: float) -> Tuple[float, float]:
+    """(P_d(w), Q_d(w, v)) = (cos(d t), sin(d t)) for (w, v) = (cos t, sin t),
+    in Horner form, both from the old w: the circle step of the orbit
+    loops.  d is tried from 8, the default, down; it is not checked here,
+    chebyshev_pair and MapConfig do that."""
+    if d == 8:
+        return ((((128.0 * w * w - 256.0) * w * w + 160.0) * w * w - 32.0) * w * w + 1.0,
+                8 * w * v * (((16.0 * w * w - 24.0) * w * w + 10.0) * w * w - 1.0))
+    if d == 7:
+        return ((((64.0 * w * w - 112.0) * w * w + 56.0) * w * w - 7.0) * w,
+                v * (((64.0 * w * w - 80.0) * w * w + 24.0) * w * w - 1.0))
+    if d == 6:
+        return (((32.0 * w * w - 48.0) * w * w + 18.0) * w * w - 1.0,
+                v * (((32.0 * w * w - 32.0) * w * w + 6.0) * w))
+    if d == 5:
+        return (((16.0 * w * w - 20.0) * w * w + 5.0) * w,
+                v * ((16.0 * w * w - 12.0) * w * w + 1.0))
+    if d == 4:
+        return ((8.0 * w * w - 8.0) * w * w + 1.0,
+                v * ((8.0 * w * w - 4.0) * w))
+    if d == 3:
+        return ((4.0 * w * w - 3.0) * w,
+                v * (4.0 * w * w - 1.0))
+    if d == 2:
+        return (2.0 * w * w - 1.0,
+                2.0 * w * v)
+    return (w, v)  # d == 1
 
 
 def chebyshev_pair(d: int, p: CirclePoint, renormalize: bool = True) -> CirclePoint:
@@ -187,13 +136,9 @@ def chebyshev_pair(d: int, p: CirclePoint, renormalize: bool = True) -> CirclePo
     of rounding drift; pass renormalize=False to get the raw polynomial
     values.
     """
-    try:
-        pf, qf = _CHEB[d]
-    except (KeyError, TypeError):
-        raise ValueError("degree d must be an integer in 1..8, got %r" % (d,)) from None
-    w, v = p
-    nv = qf(w, v)
-    nw = pf(w)
+    if d not in range(1, 9):
+        raise ValueError("degree d must be an integer in 1..8, got %r" % (d,))
+    nw, nv = _circle_step(d, *p)
     if renormalize:
         r = math.sqrt(nw * nw + nv * nv)
         nw /= r
@@ -277,8 +222,9 @@ def _is_absorbed(q_int: float, cfg: MapConfig, z0: float) -> bool:
     lie a few ulps below the edge at l = 3 (seen at q' = 0.75 and 0.9 with
     c = 1): g_inv(z) is far below 2**-52 there, and g rounds the folded
     value back to the same z."""
-    zs = _radial_orbit(q_int, cfg, z0, 2)[0]
-    return zs[0] == _z_edge(q_int) or zs[0] == zs[1]
+    steps = _radial_steps(q_int, cfg, z0)
+    z1 = next(steps)[0]
+    return z1 == _z_edge(q_int) or z1 == next(steps)[0]
 
 
 def _check_support(q_int: float, z: float) -> None:
@@ -289,11 +235,6 @@ def _check_support(q_int: float, z: float) -> None:
     if q_int < 1.0 and z > _z_edge(q_int):
         raise ValueError("z=%r is outside the radial support [0, %r] for q_int=%r"
                          % (z, _z_edge(q_int), q_int))
-
-
-# Steps per _radial_orbit call in the callers that run long orbits, so that
-# an orbit of 10**6 steps never holds 10**6 floats per list.
-_ORBIT_BLOCK = 4096
 
 
 class _RadialParams(NamedTuple):
@@ -311,7 +252,7 @@ class _RadialParams(NamedTuple):
 
 
 def _radial_params(q_int: float, cfg: MapConfig) -> _RadialParams:
-    """The constants _radial_orbit and the compiled orbit both step with."""
+    """The constants _radial_steps and the compiled orbit both step with."""
     one_m_q = 1.0 - q_int
     q_ge_1 = q_int >= 1.0
     return _RadialParams(
@@ -326,34 +267,31 @@ def _radial_params(q_int: float, cfg: MapConfig) -> _RadialParams:
     )
 
 
-def _radial_orbit(
-    q_int: float, cfg: MapConfig, z: float, n: int
-) -> Tuple[List[float], List[float], List[float]]:
-    """n steps of the radial map from a valid z: (zs, u0s, us).
+def _radial_steps(
+    q_int: float, cfg: MapConfig, z: float
+) -> Iterator[Tuple[float, float, float]]:
+    """The radial map's orbit from a valid z, one (z, u0, u) per step, without end.
 
-    zs are the successive z values, u0s each step's fold input g_inv(z)
-    taken before the clamp at u_clamp (z_map_derivative's arithmetic uses
-    that value; the chain-rule Lyapunov route applies the clamp itself),
-    and us its fold output (after the floor of _u_floor).  The branches and
-    expression shapes are those of q_exp, tri_map and q_ln, so each step
-    equals their composition bit for bit.  z is not checked; z_map does
-    that for a single step.
+    z is the step's new value, u0 its fold input g_inv(z) taken before the
+    clamp at u_clamp (z_map_derivative's arithmetic uses that value; the
+    chain-rule Lyapunov route applies the clamp itself), and u its fold
+    output (after the floor of _u_floor).  The branches and expression
+    shapes are those of q_exp, tri_map and q_ln, so each step equals their
+    composition bit for bit.  z is not checked; z_map does that for a
+    single step.
     """
     exp_ = math.exp
     log_ = math.log
     sqrt_ = math.sqrt
     gaussian, tent, c, one_m_q, u_clamp, u_lo, z_edge, s = _radial_params(q_int, cfg)
     folds = range(c)
-    zs: List[float] = []
-    u0s: List[float] = []
-    us: List[float] = []
-    for _ in range(n):
+    while True:
         if gaussian:
             u = exp_(-z * z * 0.5)
         else:
             a = 1.0 + one_m_q * (-z * z * 0.5)
             u = exp_(log_(a) / one_m_q) if a > 0.0 else 0.0
-        u0s.append(u)
+        u0 = u
         if u < u_clamp:
             u = u_clamp
         if tent:
@@ -370,15 +308,13 @@ def _radial_orbit(
                     u = 1.0
         if u < u_lo:
             u = u_lo
-        us.append(u)
         if u == 0.0:
             z = z_edge
         elif gaussian:
             z = sqrt_(-2.0 * log_(u))
         else:
             z = sqrt_(-2.0 * ((exp_(log_(u) * one_m_q) - 1.0) / one_m_q))
-        zs.append(z)
-    return zs, u0s, us
+        yield z, u0, u
 
 
 def z_map(q_int: float, cfg: MapConfig, z: float) -> float:
@@ -392,7 +328,7 @@ def z_map(q_int: float, cfg: MapConfig, z: float) -> float:
     so the returned z is always finite.
     """
     _check_support(q_int, z)
-    return _radial_orbit(q_int, cfg, z, 1)[0][0]
+    return next(_radial_steps(q_int, cfg, z))[0]
 
 
 def z_map_derivative(q_int: float, z: float) -> float:
@@ -416,7 +352,7 @@ def _fold_point(q_int: float) -> float:
 
 def _fold_derivative(q_int: float, z: float, u: float, z_star: float) -> float:
     """z_map_derivative at a valid z > 0, from u = g_inv(z) (before the
-    clamp, as _radial_orbit returns it) and the fold point z_star.
+    clamp, as _radial_steps yields it) and the fold point z_star.
 
     Raises ValueError within 1e-9 of z_star and where q_ln or the square
     root leave their domain, ZeroDivisionError where u == 1 meets the

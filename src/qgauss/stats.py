@@ -27,6 +27,7 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,15 +36,14 @@ from . import _orbit, distribution
 from .distribution import QSpec, make_spec
 from .generator import UniformStream, derive_seed, generate, init
 from .maps import (
-    _ORBIT_BLOCK,
     MapConfig,
     _check_count,
     _check_start,
     _fold_derivative,
     _fold_point,
     _is_absorbed,
-    _radial_orbit,
     _radial_params,
+    _radial_steps,
     _z_edge,
 )
 
@@ -319,7 +319,7 @@ def lyapunov(
     qgauss_lyapunov), which steps the radial map through the same
     conjugation halves as the generator's orbit; where it cannot be built,
     _lyapunov_python runs both routes over the one Python radial loop
-    (maps._radial_orbit), with the same bits and the same exceptions.  The
+    (maps._radial_steps), with the same bits and the same exceptions.  The
     analytic route raises ZeroDivisionError where (1 - u)**(-q_int) meets
     u == 1 (z0 near 0 with burn_in=0), and OverflowError where that power
     or q_ln's math.exp leaves double range, which an orbit of 2*10**4 steps
@@ -348,51 +348,44 @@ def _lyapunov_python(
     compiled loop's test oracle.  Returns (sum of the log-derivatives,
     steps used).
 
-    Both routes step through maps._radial_orbit, the one Python copy of the
-    radial step, in blocks of _ORBIT_BLOCK, and form each step's term from
-    the block's (z, u0, u_c, z_next) lists: the analytic route from
-    maps._fold_derivative at (z, u0), where u0 is g_inv(z) before the
-    clamp, and the chain-rule route from the clamped u0.
+    It is qgauss_lyapunov's burn-in and its two loops over one
+    maps._radial_steps iterator, the one Python copy of the radial step:
+    the analytic route forms each step's term from maps._fold_derivative
+    at (z, u0), where u0 is g_inv(z) before the clamp, and the chain-rule
+    route from (z, the clamped u0, u, z_next).
     """
-    for lo in range(0, burn_in, _ORBIT_BLOCK):
-        z = _radial_orbit(q_int, cfg, z, min(_ORBIT_BLOCK, burn_in - lo))[0][-1]
+    steps = _radial_steps(q_int, cfg, z)
+    for z, _, _ in islice(steps, burn_in):
+        pass
     log_ = math.log
-    isfinite_ = math.isfinite
-    analytic = cfg.l == 2 and cfg.c == 1
-    if analytic:
+    acc = 0.0
+    used = 0
+    if cfg.l == 2 and cfg.c == 1:
+        isfinite_ = math.isfinite
         z_star = _fold_point(q_int)
+        for z_next, u0, _ in islice(steps, t):
+            # z_map_derivative(q_int, z), skipped where it raises ValueError;
+            # z comes from the radial loop, so it is finite and inside the
+            # support, and of its checks only z > 0 can fail.
+            d = 0.0
+            if z > 0.0:
+                try:
+                    d = _fold_derivative(q_int, z, u0, z_star)
+                except ValueError:
+                    pass
+            if d and isfinite_(d):
+                acc += log_(abs(d))
+                used += 1
+            z = z_next
     else:
         log_slope = cfg.c * math.log(cfg.slope)
         u_clamp = _radial_params(q_int, cfg).u_clamp
-    acc = 0.0
-    used = 0
-    for lo in range(0, t, _ORBIT_BLOCK):
-        zs, u0s, us = _radial_orbit(q_int, cfg, z, min(_ORBIT_BLOCK, t - lo))
-        for z_next, u0, u in zip(zs, u0s, us):
-            if analytic:
-                # z_map_derivative(q_int, z), skipped where it raises
-                # ValueError; z comes from the radial loop, so it is finite
-                # and inside the support, and of its checks only z > 0 can fail.
-                d = 0.0
-                if z > 0.0:
-                    try:
-                        d = _fold_derivative(q_int, z, u0, z_star)
-                    except ValueError:
-                        pass
-                if d and isfinite_(d):
-                    acc += log_(abs(d))
-                    used += 1
-            else:
-                if u0 < u_clamp:
-                    u0 = u_clamp
-                if u0 > 0.0 and u > 0.0 and z > 0.0 and z_next > 0.0:
-                    acc += (
-                        log_slope
-                        + q_int * (log_(u0) - log_(u))
-                        + log_(z)
-                        - log_(z_next)
-                    )
-                    used += 1
+        for z_next, u0, u in islice(steps, t):
+            if u0 < u_clamp:
+                u0 = u_clamp
+            if u0 > 0.0 and u > 0.0 and z > 0.0 and z_next > 0.0:
+                acc += log_slope + q_int * (log_(u0) - log_(u)) + log_(z) - log_(z_next)
+                used += 1
             z = z_next
     return acc, used
 

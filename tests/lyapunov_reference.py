@@ -2,10 +2,10 @@
 
 stats.lyapunov runs the compiled loop of _orbit.c, or its Python
 fallback, which steps the radial map of both routes (and the burn-in)
-through maps._radial_orbit in blocks.  This module keeps the loop that
+over one maps._radial_steps iterator.  This module keeps the loop that
 composes the public scalar functions (z_map, z_map_derivative, tri_map,
-q_exp, q_ln) one call at a time, so the tests can hold both block loops
-to the same bits.  Do not optimise it;
+q_exp, q_ln) one call at a time, so the tests can hold both loops to the
+same bits.  Do not optimise it;
 the package code is tested *against* it.
 """
 

@@ -387,6 +387,23 @@ class TestDiag:
         assert json.loads(err)["error"] == "domain"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("what,flag,value", [
+        ("return_map", "--count", "-5"), ("sample_path", "--count", "-5"),
+        ("ccdf_compare", "--count", "0"), ("autocorr", "--max-lag", "-3"),
+    ])
+    def test_bad_count_leaves_no_file(self, capsys, tmp_path, what, flag, value):
+        """A count below its kind's least (0, or one sample to rank for
+        ccdf_compare) is a domain error that names the flag, raised before
+        the output file is opened."""
+        out_path = tmp_path / "d.csv"
+        code, _, err = _run_expect_exit(capsys, "diag", "--what", what,
+                                        flag, value, "--out", str(out_path))
+        assert code == EXIT_USAGE
+        error = json.loads(err)
+        assert error["error"] == "domain"
+        assert flag in error["message"]
+        assert not out_path.exists()
+
     def test_constant_autocorr_leaves_no_file(self, capsys, tmp_path):
         """One sample has a lag-0 autocovariance of 0, so there is no ratio
         to report: a domain error, raised before the output file is opened."""
@@ -419,6 +436,14 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, err = _run_expect_exit(capsys, "shuffle")
         assert code == EXIT_USAGE
+
+    def test_runs_without_an_affinity_mask(self, capsys, monkeypatch):
+        """Where os.sched_getaffinity does not exist (macOS), the default of
+        table --jobs falls back to os.cpu_count() and every command runs."""
+        monkeypatch.delattr(os, "sched_getaffinity")
+        code, out, _ = _run(capsys, "gen", "--count", "3")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 4
 
 
 class TestOutput:

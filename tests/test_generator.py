@@ -180,7 +180,7 @@ class TestRadialBits:
 
     @pytest.mark.parametrize("q_out", [0.5, 1.5])
     def test_generate_is_split_invariant(self, q_out):
-        """Calls of any size, across radial blocks, give the orbit step()
+        """Calls of any size, including empty ones, give the orbit step()
         gives one pair at a time."""
         states = [init(make_spec(q_out), MapConfig(c=3), v0=0.3, z0=0.6)
                   for _ in range(3)]
@@ -374,6 +374,12 @@ class TestOrbitBuild:
         shared.mkdir(mode=0o777)
         shared.chmod(0o777)
         assert _orbit.build(shared) is None
+
+    def test_returns_none_without_user_ids(self, tmp_path, monkeypatch):
+        """Where os.getuid does not exist (Windows), the cache cannot be
+        checked as this user's own, so nothing is built or loaded."""
+        monkeypatch.delattr(os, "getuid")
+        assert _orbit.build(tmp_path / "c") is None
 
     def test_import_builds_nothing_and_fallback_keeps_bytes(self, tmp_path):
         """A fresh interpreter without cc on PATH: importing the package

@@ -1,6 +1,7 @@
 """Circle pair maps, the folded tent, and the conjugated z update."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qgauss.maps import (
     CirclePoint,
     MapConfig,
     chebyshev_pair,
-    _radial_orbit,
+    _radial_steps,
     _u_floor,
     _z_edge,
     tri_map,
@@ -57,9 +58,10 @@ class TestChebyshevPair:
         out = chebyshev_pair(3, p)
         assert out.w * out.w + out.v * out.v == pytest.approx(1.0, abs=1e-12)
 
-    def test_invalid_degree(self):
+    @pytest.mark.parametrize("d", [0, 9, 2.5, None])
+    def test_invalid_degree(self, d):
         with pytest.raises(ValueError):
-            chebyshev_pair(9, CirclePoint(1.0, 0.0))
+            chebyshev_pair(d, CirclePoint(1.0, 0.0))
 
     @given(t=st.floats(0.0, 2.0 * math.pi), d=st.integers(2, 8))
     @settings(max_examples=80, deadline=None)
@@ -188,7 +190,7 @@ class TestRadialStarts:
             init(spec, cfg, z0=z0)
         except ValueError:
             return
-        zs = _radial_orbit(spec.q_int, cfg, z0, 200)[0]
+        zs = [z for z, _, _ in islice(_radial_steps(spec.q_int, cfg, z0), 200)]
         assert z_edge not in zs
         assert len(set(zs)) > 1
 

@@ -428,21 +428,23 @@ class TestLyapunov:
                 lyapunov(make_spec(1.5).q_int, cfg, z0=z0, t=100, burn_in=burn_in)
 
     @pytest.mark.parametrize("l,c", [(2, 1), (3, 1)])
-    def test_python_loop_steps_only_through_radial_orbit(self, monkeypatch, l, c):
-        """Both routes of the Python loop move z through maps._radial_orbit
-        alone: its steps add up to the burn-in plus the averaged steps."""
-        steps = []
-        real = stats._radial_orbit
+    def test_python_loop_steps_only_through_radial_steps(self, monkeypatch, l, c):
+        """Both routes of the Python loop move z through one
+        maps._radial_steps orbit alone: its yields add up to the burn-in plus
+        the averaged steps."""
+        orbits = []
+        real = stats._radial_steps
 
-        def counting(q_int, cfg, z, n):
-            out = real(q_int, cfg, z, n)
-            steps.append(len(out[0]))
-            return out
+        def counting(q_int, cfg, z):
+            orbits.append(0)
+            for step in real(q_int, cfg, z):
+                orbits[-1] += 1
+                yield step
 
-        monkeypatch.setattr(stats, "_radial_orbit", counting)
+        monkeypatch.setattr(stats, "_radial_steps", counting)
         burn_in, t = 4097, 5000
         _lyapunov_python(make_spec(1.5).q_int, MapConfig(l=l, c=c), 0.9, t, burn_in)
-        assert sum(steps) == burn_in + t
+        assert orbits == [burn_in + t]
 
 
 LYAPUNOV_Q = [-1.0, -0.5, 0.0, 0.5, 1.0 - 5e-13, 1.0, 1.0 + 5e-13, 1.5,
@@ -476,9 +478,9 @@ class TestCompiledLyapunov:
     @pytest.mark.parametrize("l,c", [(2, 1), (2, 6), (3, 1), (3, 6), (2 ** 64 + 7, 1)],
                              ids=["2-1", "2-6", "3-1", "3-6", "2**64+7-1"])
     def test_matches_python_loop(self, l, c):
-        """Burn-ins and lengths on both sides of the Python loop's 4096-step
-        blocks, over q' on both sides of 1 and up to where the analytic
-        route raises; then starts where u rounds to 1 (z0 = 1e-9), inside,
+        """Burn-ins of 0, 1 and 4097 and lengths of 1, 4095 and 4097, over
+        q' on both sides of 1 and up to where the analytic route raises;
+        then starts where u rounds to 1 (z0 = 1e-9), inside,
         and at the support edge, or for q_int >= 1 so far out that u
         underflows to 0 and the clamp acts."""
         cfg = MapConfig(l=l, c=c)
