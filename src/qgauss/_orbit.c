@@ -1,23 +1,33 @@
-/* Compiled loops of the chaotic generator, its Lyapunov estimate and the
- * Monte Carlo null.
+/* Compiled loops of the chaotic generator, its Lyapunov estimate, the
+ * Monte Carlo null, the transform sampler and the CSV rows.
  *
- * The library has four entry points.  qgauss_orbit is generator._run in
+ * The library has six entry points.  qgauss_orbit is generator._run in
  * one C loop, and qgauss_lyapunov is stats.lyapunov's burn-in and average.
  * qgauss_take fills a block of generator.UniformStream words, and
  * qgauss_scores forms stats._both_statistics' two EDF statistics of rows of
- * sorted values; the null's sort stays in numpy.  Every expression has the
- * shape and evaluation order of the Python or numpy code it replaces
- * (generator._run_python, stats._lyapunov_python, generator._take_numpy,
- * stats._both_statistics_numpy): the circle step of maps._circle_step's
+ * sorted values; the null's sort stays in numpy.  qgauss_gbmm is
+ * generator.gbmm_generate's gbmm_sample loop, and qgauss_write_rows
+ * formats rows of doubles as cli._format_rows does, in "%.17g".  Every
+ * expression has the shape and evaluation order of the Python or numpy
+ * code it replaces (generator._run_python, stats._lyapunov_python,
+ * generator._take_numpy, stats._both_statistics_numpy,
+ * generator.gbmm_sample): the circle step of maps._circle_step's
  * Horner forms with generator._RADIUS_TOL renormalization, and the radial
  * step of maps._radial_steps, written once here as its conjugation halves
  * g_inv, clamp, fold (with its floor) and g, which the first two entry
- * points call.  The orbit is chaotic, so one ulp anywhere
+ * points call, and qgauss_gbmm calls g for gbmm_sample's radius.  The
+ * orbit is chaotic, so one ulp anywhere
  * changes every later sample; the build therefore uses -ffp-contract=off
- * (no fused multiply-add) and calls only libm's exp, log, pow and sqrt, the
- * functions Python's math module and float power call.  The radial
- * constants come from maps._radial_params, so each is defined once, in
- * Python.
+ * (no fused multiply-add) and calls only libm's exp, log, pow, sqrt, cos
+ * and sin, the functions Python's math module and float power call.  The
+ * radial constants come from maps._radial_params, so each is defined once,
+ * in Python.
+ *
+ * The row writer forms the 17 digits of a double exactly, in 128-bit
+ * integers (Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
+ * Conversions", 1990, and Adams, "Ryu revisited", OOPSLA 2019, treat the
+ * general case): m * 10**p >> -e or (m << e) / 10**-p, rounded half to
+ * even from the remainder, as Python's dtoa and glibc's printf round.
  *
  * The fold of order l >= 3 tests the parity of k = trunc(y) with
  * fmod(k, 2.0): y reaches l*(1 - epsilon) and l is unbounded, so an integer
@@ -33,6 +43,8 @@
 #include <errno.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 enum { QG_OK = 0, QG_ZERO_DIVISION = 1, QG_OVERFLOW = 2 };
 
@@ -328,4 +340,205 @@ void qgauss_scores(const double *F, int64_t rows, int64_t M, const double *hi,
         ks[r] = has_nan ? NAN : root_m * mk;
         ad[r] = has_nan ? NAN : root_m * ma;
     }
+}
+
+/* generator.gbmm_sample over n pairs: xi[i], eta[i] from u1 = u[2i] and
+ * u2 = u[2i+1].  The radius is g of u1 floored at u_lo, which is
+ * gbmm_sample's sqrt(-2 q_ln(q_int, u1)) in the same shapes, and the angle
+ * is 2*pi*u2, with pi the double math.pi.  The caller checks that u holds
+ * 2n values in (0, 1) and xi and eta n doubles. */
+void qgauss_gbmm(int gaussian, int tent, int64_t c, double one_m_q,
+                 double u_clamp, double u_lo, double z_edge, double s,
+                 const double *u, int64_t n, double *xi, double *eta)
+{
+    const struct radial p = {gaussian, tent, c, one_m_q, u_clamp, u_lo, z_edge, s};
+    for (int64_t i = 0; i < n; i++) {
+        double u1 = u[2 * i];
+        double r = g(&p, u1 < p.u_lo ? p.u_lo : u1);
+        double a = 2.0 * 3.141592653589793 * u[2 * i + 1];
+        xi[i] = r * cos(a);
+        eta[i] = r * sin(a);
+    }
+}
+
+__extension__ typedef unsigned __int128 u128;
+
+/* The longest field: a sign, 17 digits, a point and "e-308". */
+enum { QG_FIELD_MAX = 24 };
+
+static const uint64_t pow10_u64[20] = {
+    UINT64_C(1), UINT64_C(10), UINT64_C(100), UINT64_C(1000),
+    UINT64_C(10000), UINT64_C(100000), UINT64_C(1000000),
+    UINT64_C(10000000), UINT64_C(100000000), UINT64_C(1000000000),
+    UINT64_C(10000000000), UINT64_C(100000000000),
+    UINT64_C(1000000000000), UINT64_C(10000000000000),
+    UINT64_C(100000000000000), UINT64_C(1000000000000000),
+    UINT64_C(10000000000000000), UINT64_C(100000000000000000),
+    UINT64_C(1000000000000000000), UINT64_C(10000000000000000000),
+};
+
+/* 10**k for 0 <= k <= 38. */
+static u128 pow10_u128(int k)
+{
+    return k < 20 ? pow10_u64[k] : (u128)pow10_u64[19] * pow10_u128(k - 19);
+}
+
+/* The 17 significant digits of |x| = m * 2**e (m < 2**53) as an integer
+ * in [10**16, 10**17), rounded half to even, and *x10 set to the decimal
+ * exponent of its first digit; 0 where the 128-bit quotient does not hold
+ * the exact value: p = 16 - *x10 outside -22..22, or a shift out of range.
+ * x10 holds an estimate on entry that may be off by one either way. */
+static uint64_t digits17(uint64_t m, int e, int *x10)
+{
+    for (;;) {
+        int p = 16 - *x10;
+        u128 q, rem, den;
+        if (p >= 0 && p <= 22 && e > -128 && e <= 0) {
+            /* m * 10**p / 2**-e: m * 10**p < 2**53 * 2**73. */
+            u128 n = (u128)m * pow10_u128(p);
+            q = n >> -e;
+            rem = n - (q << -e);
+            den = (u128)1 << -e;
+        } else if (p < 0 && p >= -22 && e >= 0 && e <= 74) {
+            /* (m << e) / 10**-p: m << e < 2**127. */
+            u128 n = (u128)m << e;
+            den = pow10_u128(-p);
+            q = n / den;
+            rem = n - q * den;
+        } else if (p >= 0 && p <= 17 && e > 0 && e <= 10) {
+            /* An integer from 2**53 up with at most 17 digits:
+             * m * 2**e * 10**p < 2**63 * 2**57, exact. */
+            q = ((u128)m << e) * pow10_u128(p);
+            rem = 0;
+            den = 1;
+        } else {
+            return 0;
+        }
+        if (q < pow10_u64[16]) {
+            --*x10;
+            continue;
+        }
+        if (q >= pow10_u64[17]) {
+            ++*x10;
+            continue;
+        }
+        uint64_t d = (uint64_t)q;
+        if (2 * rem > den || (2 * rem == den && (d & 1)))
+            d++;
+        if (d == pow10_u64[17]) {
+            d = pow10_u64[16];
+            ++*x10;
+        }
+        return d;
+    }
+}
+
+static const char two_digits[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The 8 decimal digits of v < 10**8 at s. */
+static void put8(char *s, uint32_t v)
+{
+    for (int i = 6; i >= 0; i -= 2) {
+        memcpy(s + i, two_digits + 2 * (v % 100), 2);
+        v /= 100;
+    }
+}
+
+/* x as Python's "%.17g" % x formats it, written at out; returns the number
+ * of bytes, at most QG_FIELD_MAX.  A nan is "nan" whatever its sign, as
+ * Python prints it (glibc prints "-nan"), and is never passed to snprintf.
+ * Finite values outside digits17's range go to snprintf, which glibc
+ * rounds exactly, half to even. */
+static int format_g17(double x, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int biased = (int)((bits >> 52) & 0x7ff);
+    uint64_t frac = bits & ((UINT64_C(1) << 52) - 1);
+    char *p = out;
+    if (biased == 0x7ff && frac != 0) {
+        memcpy(p, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (biased == 0x7ff) {
+        memcpy(p, "inf", 3);
+        return (int)(p - out) + 3;
+    }
+    if (biased == 0 && frac == 0) {
+        *p++ = '0';
+        return (int)(p - out);
+    }
+    /* floor(k * log10(2)) for 2**k <= |x|, give or take one, which
+     * digits17 corrects. */
+    int k = biased - 1023;
+    int x10 = k >= 0 ? (k * 78913) >> 18 : -((-k * 78913) >> 18) - 1;
+    uint64_t d = biased == 0 ? 0 : digits17(frac | (UINT64_C(1) << 52), biased - 1075, &x10);
+    if (d == 0) {
+        char tmp[32];
+        int len = snprintf(tmp, sizeof tmp, "%.17g", x);
+        memcpy(out, tmp, (size_t)len);
+        return len;
+    }
+    char digit[17];
+    uint64_t hi = d / 100000000;
+    digit[0] = (char)('0' + hi / 100000000);
+    put8(digit + 1, (uint32_t)(hi % 100000000));
+    put8(digit + 9, (uint32_t)(d % 100000000));
+    int nd = 17;
+    while (digit[nd - 1] == '0')
+        nd--;
+    if (x10 < -4 || x10 >= 17) {
+        *p++ = digit[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, digit + 1, (size_t)(nd - 1));
+            p += nd - 1;
+        }
+        *p++ = 'e';
+        *p++ = x10 < 0 ? '-' : '+';
+        int a = x10 < 0 ? -x10 : x10;
+        if (a >= 100)
+            *p++ = (char)('0' + a / 100);
+        *p++ = (char)('0' + a / 10 % 10);
+        *p++ = (char)('0' + a % 10);
+    } else if (x10 >= 0) {
+        memcpy(p, digit, (size_t)(x10 + 1));
+        p += x10 + 1;
+        if (nd > x10 + 1) {
+            *p++ = '.';
+            memcpy(p, digit + x10 + 1, (size_t)(nd - x10 - 1));
+            p += nd - x10 - 1;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = -1; i > x10; i--)
+            *p++ = '0';
+        memcpy(p, digit, (size_t)nd);
+        p += nd;
+    }
+    return (int)(p - out);
+}
+
+/* The rows rows of cols values of x (row-major) as CSV: each value in
+ * "%.17g", the values of a row joined by ',' and each row ended by '\n'.
+ * Returns the bytes written to out.  The caller checks cols >= 1 and that
+ * out holds rows * cols * (QG_FIELD_MAX + 1) bytes. */
+int64_t qgauss_write_rows(const double *x, int64_t rows, int64_t cols, char *out)
+{
+    char *p = out;
+    for (int64_t r = 0; r < rows; r++) {
+        for (int64_t j = 0; j < cols; j++) {
+            p += format_g17(*x++, p);
+            *p++ = j + 1 < cols ? ',' : '\n';
+        }
+    }
+    return p - out;
 }

@@ -9,14 +9,17 @@ source or changed flags never load a stale build.  Each process compiles
 into its own temporary file and renames it into place with os.replace, so
 processes that start together race only to write identical bytes.
 
-The library has four entry points, each behind a wrapper here: the
+The library has six entry points, each behind a wrapper here: the
 generator's orbit (orbit), the Lyapunov average (lyapunov), a block of
-UniformStream words (take) and the two EDF statistics of rows of sorted
+UniformStream words (take), the two EDF statistics of rows of sorted
 values (scores), which the Monte Carlo null, the table trials and
-stats.gof_test call.  The wrappers check every argument the C loops trust,
-the counts with maps._check_count, the rule of every public count; the
-callers check z0.  take and scores are called thousands of times per null,
-so they pass pointers as arr.ctypes.data, not through data_as.  kernel()
+stats.gof_test call, the transform sampler's pairs (gbmm), which
+generator.gbmm_generate calls, and the "%.17g" CSV rows of a block of
+doubles (write_rows), which qgauss gen and diag write.  The wrappers check
+every argument the C loops trust, the counts with maps._check_count, the
+rule of every public count; the callers check z0.  take and scores are
+called thousands of times per null, so they, like gbmm and write_rows,
+pass pointers as arr.ctypes.data, not through data_as.  kernel()
 returns None, and never raises, when no compiler runs, the compile fails or
 the cache directory is unusable; the callers then run their Python or numpy
 code, which gives the same bytes.
@@ -45,6 +48,11 @@ _SOURCE = Path(__file__).with_name("_orbit.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+# Bytes the row writer may need per value: the longest "%.17g" field (a
+# sign, 17 digits, a point and "e-308", QG_FIELD_MAX in _orbit.c) and the
+# ',' or '\n' after it.
+FIELD_BYTES = 25
 
 # Status codes of qgauss_lyapunov: the exception the Python loop raises at
 # the same step.
@@ -110,6 +118,15 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
     ]
     fn.restype = None
+    fn = lib.qgauss_gbmm
+    fn.argtypes = [
+        *_RADIAL_ARGTYPES, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p,
+    ]
+    fn.restype = None
+    fn = lib.qgauss_write_rows
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
+    fn.restype = ctypes.c_int64
     return lib
 
 
@@ -253,3 +270,42 @@ def scores(lib: ctypes.CDLL, F: np.ndarray, steps: np.ndarray,
     hi = steps.ctypes.data
     ks = out.ctypes.data
     lib.qgauss_scores(F.ctypes.data, rows, M, hi, hi + 8 * M, ks, ks + 8 * rows)
+
+
+def gbmm(lib: ctypes.CDLL, radial: _RadialParams, u: np.ndarray, n: int,
+         xi: np.ndarray, eta: np.ndarray) -> None:
+    """Fill xi and eta with generator.gbmm_sample of the n uniform pairs
+    (u[2i], u[2i+1]), in C; radial is maps._radial_params of the member's
+    q_int, whose u_lo floors u1.  Checks every argument the C loop trusts,
+    and that every uniform lies in (0, 1), as gbmm_sample does."""
+    _check_count("n", n, 0)
+    _check_array("u", u, (2 * n,), writeable=False)
+    _check_array("xi", xi, (n,))
+    _check_array("eta", eta, (n,))
+    if n and not (u.min() > 0.0 and u.max() < 1.0):
+        raise ValueError("every uniform must lie strictly inside (0, 1)")
+    lib.qgauss_gbmm(*radial, u.ctypes.data, n, xi.ctypes.data, eta.ctypes.data)
+
+
+def write_rows(lib: ctypes.CDLL, block: np.ndarray, out: np.ndarray) -> int:
+    """Write the rows of the 2-d block into out as CSV, in C: each value
+    in "%.17g", with the bytes of Python's % operator, the values of a row
+    joined by "," and every row ended by a newline.  Returns the number of
+    bytes written.  out is a uint8 array of at least FIELD_BYTES bytes per
+    value.  Checks every argument the C loop trusts."""
+    if not (isinstance(block, np.ndarray) and block.ndim == 2):
+        raise ValueError("block must be a 2-d array of rows")
+    rows, cols = block.shape
+    _check_count("cols", cols, 1)
+    _check_array("block", block, (rows, cols), writeable=False)
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.uint8
+        and out.ndim == 1
+        and out.flags.c_contiguous
+        and out.flags.writeable
+        and out.size >= FIELD_BYTES * rows * cols
+    ):
+        raise ValueError("out must be a writeable C-contiguous uint8 array of "
+                         "at least %d bytes" % (FIELD_BYTES * rows * cols,))
+    return lib.qgauss_write_rows(block.ctypes.data, rows, cols, out.ctypes.data)

@@ -3,27 +3,32 @@
 All subcommands validate their arguments up front, emit machine-readable
 errors as single-line JSON on stderr, and use three exit codes: 0 for
 success, 2 for argument or domain errors, 3 for unreadable or malformed
-input data.  CSV output is LF-terminated with a header row and 17
-significant digits, enough to round-trip doubles exactly.  The CSV files
-that gen and table write get a JSON sidecar (<out>.meta.json) recording
-everything needed to reproduce them byte for byte; gof's JSON report and
-diag's CSV get none.
+input data.  Counts are checked under their flag names before any work
+and before --out is opened.  CSV output is LF-terminated with a header
+row and 17 significant digits, enough to round-trip doubles exactly.
+gen's and diag's rows are formatted a block at a time by the compiled row
+writer (_orbit.c, qgauss_write_rows), which gives the bytes of Python's
+"%.17g" % formatting, or, where the library cannot be built, by that
+formatting itself.  The CSV files that gen and table write get a JSON
+sidecar (<out>.meta.json) recording everything needed to reproduce them
+byte for byte; gof's JSON report and diag's CSV get none.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from typing import Iterator, List, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO
 
 import numpy as np
 
-from . import __version__, distribution
+from . import __version__, _orbit, distribution
 from .distribution import make_spec
 from .generator import UniformStream, gbmm_generate, generate, init, step
 from .maps import MapConfig, _check_count, _check_start, z_map
@@ -43,10 +48,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 _FLOAT_FMT = "%.17g"
-_PAIR_ROW = _FLOAT_FMT + "," + _FLOAT_FMT + "\n"
-# Rows formatted per % call in _write_pairs.  One call per block is what
-# makes the write fast; the bound keeps its strings and tuple from growing
-# with --count.
+# Rows per block that _write_rows formats: into one reused buffer of
+# _orbit.FIELD_BYTES per value by the compiled row writer, or with one %
+# call where the library cannot be built.  The bound keeps the buffer, and
+# the fallback's strings and tuple, from growing with --count.
 _CSV_BLOCK = 8192
 
 
@@ -119,14 +124,38 @@ def _smoke_batch(args: argparse.Namespace):
     return generate(state, args.count)
 
 
+def _format_rows(block: np.ndarray) -> str:
+    """The rows of a 2-d float block as CSV, each value in _FLOAT_FMT, with
+    one % call: the compiled row writer's fallback and byte oracle."""
+    rows, cols = block.shape
+    row = ",".join([_FLOAT_FMT] * cols) + "\n"
+    return (row * rows) % tuple(block.ravel().tolist())
+
+
+def _write_rows(fh: TextIO, blocks: Iterable[np.ndarray]) -> None:
+    """Write each 2-d float64 block, of at most _CSV_BLOCK rows, as CSV
+    rows of _FLOAT_FMT values: through the compiled row writer into one
+    reused buffer, or with _format_rows where it cannot be built."""
+    lib = _orbit.kernel()
+    buf = np.empty(0, np.uint8)
+    for block in blocks:
+        if lib is None:
+            fh.write(_format_rows(block))
+            continue
+        if buf.size < _orbit.FIELD_BYTES * block.size:
+            buf = np.empty(_orbit.FIELD_BYTES * _CSV_BLOCK * block.shape[1], np.uint8)
+        n = _orbit.write_rows(lib, block, buf)
+        fh.write(str(memoryview(buf)[:n], "ascii"))
+
+
 def _write_pairs(fh: TextIO, xi: np.ndarray, eta: np.ndarray) -> None:
-    """One "xi,eta" row per pair, in _FLOAT_FMT, a block at a time."""
-    for lo in range(0, xi.size, _CSV_BLOCK):
-        flat = np.column_stack((xi[lo:lo + _CSV_BLOCK], eta[lo:lo + _CSV_BLOCK]))
-        fh.write((_PAIR_ROW * (flat.size // 2)) % tuple(flat.ravel().tolist()))
+    """One "xi,eta" row per pair, a block of _CSV_BLOCK rows at a time."""
+    _write_rows(fh, (np.column_stack((xi[lo:lo + _CSV_BLOCK], eta[lo:lo + _CSV_BLOCK]))
+                     for lo in range(0, xi.size, _CSV_BLOCK)))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    _check_count("--count", args.count, 0)
     batch = _smoke_batch(args)
     with _output(args.out) as fh:
         fh.write("xi,eta\n")
@@ -166,6 +195,7 @@ def _read_sample_csv(path: str) -> np.ndarray:
 
 
 def cmd_gof(args: argparse.Namespace) -> int:
+    _check_count("--n-null", args.n_null, 1)
     samples = _read_sample_csv(args.infile)
     kinds = _KINDS if args.kind == "both" else (args.kind,)
     results = []
@@ -195,6 +225,10 @@ def _parse_q_list(text: str) -> List[float]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    _check_count("--trials", args.trials, 1)
+    _check_count("--count", args.count, 1)
+    _check_count("--n-null", args.n_null, 1)
+    _check_count("--jobs", args.jobs, 1)
     q_list = _parse_q_list(args.q_list)
     if not q_list:
         raise ValueError("--q-list resolved to no grid points")
@@ -256,12 +290,14 @@ def _diag_rows(args: argparse.Namespace):
                 yield (xv, distribution.ccdf(args.q, xv), k / n)
         return "x,ccdf_model,ccdf_empirical", rows()
     if what == "lyapunov":
+        _check_count("--count", args.count, 1)
         lam = lyapunov(spec.q_int, mc, args.z0, args.count)
         theory = mc.c * math.log(mc.l)
         def rows():
             yield (lam, theory, lam / theory - 1.0)
         return "lambda,c_log_l,rel_err", rows()
     if what == "autocorr":
+        _check_count("--count", args.count, 1)
         _check_count("--max-lag", args.max_lag, 0)
         batch = _smoke_batch(args)
         lags = range(0, min(args.max_lag, batch.count - 1) + 1)
@@ -286,12 +322,20 @@ def _diag_rows(args: argparse.Namespace):
     raise ValueError("unknown diagnostic %r" % (what,))
 
 
+def _row_blocks(rows: Iterator[Sequence[float]]) -> Iterator[np.ndarray]:
+    """The rows as 2-d float64 blocks of at most _CSV_BLOCK rows."""
+    while True:
+        block = np.array(list(itertools.islice(rows, _CSV_BLOCK)), dtype=float)
+        if not len(block):
+            return
+        yield block
+
+
 def cmd_diag(args: argparse.Namespace) -> int:
     header, rows = _diag_rows(args)
     with _output(args.out) as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
+        _write_rows(fh, _row_blocks(rows))
     return EXIT_OK
 
 

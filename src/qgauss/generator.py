@@ -24,6 +24,9 @@ loop that ran ("kernel": "c" or "python").
 
 The transform sampler (gbmm_sample) is the independent route used for
 cross-validation: two uniforms in, one (x, y) pair out, no state.
+gbmm_generate runs it over a block of uniforms in the compiled library
+(qgauss_gbmm), or, where that cannot be built, as a loop over gbmm_sample,
+which gives the same bytes and is the compiled loop's test oracle.
 """
 
 from __future__ import annotations
@@ -225,13 +228,14 @@ def gbmm_sample(spec: QSpec, u1: float, u2: float) -> Tuple[float, float]:
 
     Radius sqrt(-2 q_ln(q_int, u1)) and angle 2*pi*u2.  Boundary values of
     u1 or u2 are domain errors.  For strongly deformed q_int > 1 the radius
-    power u1**(1-q_int) can exceed double range; u1 is floored at the same
-    bound as the chaotic route (see maps._u_floor), which is unreachable
-    from a 53-bit uniform for q_int below about 20.
+    power u1**(1-q_int) can exceed double range; for q_int >= 1, u1 is
+    floored at the same bound as the chaotic route (see maps._u_floor),
+    which is unreachable from a 53-bit uniform for q_int below about 20.
+    This is the compiled gbmm loop's fallback and byte oracle.
     """
     if not (0.0 < u1 < 1.0 and 0.0 < u2 < 1.0):
         raise ValueError("u1 and u2 must lie strictly inside (0, 1), got %r, %r" % (u1, u2))
-    if spec.q_int > 1.0:
+    if spec.q_int >= 1.0:
         lo = _u_floor(spec.q_int)
         if u1 < lo:
             u1 = lo
@@ -241,19 +245,31 @@ def gbmm_sample(spec: QSpec, u1: float, u2: float) -> Tuple[float, float]:
 
 
 def gbmm_generate(spec: QSpec, stream: "UniformStream", n: int) -> SampleBatch:
-    """Draw n transform-sampled pairs from a uniform stream."""
+    """Draw n transform-sampled pairs from a uniform stream.
+
+    The pairs come from the compiled gbmm loop (_orbit.c, qgauss_gbmm)
+    wherever it can be built, and from gbmm_sample, its byte oracle,
+    otherwise.
+    """
     _check_count("n", n, 0)
     seed_state = stream.state
+    cfg = MapConfig()
     xi = np.empty(n)
     eta = np.empty(n)
-    u = stream.take(2 * n).tolist()
-    for i in range(n):
-        x, y = gbmm_sample(spec, u[2 * i], u[2 * i + 1])
-        xi[i] = x
-        eta[i] = y
+    u = stream.take(2 * n)
+    lib = _orbit.kernel()
+    if lib is None:
+        u = u.tolist()
+        for i in range(n):
+            x, y = gbmm_sample(spec, u[2 * i], u[2 * i + 1])
+            xi[i] = x
+            eta[i] = y
+    else:
+        _orbit.gbmm(lib, _radial_params(spec.q_int, cfg), u, n, xi, eta)
     return SampleBatch(
-        xi=xi, eta=eta, spec=spec, cfg=MapConfig(),
-        method="gbmm", seed_info={"stream_state": seed_state},
+        xi=xi, eta=eta, spec=spec, cfg=cfg, method="gbmm",
+        seed_info={"stream_state": seed_state},
+        kernel="python" if lib is None else "c",
     )
 
 

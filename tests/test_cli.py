@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qgauss
 from qgauss import __version__, _orbit, stats
@@ -19,9 +22,11 @@ from qgauss.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _build_parser,
+    _format_rows,
     _output,
     _parse_q_list,
     _write_pairs,
+    _write_rows,
     main,
 )
 from qgauss.maps import MapConfig
@@ -39,6 +44,19 @@ def _run_expect_exit(capsys, *argv):
         main(list(argv))
     captured = capsys.readouterr()
     return exc_info.value.code, captured.out, captured.err
+
+
+def _expect_count_error(capsys, out_path, flag, *argv):
+    """argv, with --out out_path, exits 2 with a domain error that names
+    flag, and leaves no output file and no sidecar."""
+    code, out, err = _run_expect_exit(capsys, *argv, "--out", str(out_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "domain"
+    assert error["message"].startswith(flag + " must be an integer in ")
+    assert not out_path.exists()
+    assert not Path(str(out_path) + ".meta.json").exists()
 
 
 def _run_process(*argv):
@@ -109,14 +127,85 @@ class TestGen:
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("method", ["chaotic", "gbmm"])
+    def test_bad_count_leaves_no_file(self, capsys, tmp_path, method):
+        _expect_count_error(capsys, tmp_path / "g.csv", "--count",
+                            "gen", "--method", method, "--count", "-1")
+
+    @pytest.mark.parametrize("method", ["chaotic", "gbmm"])
+    def test_stdout_file_and_fallback_give_the_same_bytes(
+            self, capsys, tmp_path, monkeypatch, method):
+        """The rows span a block edge; the compiled generator and row
+        writer and their Python fallbacks write the same bytes, to stdout
+        and to --out."""
+        argv = ("gen", "--method", method, "--q", "2.9",
+                "--count", str(_CSV_BLOCK + 5))
+
+        def outputs(tag):
+            path = tmp_path / ("%s.csv" % tag)
+            _run(capsys, *argv, "--out", str(path))
+            return _run(capsys, *argv)[1].encode(), path.read_bytes()
+
+        compiled = outputs("compiled")
+        monkeypatch.setattr(_orbit, "kernel", lambda: None)
+        assert outputs("python") == compiled
+        assert compiled[0] == compiled[1]
+        assert compiled[0].count(b"\n") == _CSV_BLOCK + 6
+
 
 def _per_row(xi, eta):
     return "".join(_FLOAT_FMT % x + "," + _FLOAT_FMT % y + "\n"
                    for x, y in zip(xi, eta))
 
 
+def _per_value(block):
+    """Rows of _FLOAT_FMT values, one % per value: the writers' reference."""
+    return "".join(",".join(_FLOAT_FMT % v for v in row) + "\n"
+                   for row in block.tolist())
+
+
+def _from_bits(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# Values the row writer formats by hand or at the edges of its 128-bit
+# fast path: nan with and without the sign bit, +-inf, +-0, the least and
+# largest subnormals, the least normal, the largest double, the first
+# integers past 2**53, the powers of ten where %g switches to an exponent
+# or the double is inexact, doubles just below a power of ten that round up
+# to it (1e-14, 1e98), and the ends of the 128-bit range (m * 2**74 and
+# 2**127).
+_WRITER_EDGES = [
+    math.nan, _from_bits(0xFFF8000000000000), _from_bits(0x7FF0000000000001),
+    math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e16, 1e17, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 54 + 4, 1e22, 1e23, 1e-4,
+    1e-5, 1e-6, 1e-7, 9.9999999999999995e-07, 0.1, 1e-14, 1e98,
+    2.0 ** 74 * (2.0 ** 53 - 1), 2.0 ** 127, 1e38, 1e39,
+]
+
+
+@st.composite
+def _decimal_ties(draw):
+    """+-m / 2**k whose exact decimal has 18 significant digits, the last a
+    5: half way between two 17-digit decimals.  Only k in 2..25 has such
+    m < 2**53; k <= 23 lies in the writer's fast path and 24, 25 below it."""
+    k = draw(st.integers(2, 25))
+    lo = -(-10 ** 17 // 5 ** k)
+    hi = min(10 ** 18 // 5 ** k, 2 ** 53)
+    m = draw(st.integers(lo, hi - 1)) | 1
+    return draw(st.sampled_from((1.0, -1.0))) * m / 2.0 ** k
+
+
+_WRITER_VALUES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_from_bits),
+    st.sampled_from(_WRITER_EDGES),
+    _decimal_ties(),
+)
+
+
 class TestPairWriter:
-    """_write_pairs formats a block per % call, with the bytes of one
+    """_write_pairs writes a block of rows at a time, with the bytes of one
     _FLOAT_FMT row at a time."""
 
     @pytest.mark.parametrize("xi, eta", [
@@ -137,6 +226,70 @@ class TestPairWriter:
         out = io.StringIO()
         _write_pairs(out, xi, eta)
         assert out.getvalue() == _per_row(xi, eta)
+
+
+class TestRowWriter:
+    """The compiled row writer (_orbit.write_rows) gives the bytes of
+    Python's % formatting, one _FLOAT_FMT per value, on any float64."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_kernel(self):
+        if _orbit.kernel() is None:
+            pytest.skip("the compiled library cannot be built here")
+
+    @given(cols=st.integers(1, 6), rows=st.integers(0, 8), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    @example(cols=1, rows=len(_WRITER_EDGES), data=None)
+    def test_matches_percent_formatting(self, cols, rows, data):
+        if data is None:
+            values = _WRITER_EDGES + [-v for v in _WRITER_EDGES]
+            rows *= 2
+        else:
+            values = data.draw(st.lists(_WRITER_VALUES, min_size=rows * cols,
+                                        max_size=rows * cols))
+        block = np.array(values, dtype=np.float64).reshape(rows, cols)
+        buf = np.empty(_orbit.FIELD_BYTES * block.size, np.uint8)
+        n = _orbit.write_rows(_orbit.kernel(), block, buf)
+        assert buf[:n].tobytes().decode() == _per_value(block)
+        assert _format_rows(block) == _per_value(block)
+
+    def test_matches_percent_formatting_in_bulk(self):
+        """20 000 each of arbitrary bit patterns and of normal draws spread
+        over the decimal exponents -12..40."""
+        rng = np.random.default_rng(2026)
+        bits = rng.integers(0, 2 ** 64, size=20_000, dtype=np.uint64, endpoint=False)
+        scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-12, 41, 20_000)
+        block = np.concatenate([bits.view(np.float64), scaled]).reshape(-1, 4)
+        buf = np.empty(_orbit.FIELD_BYTES * block.size, np.uint8)
+        n = _orbit.write_rows(_orbit.kernel(), block, buf)
+        assert buf[:n].tobytes().decode() == _per_value(block)
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_spans_a_block_edge(self, cols):
+        """_write_rows fills its one buffer a block at a time: a block of
+        _CSV_BLOCK rows, then one more."""
+        rng = np.random.default_rng(cols)
+        block = rng.standard_cauchy((_CSV_BLOCK + 1, cols))
+        out = io.StringIO()
+        _write_rows(out, [block[:_CSV_BLOCK], block[_CSV_BLOCK:]])
+        assert out.getvalue() == _per_value(block)
+
+    def test_rejects_arguments_it_cannot_trust(self):
+        lib = _orbit.kernel()
+        block = np.ones((3, 2))
+        buf = np.empty(_orbit.FIELD_BYTES * 6, np.uint8)
+        read_only = buf.copy()
+        read_only.setflags(write=False)
+        for bad_block in (np.ones(6), np.ones((3, 0)), np.ones((3, 4))[:, ::2],
+                          np.ones((3, 2), np.float32), [[1.0, 2.0]]):
+            with pytest.raises(ValueError):
+                _orbit.write_rows(lib, bad_block, buf)
+        for bad_buf in (buf[:-1], buf.view(np.int8), read_only, buf[::2],
+                        bytearray(150), buf.reshape(2, -1)):
+            with pytest.raises(ValueError):
+                _orbit.write_rows(lib, block, bad_buf)
+        block.setflags(write=False)  # the block may be read-only
+        assert buf[:_orbit.write_rows(lib, block, buf)].tobytes() == b"1,1\n" * 3
 
 
 class TestGof:
@@ -186,6 +339,12 @@ class TestGof:
         report = json.loads(out)
         assert len(report["results"]) == 1
         assert report["results"][0]["n_samples"] == 300
+
+    def test_bad_n_null_leaves_no_file(self, capsys, tmp_path):
+        path = tmp_path / "xi.csv"
+        path.write_text("xi\n0.25\n-0.5\n")
+        _expect_count_error(capsys, tmp_path / "r.json", "--n-null",
+                            "gof", "--in", str(path), "--n-null", "0")
 
     def test_fallback_gives_the_same_bytes(self, capsys, tmp_path, monkeypatch):
         """Without the compiled library the null's words and scores and the
@@ -312,6 +471,13 @@ class TestTable:
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("flag", ["--count", "--trials", "--n-null", "--jobs"])
+    def test_bad_count_leaves_no_file(self, capsys, tmp_path, flag):
+        argv = {"--count": "50", "--trials": "1", "--n-null": "9", "--jobs": "1"}
+        argv[flag] = "0"
+        _expect_count_error(capsys, tmp_path / "t.csv", flag, "table",
+                            "--q-list", "0.5", *(a for kv in argv.items() for a in kv))
+
     def test_default_jobs_is_the_usable_cpu_count(self):
         args = _build_parser().parse_args(["table"])
         assert args.jobs == len(os.sched_getaffinity(0))
@@ -390,19 +556,25 @@ class TestDiag:
     @pytest.mark.parametrize("what,flag,value", [
         ("return_map", "--count", "-5"), ("sample_path", "--count", "-5"),
         ("ccdf_compare", "--count", "0"), ("autocorr", "--max-lag", "-3"),
+        ("autocorr", "--count", "0"), ("lyapunov", "--count", "0"),
     ])
     def test_bad_count_leaves_no_file(self, capsys, tmp_path, what, flag, value):
-        """A count below its kind's least (0, or one sample to rank for
-        ccdf_compare) is a domain error that names the flag, raised before
-        the output file is opened."""
-        out_path = tmp_path / "d.csv"
-        code, _, err = _run_expect_exit(capsys, "diag", "--what", what,
-                                        flag, value, "--out", str(out_path))
-        assert code == EXIT_USAGE
-        error = json.loads(err)
-        assert error["error"] == "domain"
-        assert flag in error["message"]
-        assert not out_path.exists()
+        """A count below its kind's least (0, or one sample or step for
+        ccdf_compare, autocorr and lyapunov) is a domain error that names
+        the flag, raised before the output file is opened."""
+        _expect_count_error(capsys, tmp_path / "d.csv", flag,
+                            "diag", "--what", what, flag, value)
+
+    @pytest.mark.parametrize("what", ["return_map", "sample_path", "ccdf_compare",
+                                      "lyapunov", "autocorr", "joint_grid"])
+    def test_fallback_gives_the_same_bytes(self, capsys, monkeypatch, what):
+        """Every kind writes the same bytes through the compiled loops and
+        row writer as through their Python fallbacks."""
+        argv = ("diag", "--what", what, "--q", "1.5", "--count", "1000",
+                "--max-lag", "20")
+        compiled = _run(capsys, *argv)
+        monkeypatch.setattr(_orbit, "kernel", lambda: None)
+        assert _run(capsys, *argv) == compiled
 
     def test_constant_autocorr_leaves_no_file(self, capsys, tmp_path):
         """One sample has a lag-0 autocovariance of 0, so there is no ratio

@@ -10,10 +10,12 @@ import hashlib
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +364,27 @@ class TestOrbitBuild:
         )
         assert done.returncode == 0, done.stderr
 
+    def test_every_entry_point_is_declared(self):
+        """_declare sets argtypes and restype on every non-static qgauss_*
+        function of _orbit.c.  Without a restype ctypes reads the return
+        value as a C int, which would cut qgauss_write_rows' int64 byte
+        count to 32 bits."""
+        source = _orbit._SOURCE.read_text()
+        exported = set(re.findall(r"^(?!static\b)\w[\w ]*?\b(qgauss_\w+)\(", source, re.M))
+
+        class Recorder:
+            def __init__(self):
+                self.fns = {}
+
+            def __getattr__(self, name):
+                return self.fns.setdefault(name, types.SimpleNamespace())
+
+        recorder = Recorder()
+        _orbit._declare(recorder)
+        assert exported and set(recorder.fns) == exported
+        for name, fn in recorder.fns.items():
+            assert {"argtypes", "restype"} <= set(vars(fn)), name
+
     def test_returns_none_when_it_cannot_build(self, tmp_path):
         cache = tmp_path / "qgauss"
         assert _orbit.build(cache, cc="qgauss-no-such-compiler") is None
@@ -478,6 +501,75 @@ class TestGbmm:
         hi = support(q_out)[1]
         batch = gbmm_generate(make_spec(q_out), UniformStream(7), 20000)
         assert float(np.max(np.abs(batch.xi))) <= hi + 1e-9
+
+
+class TestCompiledGbmm:
+    """gbmm_generate runs the compiled gbmm loop (_orbit.c, qgauss_gbmm)
+    wherever it can be built; the gbmm_sample loop is its oracle, byte for
+    byte."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_kernel(self):
+        if _orbit.kernel() is None:
+            pytest.skip("the compiled library cannot be built here")
+
+    @pytest.mark.parametrize("q_out", ORBIT_Q)
+    def test_matches_python_loop(self, q_out, monkeypatch):
+        spec = make_spec(q_out)
+
+        def run():
+            stream = UniformStream(20260839)
+            batch = gbmm_generate(spec, stream, 5000)
+            return batch.xi.tobytes(), batch.eta.tobytes(), stream.state, batch.kernel
+
+        compiled = run()
+        monkeypatch.setattr(_orbit, "kernel", lambda: None)
+        python = run()
+        assert compiled[:3] == python[:3]
+        assert (compiled[3], python[3]) == ("c", "python")
+
+    @pytest.mark.parametrize("q_out", ORBIT_Q)
+    def test_floors_u1_as_gbmm_sample_does(self, q_out):
+        """u1 below, at and above the floor u_lo (0 below q_int = 1, about
+        0.17 at q' = 2.99), the least and largest uniforms 2**-54 and the
+        clamped top word 1 - 2**-53, as u1 and as u2."""
+        spec = make_spec(q_out)
+        radial = _radial_params(spec.q_int, MapConfig())
+        top = 1.0 - 2.0 ** -53
+        u1s = [5e-324, 1e-310, 2.0 ** -54, 1e-3, 0.5, top]
+        if radial.u_lo > 0.0:
+            u1s += [radial.u_lo / 2.0, np.nextafter(radial.u_lo, 0.0), radial.u_lo,
+                    np.nextafter(radial.u_lo, 1.0)]
+        u = np.array([(u1, u2) for u1 in u1s for u2 in (2.0 ** -54, 0.3, top)]).ravel()
+        n = u.size // 2
+        xi, eta = np.empty(n), np.empty(n)
+        _orbit.gbmm(_orbit.kernel(), radial, u, n, xi, eta)
+        expected = np.array([gbmm_sample(spec, u[2 * i], u[2 * i + 1]) for i in range(n)])
+        assert xi.tobytes() == expected[:, 0].tobytes()
+        assert eta.tobytes() == expected[:, 1].tobytes()
+
+    def test_rejects_arguments_it_cannot_trust(self):
+        lib = _orbit.kernel()
+        radial = _radial_params(1.5, MapConfig())
+        u = np.full(8, 0.5)
+        good = np.empty(4)
+        read_only = np.empty(4)
+        read_only.setflags(write=False)
+        for bad in (np.full(7, 0.5), np.full(8, 0.5, np.float32), np.full(16, 0.5)[::2],
+                    [0.5] * 8, np.array([0.5] * 7 + [0.0]), np.array([0.5] * 7 + [1.0]),
+                    np.array([math.nan] + [0.5] * 7), np.array([-0.5] + [0.5] * 7)):
+            with pytest.raises(ValueError):
+                _orbit.gbmm(lib, radial, bad, 4, good, np.empty(4))
+        for bad in (np.empty(3), np.empty(4, np.float32), np.empty(8)[::2], read_only):
+            with pytest.raises(ValueError):
+                _orbit.gbmm(lib, radial, u, 4, bad, good)
+            with pytest.raises(ValueError):
+                _orbit.gbmm(lib, radial, u, 4, good, bad)
+        for n in (-1, 4.0, 3):
+            with pytest.raises(ValueError):
+                _orbit.gbmm(lib, radial, u, n, good, np.empty(4))
+        u.setflags(write=False)  # the uniforms may be read-only
+        _orbit.gbmm(lib, radial, u, 4, good, np.empty(4))
 
 
 class TestUniformStream:
