@@ -363,9 +363,6 @@ void qgauss_gbmm(int gaussian, int tent, int64_t c, double one_m_q,
 
 __extension__ typedef unsigned __int128 u128;
 
-/* The longest field: a sign, 17 digits, a point and "e-308". */
-enum { QG_FIELD_MAX = 24 };
-
 static const uint64_t pow10_u64[20] = {
     UINT64_C(1), UINT64_C(10), UINT64_C(100), UINT64_C(1000),
     UINT64_C(10000), UINT64_C(100000), UINT64_C(1000000),
@@ -450,7 +447,7 @@ static void put8(char *s, uint32_t v)
 }
 
 /* x as Python's "%.17g" % x formats it, written at out; returns the number
- * of bytes, at most QG_FIELD_MAX.  A nan is "nan" whatever its sign, as
+ * of bytes, at most 24: a sign, 17 digits, a point and "e-308".  A nan is "nan" whatever its sign, as
  * Python prints it (glibc prints "-nan"), and is never passed to snprintf.
  * Finite values outside digits17's range go to snprintf, which glibc
  * rounds exactly, half to even. */
@@ -530,7 +527,7 @@ static int format_g17(double x, char *out)
 /* The rows rows of cols values of x (row-major) as CSV: each value in
  * "%.17g", the values of a row joined by ',' and each row ended by '\n'.
  * Returns the bytes written to out.  The caller checks cols >= 1 and that
- * out holds rows * cols * (QG_FIELD_MAX + 1) bytes. */
+ * out holds 25 bytes per value (format_g17's 24 and a separator). */
 int64_t qgauss_write_rows(const double *x, int64_t rows, int64_t cols, char *out)
 {
     char *p = out;

@@ -50,7 +50,7 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 # Bytes the row writer may need per value: the longest "%.17g" field (a
-# sign, 17 digits, a point and "e-308", QG_FIELD_MAX in _orbit.c) and the
+# sign, 17 digits, a point and "e-308", see format_g17 in _orbit.c) and the
 # ',' or '\n' after it.
 FIELD_BYTES = 25
 

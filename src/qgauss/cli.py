@@ -142,8 +142,9 @@ def _write_rows(fh: TextIO, blocks: Iterable[np.ndarray]) -> None:
         if lib is None:
             fh.write(_format_rows(block))
             continue
-        if buf.size < _orbit.FIELD_BYTES * block.size:
-            buf = np.empty(_orbit.FIELD_BYTES * _CSV_BLOCK * block.shape[1], np.uint8)
+        need = _orbit.FIELD_BYTES * block.size
+        if buf.size < need:
+            buf = np.empty(need, np.uint8)
         n = _orbit.write_rows(lib, block, buf)
         fh.write(str(memoryview(buf)[:n], "ascii"))
 
