@@ -21,7 +21,7 @@
  * (no fused multiply-add) and calls only libm's exp, log, pow, sqrt, cos
  * and sin, the functions Python's math module and float power call.  The
  * radial constants come from maps._radial_params, so each is defined once,
- * in Python.
+ * in Python, and reach the entry points as one struct radial, by pointer.
  *
  * The row writer forms the 17 digits of a double exactly, in 128-bit
  * integers (Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
@@ -48,7 +48,7 @@
 
 enum { QG_OK = 0, QG_ZERO_DIVISION = 1, QG_OVERFLOW = 2 };
 
-/* The constants of maps._RadialParams, in its order. */
+/* maps._RadialParams: its fields, in its order, as _orbit._Radial has them. */
 struct radial {
     int gaussian;
     int tent;
@@ -144,14 +144,11 @@ static void circle_step(int d, double *pw, double *pv)
 }
 
 /* n steps from wvz = {w, v, z}: xi[i] = w_i*z_i, eta[i] = v_i*z_i, and the
- * end state written back to wvz.  The caller checks d in 2..8, c >= 1 and
- * that xi and eta hold n doubles. */
-void qgauss_orbit(int d, int gaussian, int tent, int64_t c, double one_m_q,
-                  double u_clamp, double u_lo, double z_edge, double s,
-                  double radius_tol, double *wvz, int64_t n, double *xi,
-                  double *eta)
+ * end state written back to wvz.  The caller checks d in 2..8, p->c >= 1
+ * and that xi and eta hold n doubles. */
+void qgauss_orbit(int d, const struct radial *p, double radius_tol,
+                  double *wvz, int64_t n, double *xi, double *eta)
 {
-    const struct radial p = {gaussian, tent, c, one_m_q, u_clamp, u_lo, z_edge, s};
     double w = wvz[0], v = wvz[1], z = wvz[2];
     for (int64_t i = 0; i < n; i++) {
         circle_step(d, &w, &v);
@@ -161,7 +158,7 @@ void qgauss_orbit(int d, int gaussian, int tent, int64_t c, double one_m_q,
             w /= r;
             v /= r;
         }
-        z = radial_step(&p, z);
+        z = radial_step(p, z);
         xi[i] = w * z;
         eta[i] = v * z;
     }
@@ -191,27 +188,24 @@ static int py_pow(double x, double y, double *r)
  * before the clamp; every other map sums the chain-rule terms
  * c*log(s) + q*(log u0 - log u) + log z - log z_next.  Returns QG_OK, or the
  * status of the first step where the Python loop raises (see the header);
- * *acc and *used are then not written.  The caller checks c >= 1 and
+ * *acc and *used are then not written.  The caller checks p->c >= 1 and
  * burn_in, t >= 0. */
-int qgauss_lyapunov(int gaussian, int tent, int64_t c, double one_m_q,
-                    double u_clamp, double u_lo, double z_edge, double s,
-                    double q_int, double z, int64_t burn_in, int64_t t,
-                    double *acc, int64_t *used)
+int qgauss_lyapunov(const struct radial *p, double q_int, double z,
+                    int64_t burn_in, int64_t t, double *acc, int64_t *used)
 {
-    const struct radial p = {gaussian, tent, c, one_m_q, u_clamp, u_lo, z_edge, s};
     double sum = 0.0;
     int64_t n = 0;
     for (int64_t i = 0; i < burn_in; i++)
-        z = radial_step(&p, z);
-    if (tent && c == 1) {
+        z = radial_step(p, z);
+    if (p->tent && p->c == 1) {
         /* z* = sqrt(-2 q_ln(q_int, 1/2)); infinite where q_ln's math.exp
          * overflows, which Python raises as OverflowError. */
-        double z_star = g(&p, 0.5);
+        double z_star = g(p, 0.5);
         if (isinf(z_star))
             return QG_OVERFLOW;
-        double scale = pow(2.0, one_m_q);
+        double scale = pow(2.0, p->one_m_q);
         for (int64_t i = 0; i < t; i++) {
-            double u = g_inv(&p, z);
+            double u = g_inv(p, z);
             double d = 0.0;
             if (z > 0.0 && fabs(z - z_star) > 1e-9) {
                 double num, w;
@@ -230,13 +224,13 @@ int qgauss_lyapunov(int gaussian, int tent, int64_t c, double one_m_q,
                 }
                 if (w > 0.0) {
                     double x;
-                    if (gaussian) {
+                    if (p->gaussian) {
                         x = -2.0 * log(w);
                     } else {
-                        double e = exp(log(w) * one_m_q);
+                        double e = exp(log(w) * p->one_m_q);
                         if (isinf(e))
                             return QG_OVERFLOW;
-                        x = -2.0 * ((e - 1.0) / one_m_q);
+                        x = -2.0 * ((e - 1.0) / p->one_m_q);
                     }
                     if (x >= 0.0) {
                         double r = sqrt(x);
@@ -246,18 +240,18 @@ int qgauss_lyapunov(int gaussian, int tent, int64_t c, double one_m_q,
                     }
                 }
             }
-            z = g(&p, fold(&p, clamp(&p, u)));
+            z = g(p, fold(p, clamp(p, u)));
             if (d != 0.0 && isfinite(d)) {
                 sum += log(fabs(d));
                 n++;
             }
         }
     } else {
-        double log_slope = (double)c * log(s);
+        double log_slope = (double)p->c * log(p->s);
         for (int64_t i = 0; i < t; i++) {
-            double u0 = clamp(&p, g_inv(&p, z));
-            double u = fold(&p, u0);
-            double z_next = g(&p, u);
+            double u0 = clamp(p, g_inv(p, z));
+            double u = fold(p, u0);
+            double z_next = g(p, u);
             if (u0 > 0.0 && u > 0.0 && z > 0.0 && z_next > 0.0) {
                 sum += log_slope + q_int * (log(u0) - log(u)) + log(z) - log(z_next);
                 n++;
@@ -295,11 +289,11 @@ void qgauss_take(uint64_t state, int64_t n, double *out)
 
 /* The (KS, tail-weighted) statistics of each of rows rows of M sorted
  * values F (row-major), in stats._both_statistics_numpy's expression
- * shapes: dev = max(hi - f, f - lo) over the EDF steps hi = i/M and
- * lo = (i-1)/M; w = f clipped to [1/(2M), 1 - 1/(2M)], then w*(1 - w),
- * its sqrt and dev over the sqrt; ks[r] and ad[r] are the row maxima times
- * sqrt(M).  A row that holds a NaN gives NaN for both, as numpy's max
- * does.  The caller checks M >= 1 and every array's length.
+ * shapes: dev = max(hi - f, f - lo) over the EDF steps, rows hi = i/M and
+ * lo = (i-1)/M of steps; w = f clipped to [1/(2M), 1 - 1/(2M)], then
+ * w*(1 - w), its sqrt and dev over the sqrt; rows 0 (KS) and 1 of out are
+ * the row maxima times sqrt(M).  A row that holds a NaN gives NaN for
+ * both, as numpy's max does.  The caller checks M >= 1 and the shapes.
  *
  * The tail-weighted term skips the sqrt and the divide where
  * dev*dev < gate*p, with p = w*(1 - w) and gate = ma*ma*(1 - 1e-9) for the
@@ -309,8 +303,8 @@ void qgauss_take(uint64_t state, int64_t n, double *out)
  * divide add at most a few ulps (about 3e-16) to it, so its computed value
  * is below ma and cannot change the maximum.  No term is skipped while
  * ma is 0, and no NaN or infinite dev is ever skipped. */
-void qgauss_scores(const double *F, int64_t rows, int64_t M, const double *hi,
-                   const double *lo, double *ks, double *ad)
+void qgauss_scores(const double *F, int64_t rows, int64_t M,
+                   const double *steps, double *out)
 {
     const double w_lo = 1.0 / (2.0 * (double)M);
     const double w_hi = 1.0 - 1.0 / (2.0 * (double)M);
@@ -320,7 +314,7 @@ void qgauss_scores(const double *F, int64_t rows, int64_t M, const double *hi,
         int has_nan = 0;
         for (int64_t i = 0; i < M; i++) {
             double f = F[i];
-            double a = hi[i] - f, b = f - lo[i];
+            double a = steps[i] - f, b = f - steps[M + i];
             double dev = a > b ? a : b;
             double w = f < w_lo ? w_lo : f;
             if (w > w_hi)
@@ -337,24 +331,22 @@ void qgauss_scores(const double *F, int64_t rows, int64_t M, const double *hi,
                 gate = ma * ma * (1.0 - 1e-9);
             }
         }
-        ks[r] = has_nan ? NAN : root_m * mk;
-        ad[r] = has_nan ? NAN : root_m * ma;
+        out[r] = has_nan ? NAN : root_m * mk;
+        out[rows + r] = has_nan ? NAN : root_m * ma;
     }
 }
 
 /* generator.gbmm_sample over n pairs: xi[i], eta[i] from u1 = u[2i] and
- * u2 = u[2i+1].  The radius is g of u1 floored at u_lo, which is
+ * u2 = u[2i+1].  The radius is g of u1 floored at p->u_lo, which is
  * gbmm_sample's sqrt(-2 q_ln(q_int, u1)) in the same shapes, and the angle
  * is 2*pi*u2, with pi the double math.pi.  The caller checks that u holds
  * 2n values in (0, 1) and xi and eta n doubles. */
-void qgauss_gbmm(int gaussian, int tent, int64_t c, double one_m_q,
-                 double u_clamp, double u_lo, double z_edge, double s,
-                 const double *u, int64_t n, double *xi, double *eta)
+void qgauss_gbmm(const struct radial *p, const double *u, int64_t n,
+                 double *xi, double *eta)
 {
-    const struct radial p = {gaussian, tent, c, one_m_q, u_clamp, u_lo, z_edge, s};
     for (int64_t i = 0; i < n; i++) {
         double u1 = u[2 * i];
-        double r = g(&p, u1 < p.u_lo ? p.u_lo : u1);
+        double r = g(p, u1 < p->u_lo ? p->u_lo : u1);
         double a = 2.0 * 3.141592653589793 * u[2 * i + 1];
         xi[i] = r * cos(a);
         eta[i] = r * sin(a);

@@ -17,12 +17,14 @@ stats.gof_test call, the transform sampler's pairs (gbmm), which
 generator.gbmm_generate calls, and the "%.17g" CSV rows of a block of
 doubles (write_rows), which qgauss gen and diag write.  The wrappers check
 every argument the C loops trust, the counts with maps._check_count, the
-rule of every public count; the callers check z0.  take and scores are
-called thousands of times per null, so they, like gbmm and write_rows,
-pass pointers as arr.ctypes.data, not through data_as.  kernel()
-returns None, and never raises, when no compiler runs, the compile fails or
-the cache directory is unusable; the callers then run their Python or numpy
-code, which gives the same bytes.
+rule of every public count; the callers check z0.  maps._RadialParams goes
+to C by pointer, as the record _Radial built from its fields, and scores
+passes its two-row arrays whole.  take and scores are called thousands of
+times per null, so they, like gbmm and write_rows, pass pointers as
+arr.ctypes.data, not through data_as.  kernel() returns None, and never
+raises, when no compiler runs, the compile fails or the cache directory is
+unusable; the callers then run their Python or numpy code, which gives the
+same bytes.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import stat
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -61,11 +63,14 @@ _LYAPUNOV_ERRORS = {
     2: (OverflowError, "the Lyapunov derivative is out of double range"),
 }
 
-_RADIAL_ARGTYPES = [
-    ctypes.c_int, ctypes.c_int, ctypes.c_int64,
-    ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-    ctypes.c_double,
-]
+_C_TYPES = {bool: ctypes.c_int, int: ctypes.c_int64, float: ctypes.c_double}
+
+
+class _Radial(ctypes.Structure):
+    """_orbit.c's struct radial: the fields of maps._RadialParams, in order."""
+
+    _fields_ = [(name, _C_TYPES[kind])
+                for name, kind in get_type_hints(_RadialParams).items()]
 
 
 def cache_dir() -> Path:
@@ -98,13 +103,13 @@ def _private_dir(path: Path) -> bool:
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     fn = lib.qgauss_orbit
     fn.argtypes = [
-        ctypes.c_int, *_RADIAL_ARGTYPES, ctypes.c_double,
+        ctypes.c_int, ctypes.POINTER(_Radial), ctypes.c_double,
         _DOUBLE_P, ctypes.c_int64, _DOUBLE_P, _DOUBLE_P,
     ]
     fn.restype = None
     fn = lib.qgauss_lyapunov
     fn.argtypes = [
-        *_RADIAL_ARGTYPES, ctypes.c_double, ctypes.c_double,
+        ctypes.POINTER(_Radial), ctypes.c_double, ctypes.c_double,
         ctypes.c_int64, ctypes.c_int64,
         _DOUBLE_P, ctypes.POINTER(ctypes.c_int64),
     ]
@@ -115,12 +120,12 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     fn = lib.qgauss_scores
     fn.argtypes = [
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p,
     ]
     fn.restype = None
     fn = lib.qgauss_gbmm
     fn.argtypes = [
-        *_RADIAL_ARGTYPES, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.POINTER(_Radial), ctypes.c_void_p, ctypes.c_int64,
         ctypes.c_void_p, ctypes.c_void_p,
     ]
     fn.restype = None
@@ -209,7 +214,7 @@ def orbit(
     _check_array("eta", eta, (n,))
     state = (ctypes.c_double * 3)(*wvz)
     lib.qgauss_orbit(
-        d, *radial, radius_tol, state, n,
+        d, _Radial(*radial), radius_tol, state, n,
         xi.ctypes.data_as(_DOUBLE_P), eta.ctypes.data_as(_DOUBLE_P),
     )
     return state[0], state[1], state[2]
@@ -233,7 +238,7 @@ def lyapunov(
     acc = ctypes.c_double()
     used = ctypes.c_int64()
     status = lib.qgauss_lyapunov(
-        *radial, q_int, z0, burn_in, t, ctypes.byref(acc), ctypes.byref(used)
+        _Radial(*radial), q_int, z0, burn_in, t, ctypes.byref(acc), ctypes.byref(used)
     )
     if status:
         error, message = _LYAPUNOV_ERRORS[status]
@@ -265,11 +270,7 @@ def scores(lib: ctypes.CDLL, F: np.ndarray, steps: np.ndarray,
     _check_array("F", F, (rows, M), writeable=False)
     _check_array("steps", steps, (2, M), writeable=False)
     _check_array("out", out, (2, rows))
-    # Row 1 of steps (lo) and of out (ad) starts one row of doubles after
-    # row 0 (hi, ks).
-    hi = steps.ctypes.data
-    ks = out.ctypes.data
-    lib.qgauss_scores(F.ctypes.data, rows, M, hi, hi + 8 * M, ks, ks + 8 * rows)
+    lib.qgauss_scores(F.ctypes.data, rows, M, steps.ctypes.data, out.ctypes.data)
 
 
 def gbmm(lib: ctypes.CDLL, radial: _RadialParams, u: np.ndarray, n: int,
@@ -284,7 +285,7 @@ def gbmm(lib: ctypes.CDLL, radial: _RadialParams, u: np.ndarray, n: int,
     _check_array("eta", eta, (n,))
     if n and not (u.min() > 0.0 and u.max() < 1.0):
         raise ValueError("every uniform must lie strictly inside (0, 1)")
-    lib.qgauss_gbmm(*radial, u.ctypes.data, n, xi.ctypes.data, eta.ctypes.data)
+    lib.qgauss_gbmm(_Radial(*radial), u.ctypes.data, n, xi.ctypes.data, eta.ctypes.data)
 
 
 def write_rows(lib: ctypes.CDLL, block: np.ndarray, out: np.ndarray) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, _orbit, distribution
 from .distribution import make_spec
 from .generator import UniformStream, gbmm_generate, generate, init, step
-from .maps import MapConfig, _check_count, _check_start, z_map
+from .maps import MapConfig, _check_count, _check_start, _radial_steps
 from .stats import (
     _KINDS,
     DEFAULT_NULL_SEED,
@@ -266,8 +266,7 @@ def _diag_rows(args: argparse.Namespace):
         _check_start(spec.q_int, mc, args.z0)
         def rows():
             z = args.z0
-            for _ in range(args.count):
-                z_next = z_map(spec.q_int, mc, z)
+            for z_next, _, _ in itertools.islice(_radial_steps(spec.q_int, mc, z), args.count):
                 yield (z, z_next)
                 z = z_next
         return "z,z_next", rows()

@@ -238,8 +238,8 @@ def _check_support(q_int: float, z: float) -> None:
 
 
 class _RadialParams(NamedTuple):
-    """Constants of the radial step for one (q_int, cfg), in the order the
-    compiled orbit (_orbit.c) takes them after d."""
+    """Constants of the radial step for one (q_int, cfg): the fields of
+    _orbit.c's struct radial, in its order."""
 
     gaussian: bool   # |q_int - 1| < _Q_ONE_EPS: the exp/log limit branch
     tent: bool       # l == 2: the single-expression tent fold

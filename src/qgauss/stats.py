@@ -152,6 +152,24 @@ def _both_statistics_numpy(F: np.ndarray):
     return ks, ad
 
 
+def _sample(samples: Sequence[float]) -> np.ndarray:
+    """samples as a non-empty 1-d float array of finite values, or ValueError."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size == 0 or not np.isfinite(x).all():
+        raise ValueError("samples must be a non-empty 1-d array of finite values")
+    return x
+
+
+def _score(q_out: float, samples: Sequence[float]) -> Tuple[float, float]:
+    """(KS, tail-weighted) statistics of the checked, sorted samples through
+    distribution.cdf_array_direct; ValueError where that cdf is undefined."""
+    x = np.sort(_sample(samples))
+    ks, ad = _both_statistics(distribution.cdf_array_direct(q_out, x))
+    if math.isnan(ks):  # a NaN cdf value makes both NaN
+        raise ValueError("the model cdf is undefined at some sample: |x| too large to square")
+    return ks, ad
+
+
 def sup_weighted_statistic(
     samples: Sequence[float],
     cdf_fn: Callable[[np.ndarray], np.ndarray],
@@ -159,14 +177,12 @@ def sup_weighted_statistic(
 ) -> float:
     """Sup-weighted EDF distance between sorted samples and a model cdf.
 
-    samples must already be sorted ascending; cdf_fn is applied to the
-    whole sample array and must return one value per sample.  kind selects
-    psi: "ks" or "ad".
+    samples must be finite, as gof_test's, and sorted ascending; cdf_fn is
+    applied to the whole sample array and must return one value per
+    sample, each in [0, 1].  kind selects psi: "ks" or "ad".
     """
     i = _kind_index(kind)
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("samples must be a non-empty 1-d array")
+    x = _sample(samples)
     if np.any(np.diff(x) < 0.0):
         raise ValueError("samples must be sorted ascending")
     F = np.asarray(cdf_fn(x), dtype=float)
@@ -174,7 +190,7 @@ def sup_weighted_statistic(
         raise ValueError(
             "cdf_fn must return one value per sample: shape %r for %r"
             % (F.shape, x.shape))
-    if F.min() < 0.0 or F.max() > 1.0:
+    if not (F.min() >= 0.0 and F.max() <= 1.0):
         raise ValueError("cdf_fn returned values outside [0, 1]")
     return _both_statistics(F)[i]
 
@@ -255,27 +271,19 @@ def gof_test(
 ) -> GofResult:
     """Score samples against the protocol cdf and attach a Monte Carlo p-value.
 
-    The verdict is the one a trial-table cell gives: the sorted samples
-    through distribution.cdf_array_direct, which for 1 < q < 3 saturates at
-    exactly 1.0 deep in the tail (the trial tables' sensitivity profile
-    above q_out = 2.3 depends on that), scored against _null_statistics.
-    For tail-exact scoring, compose sup_weighted_statistic over
-    distribution.cdf_array with mc_p_value instead.
+    The verdict is the one a trial-table cell gives: _score's statistic
+    against _null_statistics.  samples must be a non-empty 1-d array of
+    finite values whose squares do not overflow (|x| below about 1e154
+    for q_out > 1), or ValueError.  For tail-exact scoring, compose
+    sup_weighted_statistic over distribution.cdf_array with mc_p_value.
     """
     i = _kind_index(kind)
     _check_count("n_null", n_null, 1)
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size == 0:
-        raise ValueError("samples must be non-empty")
-    stat = _both_statistics(distribution.cdf_array_direct(q_out, x))[i]
-    if math.isnan(stat):
-        raise ValueError("the model cdf is undefined at some sample "
-                         "(non-finite, or |x| too large to square)")
-    M = int(x.size)
+    stat = _score(q_out, samples)[i]
     return GofResult(
         q_out=q_out, kind=kind, statistic=stat,
-        p_value=_p_value(_null_statistics(M, n_null, seed)[i], stat),
-        n_samples=M, n_null=n_null,
+        p_value=_p_value(_null_statistics(len(samples), n_null, seed)[i], stat),
+        n_samples=len(samples), n_null=n_null,
     )
 
 
@@ -477,6 +485,7 @@ def _table_row(
     args: Tuple[float, MapConfig, List[Tuple[float, float, int]], int,
                 np.ndarray, np.ndarray]
 ) -> TrialRow:
+    """One table row: each trial scored by _score, as gof_test scores."""
     q_out, cfg, starts, samples, ks_null, ad_null = args
     spec = make_spec(q_out)
     p_ks: List[float] = []
@@ -484,8 +493,7 @@ def _table_row(
     for v0, z0, w0_sign in starts:
         state = init(spec, cfg, v0=v0, z0=z0, w0_sign=w0_sign)
         batch = generate(state, samples)
-        ks, ad = _both_statistics(
-            distribution.cdf_array_direct(q_out, np.sort(batch.xi)))
+        ks, ad = _score(q_out, batch.xi)
         p_ks.append(_p_value(ks_null, ks))
         p_ad.append(_p_value(ad_null, ad))
     return TrialRow(

@@ -29,7 +29,7 @@ from qgauss.cli import (
     _write_rows,
     main,
 )
-from qgauss.maps import MapConfig
+from qgauss.maps import MapConfig, z_map
 from qgauss.stats import gof_test, run_trial_table
 
 
@@ -575,6 +575,24 @@ class TestDiag:
         compiled = _run(capsys, *argv)
         monkeypatch.setattr(_orbit, "kernel", lambda: None)
         assert _run(capsys, *argv) == compiled
+
+    @pytest.mark.parametrize("l", [2, 3])
+    @pytest.mark.parametrize("q", [-0.5, 0.5, 1.5])
+    def test_return_map_rows_chain_z_map(self, capsys, q, l):
+        """Each return_map row is (z, z_map(z)) and the next row starts at
+        that z_map value, from the default z0 = 1."""
+        code, out, _ = _run(capsys, "diag", "--what", "return_map", "--q", str(q),
+                            "--l", str(l), "--count", "300")
+        assert code == EXIT_OK
+        rows = [tuple(map(float, ln.split(","))) for ln in out.split("\n")[1:-1]]
+        q_int = qgauss.make_spec(q).q_int
+        cfg = MapConfig(l=l)
+        expected = []
+        z = 1.0
+        for _ in range(300):
+            expected.append((z, z_map(q_int, cfg, z)))
+            z = expected[-1][1]
+        assert rows == expected
 
     def test_constant_autocorr_leaves_no_file(self, capsys, tmp_path):
         """One sample has a lag-0 autocovariance of 0, so there is no ratio

@@ -43,7 +43,7 @@ from qgauss.generator import (
     make_spec,
     step,
 )
-from qgauss.maps import MapConfig, _radial_params, z_map
+from qgauss.maps import MapConfig, _radial_params, _RadialParams, z_map
 from qgauss.stats import _both_statistics_numpy, _edf_steps, lyapunov
 
 REF_CFG = MapConfig()  # d=8, l=2, c=1: the only configuration the C code has
@@ -384,6 +384,27 @@ class TestOrbitBuild:
         assert exported and set(recorder.fns) == exported
         for name, fn in recorder.fns.items():
             assert {"argtypes", "restype"} <= set(vars(fn)), name
+
+    def test_radial_record_has_one_layout(self):
+        """_orbit.c's struct radial lists the fields of maps._RadialParams,
+        in order, as the ctypes record _orbit._Radial does, and no
+        exported qgauss_* function takes one of them as a parameter: the
+        radial constants reach C only as the record."""
+        source = _orbit._SOURCE.read_text()
+        (body,) = re.findall(r"^struct radial \{(.*?)\};", source, re.M | re.S)
+        members = []
+        for declaration in filter(str.strip, body.split(";")):
+            first, *rest = declaration.split(",")
+            members += [first.split()[-1], *(name.strip() for name in rest)]
+        fields = list(_RadialParams._fields)
+        assert members == fields
+        assert [name for name, _ in _orbit._Radial._fields_] == fields
+        signatures = re.findall(r"^(?!static\b)\w[\w ]*?\b(qgauss_\w+)\(([^)]*)\)",
+                                source, re.M)
+        assert len(signatures) == 6
+        for name, params in signatures:
+            names = {re.findall(r"\w+", p)[-1] for p in params.split(",")}
+            assert not names & set(fields), name
 
     def test_returns_none_when_it_cannot_build(self, tmp_path):
         cache = tmp_path / "qgauss"

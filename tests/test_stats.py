@@ -37,6 +37,10 @@ from qgauss.stats import (
 )
 
 
+# A q' from each cdf branch: compact support, Gaussian, heavy tail.
+GOF_Q = [-1.0, 0.5, 1.0, 1.5, 2.9]
+
+
 def _identity_cdf(arr):
     return np.asarray(arr, dtype=float)
 
@@ -89,6 +93,18 @@ class TestSupWeightedStatistic:
     def test_rejects_unknown_weight(self):
         with pytest.raises(ValueError):
             sup_weighted_statistic([0.5], _identity_cdf, kind="cvm")
+
+    def test_rejects_nan_sample(self):
+        """A NaN compares false with its neighbours, so it would pass the
+        sort check; gof_test's sample rule rejects it first."""
+        with pytest.raises(ValueError, match="finite"):
+            sup_weighted_statistic([0.1, math.nan, 0.3], _identity_cdf)
+
+    def test_rejects_nan_cdf_value(self):
+        """A NaN cdf value is outside [0, 1], not a NaN statistic."""
+        with pytest.raises(ValueError, match="outside"):
+            sup_weighted_statistic([0.1, 0.2, 0.3],
+                                   lambda a: np.array([0.1, math.nan, 0.3]))
 
     @pytest.mark.parametrize("cdf_fn", [
         lambda a: 0.5,                     # one value for the whole sample
@@ -350,13 +366,24 @@ class TestGofTest:
         with pytest.raises(ValueError):
             gof_test([0.0, 0.5], 1.0, n_null=n_null)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
     def test_rejects_sample_outside_the_cdf(self, bad):
-        """A sample the model cdf cannot score (nan, inf, or one whose
-        square overflows) is a ValueError, not a NaN statistic.  numpy's
-        overflow and invalid warnings on the way are not what is tested."""
-        with np.errstate(all="ignore"), pytest.raises(ValueError):
-            gof_test([0.0, 0.5, bad], 1.5, n_null=99)
+        """A sample the model cdf cannot score (nan or +-inf at every q', or,
+        above q' = 1, one whose square overflows) is a ValueError, not a
+        statistic.  numpy's overflow and invalid warnings on the way are
+        not what is tested."""
+        for q_out in GOF_Q:
+            if math.isfinite(bad) and q_out <= 1.0:
+                continue  # the cdf is 1 there
+            with np.errstate(all="ignore"), pytest.raises(ValueError):
+                gof_test([0.0, 0.5, bad], q_out, n_null=19)
+
+    @pytest.mark.parametrize("q_out", GOF_Q)
+    @pytest.mark.parametrize("samples", [[[0.0, 0.5]], 0.5, []],
+                             ids=["2-d", "0-d", "empty"])
+    def test_rejects_empty_or_not_1d_sample(self, q_out, samples):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            gof_test(samples, q_out, n_null=19)
 
 
 class TestAutocorrelation:
@@ -570,6 +597,21 @@ class TestTrialTable:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, old)
+
+    def test_trial_the_cdf_cannot_score_is_rejected(self, monkeypatch):
+        """A trial holding a sample whose square overflows is scored as
+        gof_test scores it, a ValueError, not a NaN statistic read as the
+        least p-value."""
+        real = stats.generate
+
+        def overflowing(state, n):
+            batch = real(state, n)
+            batch.xi[0] = 1e200
+            return batch
+
+        monkeypatch.setattr(stats, "generate", overflowing)
+        with pytest.raises(ValueError, match="undefined"):
+            run_trial_table([1.5], trials=1, samples=50, n_null=19)
 
     def test_jobs_do_not_change_results(self):
         q_list = [0.5, 1.5]
