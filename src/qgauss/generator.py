@@ -23,7 +23,8 @@ before the step's outputs are formed.  SampleBatch.metadata() names the
 loop that ran ("kernel": "c" or "python").
 
 The transform sampler (gbmm_sample) is the independent route used for
-cross-validation: two uniforms in, one (x, y) pair out, no state.
+cross-validation: two uniforms in, one (x, y) pair out, no state; u1 is
+floored at maps._u_floor, as qgauss_gbmm floors at the record's u_lo.
 gbmm_generate runs it over a block of uniforms in the compiled library
 (qgauss_gbmm), or, where that cannot be built, as a loop over gbmm_sample,
 which gives the same bytes and is the compiled loop's test oracle.
@@ -228,18 +229,14 @@ def gbmm_sample(spec: QSpec, u1: float, u2: float) -> Tuple[float, float]:
 
     Radius sqrt(-2 q_ln(q_int, u1)) and angle 2*pi*u2.  Boundary values of
     u1 or u2 are domain errors.  For strongly deformed q_int > 1 the radius
-    power u1**(1-q_int) can exceed double range; for q_int >= 1, u1 is
-    floored at the same bound as the chaotic route (see maps._u_floor),
-    which is unreachable from a 53-bit uniform for q_int below about 20.
-    This is the compiled gbmm loop's fallback and byte oracle.
+    power u1**(1-q_int) can exceed double range, so u1 is floored at the
+    chaotic route's maps._u_floor (0 below q_int = 1), which is unreachable
+    from a 53-bit uniform for q_int below about 20.  This is the compiled
+    gbmm loop's fallback and byte oracle.
     """
     if not (0.0 < u1 < 1.0 and 0.0 < u2 < 1.0):
         raise ValueError("u1 and u2 must lie strictly inside (0, 1), got %r, %r" % (u1, u2))
-    if spec.q_int >= 1.0:
-        lo = _u_floor(spec.q_int)
-        if u1 < lo:
-            u1 = lo
-    r = math.sqrt(-2.0 * q_ln(spec.q_int, u1))
+    r = math.sqrt(-2.0 * q_ln(spec.q_int, max(u1, _u_floor(spec.q_int))))
     a = 2.0 * math.pi * u2
     return r * math.cos(a), r * math.sin(a)
 

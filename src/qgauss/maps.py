@@ -17,18 +17,20 @@ Three layers:
 Each map's step is written once in Python, as the compiled library
 (_orbit.c) writes it once in C: the circle step in _circle_step, which
 chebyshev_pair calls, and the radial step in the iterator _radial_steps,
-with the expression shapes of q_exp, tri_map and q_ln and the constants of
-_radial_params.  z_map is its argument checks plus one step of that
-iterator; the Python fallbacks of the generator (generator._run_python)
-and of both Lyapunov routes (stats._lyapunov_python) step whole orbits
-through the two functions, in the order of the compiled loops.  The
-analytic derivative is written once too, in _fold_derivative, which
-z_map_derivative and the Python Lyapunov fallback share.  The tests hold
-every caller to the same bits: generate/step against z_map step by step
-and the compiled orbit against _run_python (tests/test_generator.py), the
-compiled Lyapunov loop against _lyapunov_python, and lyapunov against the
-per-call composition of the public functions
-(tests/lyapunov_reference.py).
+which composes the halves of _orbit.c's radial_step: q_exp, the clamp,
+_fold (tri_map's fold too), the floor of _u_floor and q_ln, with the
+constants of _radial_params.  z_map is its argument checks plus one step
+of that iterator; the Python fallbacks of the generator
+(generator._run_python) and of both Lyapunov routes
+(stats._lyapunov_python) step whole orbits through the two functions, in
+the order of the compiled loops.  The analytic derivative is written once
+too, in _fold_derivative, which z_map_derivative and the Python Lyapunov
+fallback share.  The tests hold every caller to the same bits: z_map
+against the step written out literally (tests/test_maps.py),
+generate/step against z_map and the compiled orbit against _run_python
+(tests/test_generator.py), the compiled Lyapunov loop against
+_lyapunov_python, and lyapunov against the per-call composition of the
+public functions (tests/lyapunov_reference.py).
 """
 
 from __future__ import annotations
@@ -150,29 +152,34 @@ def tri_map(l: int, epsilon: float, u: float) -> float:
     """One application of the slope-l fold of [0, 1] onto itself.
 
     Stretches u by s = l*(1 - epsilon) and folds the result back into the
-    unit interval, reversing direction on every odd integer cell.  For
-    l = 2 this is the classic tent map, written in the same single-
-    expression form as the reference implementation so that orbits agree
-    bit for bit.
+    unit interval, reversing direction on every odd integer cell: its
+    checks plus one _fold.  For l = 2 this is the classic tent map.
     """
     _check_fold(l, epsilon)
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1], got %r" % (u,))
-    s = l * (1.0 - epsilon)
-    if l == 2:
-        return 1.0 - abs(1.0 - s * u)
-    y = s * u
-    k = int(y)
-    if k & 1:
-        r = (k + 1) - y
-    else:
-        r = y - k
-    # guard the cell edges against one-ulp escapes
-    if r < 0.0:
-        return 0.0
-    if r > 1.0:
-        return 1.0
-    return r
+    return _fold(l == 2, l * (1.0 - epsilon), 1, u)
+
+
+def _fold(tent: bool, s: float, c: int, u: float) -> float:
+    """c applications of the slope-s fold to u, without the floor and
+    unchecked: tent (l == 2) is the reference's single-expression tent, and
+    a higher order is clamped into [0, 1] against one-ulp cell-edge escapes."""
+    if tent:
+        while c:
+            u = 1.0 - abs(1.0 - s * u)
+            c -= 1
+        return u
+    while c:
+        y = s * u
+        k = int(y)
+        u = (k + 1) - y if k & 1 else y - k
+        if u < 0.0:
+            u = 0.0
+        elif u > 1.0:
+            u = 1.0
+        c -= 1
+    return u
 
 
 # Lower clamp applied to u = q_exp(q, -z*z/2) before folding (q >= 1 only;
@@ -181,14 +188,13 @@ _U_CLAMP_LO = 1e-300
 
 
 def _u_floor(q_int: float) -> float:
-    """Smallest post-fold u whose deformed log stays inside double range.
-
-    For q > 1 the inverse conjugation evaluates u**(1-q); below
-    exp(-709/(q-1)) that power overflows, so the fold output is floored
-    there.  The floor only matters for strongly deformed regimes (it is
-    about 8e-9 at q = 39) and is unreachable noise otherwise.
-    """
-    if q_int <= 1.0:
+    """Floor on the fold output: 0.0 below q_int = 1 (where 0 is the support
+    edge), else at least _U_CLAMP_LO.  For q > 1, g evaluates u**(1-q), which
+    overflows below exp(-709/(q-1)), so the floor is raised there; it is
+    about 8e-9 at q = 39 and unreachable noise otherwise."""
+    if q_int < 1.0:
+        return 0.0
+    if q_int == 1.0:
         return _U_CLAMP_LO
     return max(_U_CLAMP_LO, math.exp(-709.0 / (q_int - 1.0)))
 
@@ -198,12 +204,19 @@ def _z_edge(q_int: float) -> float:
     return math.sqrt(2.0 / (1.0 - q_int))
 
 
+def _check_q_int(q_int: float) -> None:
+    """The one q_int rule of the radial entry points: it must be finite."""
+    if not math.isfinite(q_int):
+        raise ValueError("q_int must be finite, got %r" % (q_int,))
+
+
 def _check_start(q_int: float, cfg: MapConfig, z0: float) -> None:
-    """Reject an orbit start z0 unless it is finite, > 0 and, for q_int < 1,
-    below the support edge and not absorbed by the first radial step
-    (_is_absorbed).  A fold output of 0 maps to the edge, and g_inv's
-    underflow or the tent fold's rounding of an s*u below about 2**-54 gives
-    0 from every z0 above 0.56 z_edge at q' = 0.99."""
+    """Reject a non-finite q_int, and an orbit start z0 unless it is finite,
+    > 0 and, for q_int < 1, below the support edge and not absorbed by the
+    first radial step (_is_absorbed).  A fold output of 0 maps to the edge,
+    and g_inv's underflow or the tent fold's rounding of an s*u below about
+    2**-54 gives 0 from every z0 above 0.56 z_edge at q' = 0.99."""
+    _check_q_int(q_int)
     if not (math.isfinite(z0) and z0 > 0.0):
         raise ValueError("z0 must be finite and > 0, got %r" % (z0,))
     if q_int < 1.0 and z0 >= _z_edge(q_int):
@@ -228,8 +241,9 @@ def _is_absorbed(q_int: float, cfg: MapConfig, z0: float) -> bool:
 
 
 def _check_support(q_int: float, z: float) -> None:
-    """Reject a radius z unless it is finite, >= 0 and, for q_int < 1, at
-    most the support edge: the domain of z_map."""
+    """Reject a non-finite q_int, and a radius z unless it is finite, >= 0
+    and, for q_int < 1, at most the support edge: the domain of z_map."""
+    _check_q_int(q_int)
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError("z must be finite and >= 0, got %r" % (z,))
     if q_int < 1.0 and z > _z_edge(q_int):
@@ -246,24 +260,22 @@ class _RadialParams(NamedTuple):
     c: int           # folds per step
     one_m_q: float   # 1 - q_int
     u_clamp: float   # lower clamp on the fold input (0 for q_int < 1)
-    u_lo: float      # floor on the fold output, _u_floor (0 for q_int < 1)
+    u_lo: float      # floor on the fold output, _u_floor
     z_edge: float    # support edge sqrt(2/(1 - q_int)) (0 for q_int >= 1)
     s: float         # fold slope l*(1 - epsilon)
 
 
 def _radial_params(q_int: float, cfg: MapConfig) -> _RadialParams:
     """The constants _radial_steps and the compiled orbit both step with."""
-    one_m_q = 1.0 - q_int
-    q_ge_1 = q_int >= 1.0
     return _RadialParams(
         gaussian=abs(q_int - 1.0) < _Q_ONE_EPS,
         tent=cfg.l == 2,
         c=cfg.c,
-        one_m_q=one_m_q,
-        u_clamp=_U_CLAMP_LO if q_ge_1 else 0.0,
-        u_lo=_u_floor(q_int) if q_ge_1 else 0.0,
+        one_m_q=1.0 - q_int,
+        u_clamp=_U_CLAMP_LO if q_int >= 1.0 else 0.0,
+        u_lo=_u_floor(q_int),
         z_edge=_z_edge(q_int) if q_int < 1.0 else 0.0,
-        s=cfg.l * (1.0 - cfg.epsilon),
+        s=cfg.slope,
     )
 
 
@@ -272,48 +284,20 @@ def _radial_steps(
 ) -> Iterator[Tuple[float, float, float]]:
     """The radial map's orbit from a valid z, one (z, u0, u) per step, without end.
 
-    z is the step's new value, u0 its fold input g_inv(z) taken before the
-    clamp at u_clamp (z_map_derivative's arithmetic uses that value; the
-    chain-rule Lyapunov route applies the clamp itself), and u its fold
-    output (after the floor of _u_floor).  The branches and expression
-    shapes are those of q_exp, tri_map and q_ln, so each step equals their
-    composition bit for bit.  z is not checked; z_map does that for a
-    single step.
+    A step is u0 = q_exp(q_int, -z*z/2), the clamp at u_clamp, _fold, the
+    floor at u_lo and z = sqrt(-2 q_ln(q_int, u)), or z_edge where u is 0.
+    It yields the new z, u0 before the clamp (z_map_derivative's arithmetic
+    uses that value; the chain-rule Lyapunov route applies the clamp
+    itself) and u after the floor.  z is not checked; z_map does that.
     """
-    exp_ = math.exp
-    log_ = math.log
-    sqrt_ = math.sqrt
-    gaussian, tent, c, one_m_q, u_clamp, u_lo, z_edge, s = _radial_params(q_int, cfg)
-    folds = range(c)
+    _, tent, c, _, u_clamp, u_lo, z_edge, s = _radial_params(q_int, cfg)
+    q_exp_, q_ln_, sqrt_ = q_exp, q_ln, math.sqrt
     while True:
-        if gaussian:
-            u = exp_(-z * z * 0.5)
-        else:
-            a = 1.0 + one_m_q * (-z * z * 0.5)
-            u = exp_(log_(a) / one_m_q) if a > 0.0 else 0.0
-        u0 = u
-        if u < u_clamp:
-            u = u_clamp
-        if tent:
-            for _ in folds:
-                u = 1.0 - abs(1.0 - s * u)
-        else:
-            for _ in folds:
-                y = s * u
-                k = int(y)
-                u = (k + 1) - y if k & 1 else y - k
-                if u < 0.0:
-                    u = 0.0
-                elif u > 1.0:
-                    u = 1.0
+        u0 = q_exp_(q_int, -z * z * 0.5)
+        u = _fold(tent, s, c, u_clamp if u0 < u_clamp else u0)
         if u < u_lo:
             u = u_lo
-        if u == 0.0:
-            z = z_edge
-        elif gaussian:
-            z = sqrt_(-2.0 * log_(u))
-        else:
-            z = sqrt_(-2.0 * ((exp_(log_(u) * one_m_q) - 1.0) / one_m_q))
+        z = z_edge if u == 0.0 else sqrt_(-2.0 * q_ln_(q_int, u))
         yield z, u0, u
 
 

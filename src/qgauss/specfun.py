@@ -4,7 +4,8 @@ The deformed exponential/logarithm pair is written with the exact floating
 point expression shapes used by the reference generator, because the chaotic
 iteration amplifies single-ulp differences exponentially.  Do not "simplify"
 q_exp or q_ln (for example into log1p/expm1 forms): the conformance tests
-pin the bit patterns.
+pin the bit patterns.  They are the pair's one Python copy, which the radial
+step (maps._radial_steps) and gbmm_sample call.
 
 Log-gamma and the complete beta function (the density's normalizing
 constant) wrap the platform libm through the math module.  The incomplete
@@ -48,9 +49,9 @@ def q_ln(q: float, w: float) -> float:
     """Deformed logarithm: (w^(1-q) - 1)/(1-q) for w > 0.
 
     Inverse of q_exp on (0, inf).  At q = 1 (within 1e-12) this is the
-    ordinary logarithm.  Raises ValueError for w <= 0.
+    ordinary logarithm.  Raises ValueError unless w > 0, so for nan too.
     """
-    if w <= 0.0:
+    if not w > 0.0:
         raise ValueError("q_ln requires w > 0, got %r" % (w,))
     if abs(q - 1.0) < _Q_ONE_EPS:
         return math.log(w)

@@ -1,13 +1,16 @@
 """Circle pair maps, the folded tent, and the conjugated z update."""
 
+import ast
 import math
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qgauss
 from qgauss.generator import init, make_spec
 from qgauss.maps import (
     _U_CLAMP_LO,
@@ -22,6 +25,7 @@ from qgauss.maps import (
     z_map_derivative,
 )
 from qgauss.specfun import q_exp, q_ln
+from qgauss.stats import lyapunov
 
 
 class TestMapConfig:
@@ -144,27 +148,152 @@ class TestZMap:
         assert chi2 < 43.8, f"chi2={chi2:.1f} for q_int={q_int}"
 
     def test_folds_compose(self):
-        """One step is q_exp, the u clamp, c folds, the u floor and q_ln
+        """One step is g_inv, the u clamp, c folds, the u floor and g
         composed, bit for bit along whole orbits; that includes q_int just
-        below and above 1, where q_exp and q_ln take the Gaussian branch."""
+        below and above 1, where g_inv and g take the Gaussian branch.  The
+        expected step is written out here in the reference expression
+        shapes, so the map is not compared with its own halves."""
         for q_int in (0.0, 0.6, 1.0 - 5e-13, 1.0, 1.0 + 5e-13, 1.4, 39.0):
+            gaussian = abs(q_int - 1.0) < 1e-12
+            one_m_q = 1.0 - q_int
             for l, c in ((2, 1), (2, 6), (3, 1)):
                 cfg = MapConfig(l=l, c=c)
+                s = l * (1.0 - cfg.epsilon)
                 z = 0.9
                 for i in range(2000):
-                    u = q_exp(q_int, -z * z * 0.5)
-                    if q_int >= 1.0:
-                        u = max(u, _U_CLAMP_LO)
+                    if gaussian:
+                        u = math.exp(-z * z * 0.5)
+                    else:
+                        a = 1.0 + one_m_q * (-z * z * 0.5)
+                        u = math.exp(math.log(a) / one_m_q) if a > 0.0 else 0.0
+                    if q_int >= 1.0 and u < 1e-300:
+                        u = 1e-300
                     for _ in range(c):
-                        u = tri_map(l, cfg.epsilon, u)
-                    if q_int >= 1.0:
-                        u = max(u, _u_floor(q_int))
+                        if l == 2:
+                            u = 1.0 - abs(1.0 - s * u)
+                        else:
+                            y = s * u
+                            k = int(y)
+                            u = min(max((k + 1) - y if k & 1 else y - k, 0.0), 1.0)
+                    if q_int > 1.0:
+                        u = max(u, 1e-300, math.exp(-709.0 / (q_int - 1.0)))
+                    elif q_int == 1.0:
+                        u = max(u, 1e-300)
                     if u == 0.0:
                         want = math.sqrt(2.0 / (1.0 - q_int))
+                    elif gaussian:
+                        want = math.sqrt(-2.0 * math.log(u))
                     else:
-                        want = math.sqrt(-2.0 * q_ln(q_int, u))
+                        want = math.sqrt(-2.0 * ((math.exp(math.log(u) * one_m_q) - 1.0)
+                                                 / one_m_q))
                     z = z_map(q_int, cfg, z)
                     assert z == want, (q_int, l, c, i)
+
+    def test_u_floor(self):
+        """0 below q_int = 1, the clamp at 1, and exp(-709/(q_int - 1))
+        where that is larger."""
+        assert _u_floor(-3.0) == _u_floor(1.0 - 1e-9) == 0.0
+        assert _u_floor(1.0) == _u_floor(1.5) == _U_CLAMP_LO
+        assert _u_floor(39.0) == math.exp(-709.0 / 38.0)
+
+
+class TestQIntRule:
+    @pytest.mark.parametrize("q_int", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda q_int: z_map(q_int, MapConfig(), 0.5),
+        lambda q_int: z_map_derivative(q_int, 0.5),
+        lambda q_int: lyapunov(q_int, MapConfig(), 0.5, 10),
+    ], ids=["z_map", "z_map_derivative", "lyapunov"])
+    def test_rejects_non_finite(self, call, q_int):
+        with pytest.raises(ValueError, match="q_int must be finite"):
+            call(q_int)
+
+
+def _name(node):
+    """The bare name of a called function, math.exp and exp_ alike."""
+    if isinstance(node, ast.Attribute):
+        return node.attr.rstrip("_")
+    if isinstance(node, ast.Name):
+        return node.id.rstrip("_")
+    return None
+
+
+def _owners(predicate):
+    """module.function of every def in src/qgauss/*.py holding a node that
+    satisfies predicate (nested defs count for the def they sit in)."""
+    owners = set()
+    for path in sorted(Path(qgauss.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for fn in defs:
+                if isinstance(fn, ast.FunctionDef) and any(map(predicate, ast.walk(fn))):
+                    owners.add("%s.%s" % (path.stem, fn.name))
+    return owners
+
+
+def _is_tent(node):
+    """1.0 - abs(1.0 - ...): the tent fold."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1.0
+            and isinstance(node.right, ast.Call) and _name(node.right.func) == "abs"
+            and isinstance(node.right.args[0], ast.BinOp)
+            and isinstance(node.right.args[0].op, ast.Sub)
+            and isinstance(node.right.args[0].left, ast.Constant))
+
+
+def _is_parity(node):
+    """k & 1: the parity test of the higher-order fold."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1)
+
+
+def _is_exp_of_log(node):
+    """exp(log(...) op ...): the deformed exponential or logarithm."""
+    return (isinstance(node, ast.Call) and _name(node.func) == "exp"
+            and isinstance(node.args[0], ast.BinOp)
+            and isinstance(node.args[0].left, ast.Call)
+            and _name(node.args[0].left.func) == "log")
+
+
+def _is_guarded_floor(node):
+    """An if or conditional expression with a _u_floor call in a branch."""
+    if isinstance(node, ast.If):
+        branches = node.body + node.orelse
+    elif isinstance(node, ast.IfExp):
+        branches = [node.body, node.orelse]
+    else:
+        return False
+    return any(isinstance(n, ast.Call) and _name(n.func) == "_u_floor"
+               for branch in branches for n in ast.walk(branch))
+
+
+def _is_floor_bound(node):
+    """709.0, the exponent bound of the q_int > 1 floor."""
+    return isinstance(node, ast.Constant) and node.value == 709.0
+
+
+class TestOneCopyOfEachHalf:
+    """The Python radial step composes one copy of each half, as _orbit.c's
+    radial_step does: the fold in maps._fold, the deformed exp/log pair in
+    specfun, and the q >= 1 floor rule in maps._u_floor."""
+
+    def test_fold_is_written_once(self):
+        assert _owners(_is_tent) == {"maps._fold"}
+        assert _owners(_is_parity) == {"maps._fold"}
+
+    def test_deformed_pair_is_written_once(self):
+        assert _owners(_is_exp_of_log) == {"specfun.q_exp", "specfun.q_ln"}
+
+    def test_step_and_tri_map_call_the_fold(self):
+        callers = _owners(lambda n: isinstance(n, ast.Call) and _name(n.func) == "_fold")
+        assert {"maps._radial_steps", "maps.tri_map"} <= callers
+
+    def test_floor_rule_is_written_once(self):
+        """Every _u_floor call is unconditional, so no caller repeats its
+        q_int >= 1 test, and its bound appears nowhere else."""
+        assert _owners(_is_guarded_floor) == set()
+        assert _owners(_is_floor_bound) == {"maps._u_floor"}
 
 
 class TestRadialStarts:

@@ -59,6 +59,8 @@ class TestQLn:
             q_ln(0.5, 0.0)
         with pytest.raises(ValueError):
             q_ln(1.5, -1.0)
+        with pytest.raises(ValueError):
+            q_ln(0.5, math.nan)
 
     def test_frozen_z_map_constants(self):
         # sqrt(-2 ln_q(u)) at q=1 for u = 1/2 and u = 1/4; frozen from the
