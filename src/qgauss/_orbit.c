@@ -81,10 +81,6 @@ static inline double fold(const struct radial *p, double u)
             double y = p->s * u;
             double k = trunc(y);
             u = fmod(k, 2.0) != 0.0 ? (k + 1.0) - y : y - k;
-            if (u < 0.0)
-                u = 0.0;
-            else if (u > 1.0)
-                u = 1.0;
         }
     }
     return u < p->u_lo ? p->u_lo : u;

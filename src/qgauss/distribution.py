@@ -166,7 +166,6 @@ def cdf_array(q_out: float, x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             y = k * ax * ax
         w = 1.0 / (1.0 + y)
-        w = np.where(np.isnan(w), 0.0, w)  # x = nan
         upper = np.asarray(0.5 * sc.betainc(a, 0.5, w))  # 0-d x: assignable
         far = y > _Y_FAR
         if far.any():
@@ -183,11 +182,12 @@ def cdf_array_direct(q_out: float, x: np.ndarray) -> np.ndarray:
     Forms the lower incomplete-beta argument y/(1+y) for 1 < q < 3 instead of
     routing through the upper-tail complement.  Once y exceeds roughly 4.5e15
     that intermediate rounds to 1.0 in double precision, so the result
-    saturates at exactly 1.0 while the true upper tail is still of order
-    1e-4 to 1e-5.  The goodness-of-fit trial protocol is calibrated against
-    this arrangement: its sensitivity to heavy-tail deformations above
-    q_out = 2.3 comes precisely from those saturated values (see stats).
-    Use cdf_array when tail-exact values are wanted instead.
+    saturates at exactly 0.0 or 1.0, out to the largest double, while the
+    true tail is still of order 1e-4 to 1e-5.  The goodness-of-fit trial
+    protocol is calibrated against this arrangement: its sensitivity to
+    heavy-tail deformations above q_out = 2.3 comes precisely from those
+    saturated values (see stats).  Use cdf_array when tail-exact values are
+    wanted instead.
     """
     spec = make_spec(q_out)
     sc = _special()
@@ -202,11 +202,10 @@ def cdf_array_direct(q_out: float, x: np.ndarray) -> np.ndarray:
         out = np.where(x <= -spec.half_width, 0.0, out)
         out = np.where(x >= spec.half_width, 1.0, out)
         return out
-    # |x| past about 1e154 overflows y to inf and r to nan: the result is
-    # nan there, without numpy warnings.
+    # where y overflows, y/(1+y) is nan; fmin takes its limit 1 there
     with np.errstate(over="ignore", invalid="ignore"):
         y = spec.k * x * x
-        r = y / (1.0 + y)
+        r = np.fmin(y / (1.0 + y), 1.0)
     inner = sc.betainc(0.5, spec.a, r)
     return 0.5 * (1.0 + np.sign(x) * inner)
 

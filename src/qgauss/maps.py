@@ -164,7 +164,8 @@ def tri_map(l: int, epsilon: float, u: float) -> float:
 def _fold(tent: bool, s: float, c: int, u: float) -> float:
     """c applications of the slope-s fold to u, without the floor and
     unchecked: tent (l == 2) is the reference's single-expression tent, and
-    a higher order is clamped into [0, 1] against one-ulp cell-edge escapes."""
+    a higher order stays in [0, 1] unclamped, since y - k and, for odd
+    k < 2**53, (k + 1) - y are exact, and every y >= 2**53 is even."""
     if tent:
         while c:
             u = 1.0 - abs(1.0 - s * u)
@@ -174,10 +175,6 @@ def _fold(tent: bool, s: float, c: int, u: float) -> float:
         y = s * u
         k = int(y)
         u = (k + 1) - y if k & 1 else y - k
-        if u < 0.0:
-            u = 0.0
-        elif u > 1.0:
-            u = 1.0
         c -= 1
     return u
 

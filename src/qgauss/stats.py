@@ -162,12 +162,9 @@ def _sample(samples: Sequence[float]) -> np.ndarray:
 
 def _score(q_out: float, samples: Sequence[float]) -> Tuple[float, float]:
     """(KS, tail-weighted) statistics of the checked, sorted samples through
-    distribution.cdf_array_direct; ValueError where that cdf is undefined."""
+    distribution.cdf_array_direct."""
     x = np.sort(_sample(samples))
-    ks, ad = _both_statistics(distribution.cdf_array_direct(q_out, x))
-    if math.isnan(ks):  # a NaN cdf value makes both NaN
-        raise ValueError("the model cdf is undefined at some sample: |x| too large to square")
-    return ks, ad
+    return _both_statistics(distribution.cdf_array_direct(q_out, x))
 
 
 def sup_weighted_statistic(
@@ -273,8 +270,7 @@ def gof_test(
 
     The verdict is the one a trial-table cell gives: _score's statistic
     against _null_statistics.  samples must be a non-empty 1-d array of
-    finite values whose squares do not overflow (|x| below about 1e154
-    for q_out > 1), or ValueError.  For tail-exact scoring, compose
+    finite values, or ValueError.  For tail-exact scoring, compose
     sup_weighted_statistic over distribution.cdf_array with mc_p_value.
     """
     i = _kind_index(kind)

@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python tests/record_golden.py
 
-rewrites tests/golden.json from the package on the path.  tests/test_golden.py
+rewrites tests/golden.json from the package on the path and names every
+entry whose digest differs from the file it replaces.  tests/test_golden.py
 recomputes every entry but the two tables and compares; the two acceptance
 tables are compared by test_acceptance.py, from its module fixtures.  A
 change meant to move output bits re-records only the entries it moves, and
@@ -167,10 +168,15 @@ def main() -> int:
     record = {name: fn() for name, fn in cases().items()}
     for name in TABLE_MAPS:
         record[name] = table_digest(acceptance_table(name))
+    moved = sorted(name for name in set(record) | set(GOLDEN)
+                   if record.get(name) != GOLDEN.get(name))
     with open(GOLDEN_PATH, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    sys.stdout.write("wrote %d digests to %s\n" % (len(record), GOLDEN_PATH))
+    sys.stdout.write("wrote %d digests to %s, %d changed\n"
+                     % (len(record), GOLDEN_PATH, len(moved)))
+    for name in moved:
+        sys.stdout.write("changed: %s\n" % (name,))
     return 0
 
 

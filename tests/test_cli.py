@@ -388,20 +388,16 @@ class TestGof:
         assert code == EXIT_DATA
 
     def test_huge_sample_writes_no_warning(self, tmp_path):
-        """A finite sample too large to square: the compact q' scores it
-        with nothing on stderr, and the heavy-tailed q' exits with its one
-        JSON error line alone, without numpy's overflow warnings."""
+        """A finite sample too large to square: the compact and the
+        heavy-tailed q' both score it with nothing on stderr, without
+        numpy's overflow warnings."""
         path = tmp_path / "huge.csv"
         path.write_text("x\n0.5\n1e200\n")
-        code, out, err = _run_process("gof", "--q", "0.5", "--in", str(path),
-                                      "--n-null", "9")
-        assert (code, err) == (EXIT_OK, "")
-        assert len(json.loads(out)["results"]) == 2
-        code, out, err = _run_process("gof", "--q", "1.5", "--in", str(path),
-                                      "--n-null", "9")
-        assert (code, out) == (EXIT_USAGE, "")
-        assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "domain"
+        for q in ("0.5", "1.5"):
+            code, out, err = _run_process("gof", "--q", q, "--in", str(path),
+                                          "--n-null", "9")
+            assert (code, err) == (EXIT_OK, ""), q
+            assert len(json.loads(out)["results"]) == 2
 
 
 class TestTable:

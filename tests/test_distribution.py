@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 import scipy.stats as spstats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgauss.distribution import (
     ccdf,
@@ -32,6 +34,16 @@ Q_GRID = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.3, 1.6, 2.0, 2.5, 2.9]
 
 # |x| for the unbounded members, out to where only a tail-exact cdf keeps mass
 HEAVY_X = [0.0, 0.3, 1.0, 2.5, 7.0, 40.0, 1e4, 1e8, 1e15, 1e30, 1e100]
+
+# One q' per branch of both cdf arrangements: the compact members, the two
+# sides of the Gaussian band |q' - 1| < 1e-12, the heavy-tailed members and
+# q' = 2.99.
+BRANCH_Q = [-1.0, 0.5, 1.0 - 5e-13, 1.0, 1.0 + 5e-13, 1.5, 2.9, 2.99]
+
+# Any double, nan and +-inf included, with weight on |x| from 1e154, where
+# k*x*x starts to overflow, to the largest double.
+ANY_X = st.one_of(st.floats(), st.floats(1e154, 1.7e308),
+                  st.floats(-1.7e308, -1e154))
 
 
 def _mp_upper(q_out, x):
@@ -340,6 +352,26 @@ class TestCdfArray:
             a = cdf_array(q, xs)
             b = cdf_array_direct(q, xs)
             np.testing.assert_allclose(a, b, atol=5e-14)
+
+    @pytest.mark.parametrize("q_out", BRANCH_Q)
+    @given(xs=st.lists(ANY_X, min_size=1, max_size=8))
+    @example(xs=[math.nan, math.inf, -math.inf, 1e154, -1e200, 1.7e308])
+    @settings(max_examples=60, deadline=None)
+    def test_both_arrangements_are_total(self, q_out, xs):
+        """nan exactly where x is nan, else a value in [0, 1], with +inf at
+        1 and -inf at 0, in either arrangement and without a warning."""
+        x = np.array(xs)
+        nan = np.isnan(x)
+        for cdf_fn in (cdf_array, cdf_array_direct):
+            F = cdf_fn(q_out, x)
+            assert np.array_equal(np.isnan(F), nan), (cdf_fn.__name__, x, F)
+            assert np.all((F[~nan] >= 0.0) & (F[~nan] <= 1.0)), (cdf_fn.__name__, x, F)
+            assert np.all(F[x == math.inf] == 1.0) and np.all(F[x == -math.inf] == 0.0)
+
+    @pytest.mark.parametrize("q_out", BRANCH_Q)
+    def test_scalar_nan_gives_nan(self, q_out):
+        assert math.isnan(cdf(q_out, math.nan))
+        assert math.isnan(ccdf(q_out, math.nan))
 
     def test_direct_arrangement_saturates_by_design(self):
         """The protocol arrangement rounds to exactly 1.0 deep in the tail."""

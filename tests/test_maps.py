@@ -96,10 +96,19 @@ class TestTriMap:
                 want = y - 2.0
             assert tri_map(3, 0.0, u) == pytest.approx(want, abs=1e-12)
 
-    @given(u=st.floats(0.0, 1.0), l=st.integers(2, 6))
-    @settings(max_examples=150, deadline=None)
-    def test_range_contract(self, u, l):
-        out = tri_map(l, 5e-6, u)
+    @given(u=st.floats(0.0, 1.0),
+           l=st.one_of(st.integers(2, 6), st.integers(3, 10**300)),
+           epsilon=st.sampled_from([0.0, 5e-6, 9.99e-4]))
+    @example(u=1.0, l=3, epsilon=0.0)
+    @example(u=1.0 / 3.0, l=3, epsilon=0.0)
+    @example(u=0.9999999999999999, l=2**52 + 1, epsilon=0.0)
+    @example(u=1.0, l=10**300, epsilon=5e-6)
+    @settings(max_examples=400, deadline=None)
+    def test_range_contract(self, u, l, epsilon):
+        """[0, 1] into itself at every order l up to 10**300, unclamped:
+        y - k and the odd cell's (k + 1) - y are exact, and y >= 2**53 is
+        even."""
+        out = tri_map(l, epsilon, u)
         assert 0.0 <= out <= 1.0
 
     def test_slope_magnitude_between_kinks(self):

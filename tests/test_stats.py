@@ -366,17 +366,23 @@ class TestGofTest:
         with pytest.raises(ValueError):
             gof_test([0.0, 0.5], 1.0, n_null=n_null)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_sample_outside_the_cdf(self, bad):
-        """A sample the model cdf cannot score (nan or +-inf at every q', or,
-        above q' = 1, one whose square overflows) is a ValueError, not a
-        statistic.  numpy's overflow and invalid warnings on the way are
-        not what is tested."""
+        """A nan or +-inf sample is a ValueError at every q', not a
+        statistic."""
         for q_out in GOF_Q:
-            if math.isfinite(bad) and q_out <= 1.0:
-                continue  # the cdf is 1 there
-            with np.errstate(all="ignore"), pytest.raises(ValueError):
+            with pytest.raises(ValueError):
                 gof_test([0.0, 0.5, bad], q_out, n_null=19)
+
+    @pytest.mark.parametrize("kind", ["ks", "ad"])
+    @pytest.mark.parametrize("q_out", GOF_Q)
+    def test_scores_sample_whose_square_overflows_at_cdf_one(self, q_out, kind):
+        """1e200, far past where k*x*x overflows, scores as F = 1 at every
+        q'."""
+        x = [0.0, 0.5, 1e200]
+        F = np.append(cdf_array_direct(q_out, np.array(x[:2])), 1.0)
+        res = gof_test(x, q_out, kind=kind, n_null=19)
+        assert res.statistic == sup_weighted_statistic(x, lambda a: F, kind=kind)
 
     @pytest.mark.parametrize("q_out", GOF_Q)
     @pytest.mark.parametrize("samples", [[[0.0, 0.5]], 0.5, []],
@@ -598,20 +604,23 @@ class TestTrialTable:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, old)
 
-    def test_trial_the_cdf_cannot_score_is_rejected(self, monkeypatch):
-        """A trial holding a sample whose square overflows is scored as
-        gof_test scores it, a ValueError, not a NaN statistic read as the
-        least p-value."""
+    def test_trial_holding_a_sample_whose_square_overflows_scores(self, monkeypatch):
+        """A trial holding 1e200 is scored as gof_test scores it, with that
+        sample at F = 1."""
         real = stats.generate
+        batches = []
 
         def overflowing(state, n):
             batch = real(state, n)
             batch.xi[0] = 1e200
+            batches.append(batch)
             return batch
 
         monkeypatch.setattr(stats, "generate", overflowing)
-        with pytest.raises(ValueError, match="undefined"):
-            run_trial_table([1.5], trials=1, samples=50, n_null=19)
+        row = run_trial_table([1.5], trials=1, samples=50, n_null=19).rows[0]
+        (batch,) = batches
+        assert row.p_ks == (gof_test(batch.xi, 1.5, "ks", n_null=19).p_value,)
+        assert row.p_ad == (gof_test(batch.xi, 1.5, "ad", n_null=19).p_value,)
 
     def test_jobs_do_not_change_results(self):
         q_list = [0.5, 1.5]
