@@ -11,17 +11,16 @@
  * expression has the shape and evaluation order of the Python or numpy
  * code it replaces (generator._run_python, stats._lyapunov_python,
  * generator._take_numpy, stats._both_statistics_numpy,
- * generator.gbmm_sample): the circle step of maps._circle_step's
- * Horner forms with generator._RADIUS_TOL renormalization, and the radial
- * step of maps._radial_steps, written once here as its conjugation halves
- * g_inv, clamp, fold (with its floor) and g, which the first two entry
- * points call, and qgauss_gbmm calls g for gbmm_sample's radius.  The
- * orbit is chaotic, so one ulp anywhere
- * changes every later sample; the build therefore uses -ffp-contract=off
- * (no fused multiply-add) and calls only libm's exp, log, pow, sqrt, cos
- * and sin, the functions Python's math module and float power call.  The
- * radial constants come from maps._radial_params, so each is defined once,
- * in Python, and reach the entry points as one struct radial, by pointer.
+ * generator.gbmm_sample): circle_step is maps._circle_step, one
+ * maps.chebyshev_pair step with its renormalization, and radial_step one
+ * maps.z_map step, written as its halves g_inv, clamp, fold (floored by
+ * floor_u) and g; qgauss_gbmm calls floor_u and g for gbmm_sample's radius.
+ * The orbit is chaotic, so one ulp anywhere changes every later sample;
+ * the build therefore uses -ffp-contract=off (no fused multiply-add) and
+ * calls only libm's exp, log, pow, sqrt, cos and sin, the functions
+ * Python's math module and float power call.  The radial constants come
+ * from maps._radial_params, so each is defined once, in Python, and reach
+ * the entry points as one struct radial, by pointer.
  *
  * The row writer forms the 17 digits of a double exactly, in 128-bit
  * integers (Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
@@ -70,6 +69,12 @@ static inline double clamp(const struct radial *p, double u)
     return u < p->u_clamp ? p->u_clamp : u;
 }
 
+/* u floored at u_lo, maps._u_floor's value: fold's output, gbmm's u1. */
+static inline double floor_u(const struct radial *p, double u)
+{
+    return u < p->u_lo ? p->u_lo : u;
+}
+
 /* c folds of the clamped fold input, then the floor at u_lo. */
 static inline double fold(const struct radial *p, double u)
 {
@@ -83,7 +88,7 @@ static inline double fold(const struct radial *p, double u)
             u = fmod(k, 2.0) != 0.0 ? (k + 1.0) - y : y - k;
         }
     }
-    return u < p->u_lo ? p->u_lo : u;
+    return floor_u(p, u);
 }
 
 /* g(u) = sqrt(-2 q_ln(q_int, u)); a fold output of 0 is the support edge. */
@@ -101,8 +106,9 @@ static inline double radial_step(const struct radial *p, double z)
     return g(p, fold(p, clamp(p, g_inv(p, z))));
 }
 
-/* (P_d(w), Q_d(w, v)), both from the old w. */
-static void circle_step(int d, double *pw, double *pv)
+/* (P_d(w), Q_d(w, v)), both from the old w, divided by its radius where
+ * r2 is more than tol from 1. */
+static inline void circle_step(int d, double tol, double *pw, double *pv)
 {
     double w = *pw, v = *pv, nw, nv;
     switch (d) {
@@ -135,6 +141,12 @@ static void circle_step(int d, double *pw, double *pv)
         nw = (((128.0 * w * w - 256.0) * w * w + 160.0) * w * w - 32.0) * w * w + 1.0;
         break;
     }
+    double r2 = nw * nw + nv * nv;
+    if (fabs(r2 - 1.0) > tol) {
+        double r = sqrt(r2);
+        nw /= r;
+        nv /= r;
+    }
     *pw = nw;
     *pv = nv;
 }
@@ -147,13 +159,7 @@ void qgauss_orbit(int d, const struct radial *p, double radius_tol,
 {
     double w = wvz[0], v = wvz[1], z = wvz[2];
     for (int64_t i = 0; i < n; i++) {
-        circle_step(d, &w, &v);
-        double r2 = w * w + v * v;
-        if (fabs(r2 - 1.0) > radius_tol) {
-            double r = sqrt(r2);
-            w /= r;
-            v /= r;
-        }
+        circle_step(d, radius_tol, &w, &v);
         z = radial_step(p, z);
         xi[i] = w * z;
         eta[i] = v * z;
@@ -342,7 +348,7 @@ void qgauss_gbmm(const struct radial *p, const double *u, int64_t n,
 {
     for (int64_t i = 0; i < n; i++) {
         double u1 = u[2 * i];
-        double r = g(p, u1 < p->u_lo ? p->u_lo : u1);
+        double r = g(p, floor_u(p, u1));
         double a = 2.0 * 3.141592653589793 * u[2 * i + 1];
         xi[i] = r * cos(a);
         eta[i] = r * sin(a);

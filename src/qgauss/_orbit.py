@@ -10,21 +10,21 @@ into its own temporary file and renames it into place with os.replace, so
 processes that start together race only to write identical bytes.
 
 The library has six entry points, each behind a wrapper here: the
-generator's orbit (orbit), the Lyapunov average (lyapunov), a block of
-UniformStream words (take), the two EDF statistics of rows of sorted
-values (scores), which the Monte Carlo null, the table trials and
-stats.gof_test call, the transform sampler's pairs (gbmm), which
-generator.gbmm_generate calls, and the "%.17g" CSV rows of a block of
-doubles (write_rows), which qgauss gen and diag write.  The wrappers check
-every argument the C loops trust, the counts with maps._check_count, the
-rule of every public count; the callers check z0.  maps._RadialParams goes
-to C by pointer, as the record _Radial built from its fields, and scores
-passes its two-row arrays whole.  take and scores are called thousands of
-times per null, so they, like gbmm and write_rows, pass pointers as
-arr.ctypes.data, not through data_as.  kernel() returns None, and never
-raises, when no compiler runs, the compile fails or the cache directory is
-unusable; the callers then run their Python or numpy code, which gives the
-same bytes.
+generator's orbit (orbit), one maps.chebyshev_pair and one maps.z_map
+step at a time, the Lyapunov average (lyapunov), UniformStream words
+(take), the two EDF statistics of rows of sorted values (scores), which
+the Monte Carlo null, the table trials and stats.gof_test call, the
+transform sampler's pairs (gbmm), which generator.gbmm_generate calls,
+and the "%.17g" CSV rows of a block of doubles (write_rows), which qgauss
+gen and diag write.  The wrappers check every argument the C loops trust,
+with the rules of maps (_check_count, _check_degree); the callers check
+z0.  maps._RadialParams goes to C by pointer, as the record _Radial
+built from its fields, and scores passes its two-row arrays whole.  take
+and scores are called thousands of times per null, so they, like gbmm and
+write_rows, pass pointers as arr.ctypes.data, not through data_as.
+kernel() returns None, and never raises, when no compiler runs, the
+compile fails or the cache directory is unusable; the callers then run
+their Python or numpy code, which gives the same bytes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
-from .maps import _RadialParams, _check_count
+from .maps import _RADIUS_TOL, _RadialParams, _check_count, _check_degree
 
 _SOURCE = Path(__file__).with_name("_orbit.c")
 
@@ -198,23 +198,22 @@ def orbit(
     lib: ctypes.CDLL,
     d: int,
     radial: _RadialParams,
-    radius_tol: float,
     wvz: Tuple[float, float, float],
     n: int,
     xi: np.ndarray,
     eta: np.ndarray,
 ) -> Tuple[float, float, float]:
-    """Run n steps from wvz = (w, v, z) in C, filling xi and eta; returns
-    the end (w, v, z).  Checks every argument the C loop trusts."""
-    if not (isinstance(d, int) and 2 <= d <= 8):
-        raise ValueError("d must be an integer in 2..8, got %r" % (d,))
+    """Run n steps from wvz = (w, v, z) in C, renormalizing the circle at
+    maps._RADIUS_TOL, filling xi and eta; returns the end (w, v, z).
+    Checks every argument the C loop trusts."""
+    _check_degree(d)
     _check_count("c", radial.c, 1)
     _check_count("n", n, 0)
     _check_array("xi", xi, (n,))
     _check_array("eta", eta, (n,))
     state = (ctypes.c_double * 3)(*wvz)
     lib.qgauss_orbit(
-        d, _Radial(*radial), radius_tol, state, n,
+        d, _Radial(*radial), _RADIUS_TOL, state, n,
         xi.ctypes.data_as(_DOUBLE_P), eta.ctypes.data_as(_DOUBLE_P),
     )
     return state[0], state[1], state[2]

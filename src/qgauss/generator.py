@@ -12,15 +12,13 @@ runs the compiled orbit of _orbit.c, built with the system C compiler on
 the first call and cached per user (see qgauss._orbit), or, where that
 cannot be built, _run_python, which gives the same bytes and is the
 compiled orbit's test oracle.  Both take each step in the same order:
-the circle step of maps._circle_step (the raw maps.chebyshev_pair
-expressions), the renormalization, and the radial step of
-maps._radial_steps, the iterator maps.z_map takes one step of, with its
-constants from maps._radial_params.  The circle point is renormalized
-only when its squared radius drifts more than 1e-10 from 1, which keeps
-short orbits bit-identical to the unrenormalized reference recursion
-while holding the invariant over long runs; the renormalization happens
-before the step's outputs are formed.  SampleBatch.metadata() names the
-loop that ran ("kernel": "c" or "python").
+the circle step of maps._circle_step, one maps.chebyshev_pair step, and
+the radial step of maps._radial_steps, one maps.z_map step, with its
+constants from maps._radial_params.  The circle step renormalizes only
+when the squared radius drifts more than 1e-10 from 1, which keeps short
+orbits bit-identical to the unrenormalized reference recursion while
+holding the invariant over long runs, before the step's outputs are
+formed.  SampleBatch.metadata() names the loop that ran ("kernel").
 
 The transform sampler (gbmm_sample) is the independent route used for
 cross-validation: two uniforms in, one (x, y) pair out, no state; u1 is
@@ -33,8 +31,8 @@ which gives the same bytes and is the compiled loop's test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -65,10 +63,6 @@ __all__ = [
     "UniformStream",
     "derive_seed",
 ]
-
-# Circle renormalization threshold on |w*w + v*v - 1|.
-_RADIUS_TOL = 1e-10
-
 
 @dataclass
 class GeneratorState:
@@ -115,23 +109,17 @@ def _run_python(
 ) -> None:
     """The orbit loop in Python: the fallback for _run and its test oracle.
 
-    Each step is qgauss_orbit's: maps._circle_step, the renormalization,
-    the next z of maps._radial_steps (the one Python copy of the radial
-    step), then the outputs w*z and v*z.
+    Each step is qgauss_orbit's: maps._circle_step (the one Python copy
+    of the circle step), the next z of maps._radial_steps (the one Python
+    copy of the radial step), then the outputs w*z and v*z.
     """
     w = state.w
     v = state.v
     z = state.z
     d = state.cfg.d
-    sqrt_ = math.sqrt
     radial_step = _radial_steps(state.spec.q_int, state.cfg, z).__next__
     for i in range(n):
         w, v = _circle_step(d, w, v)
-        r2 = w * w + v * v
-        if abs(r2 - 1.0) > _RADIUS_TOL:
-            r = sqrt_(r2)
-            w /= r
-            v /= r
         z = radial_step()[0]
         xi_out[i] = w * z
         eta_out[i] = v * z
@@ -150,8 +138,8 @@ def _run(
     step() and generate() both call this.  The compiled orbit (_orbit.c,
     built on the first call) runs when it can be built here, and
     _run_python otherwise; the two give the same bytes, which
-    tests/test_generator.py checks, as it holds state.z to z_map at every
-    step.
+    tests/test_generator.py checks, as it holds the state to chebyshev_pair
+    and z_map at every step.
     """
     lib = _orbit.kernel()
     if lib is None:
@@ -159,7 +147,7 @@ def _run(
         return "python"
     state.w, state.v, state.z = _orbit.orbit(
         lib, state.cfg.d, _radial_params(state.spec.q_int, state.cfg),
-        _RADIUS_TOL, (state.w, state.v, state.z), n, xi_out, eta_out,
+        (state.w, state.v, state.z), n, xi_out, eta_out,
     )
     state.steps += n
     return "c"
@@ -180,7 +168,7 @@ class SampleBatch:
     xi: np.ndarray
     eta: np.ndarray
     spec: QSpec
-    cfg: MapConfig
+    cfg: Optional[MapConfig]  # None for gbmm, which reads no map
     method: str
     seed_info: Dict[str, object] = field(default_factory=dict)
     kernel: str = "python"  # the loop that produced it: "c" or "python"
@@ -190,7 +178,7 @@ class SampleBatch:
         return int(self.xi.size)
 
     def metadata(self) -> Dict[str, object]:
-        """JSON-ready regeneration record."""
+        """JSON-ready regeneration record, with map fields if a map ran."""
         return {
             "method": self.method,
             "kernel": self.kernel,
@@ -198,10 +186,7 @@ class SampleBatch:
             "q_out": self.spec.q_out,
             "q_int": self.spec.q_int,
             "nu": self.spec.nu,
-            "d": self.cfg.d,
-            "l": self.cfg.l,
-            "c": self.cfg.c,
-            "epsilon": self.cfg.epsilon,
+            **({} if self.cfg is None else asdict(self.cfg)),
             **self.seed_info,
         }
 
@@ -250,7 +235,6 @@ def gbmm_generate(spec: QSpec, stream: "UniformStream", n: int) -> SampleBatch:
     """
     _check_count("n", n, 0)
     seed_state = stream.state
-    cfg = MapConfig()
     xi = np.empty(n)
     eta = np.empty(n)
     u = stream.take(2 * n)
@@ -262,9 +246,10 @@ def gbmm_generate(spec: QSpec, stream: "UniformStream", n: int) -> SampleBatch:
             xi[i] = x
             eta[i] = y
     else:
-        _orbit.gbmm(lib, _radial_params(spec.q_int, cfg), u, n, xi, eta)
+        # qgauss_gbmm reads the record's q_int fields, not its map's.
+        _orbit.gbmm(lib, _radial_params(spec.q_int, MapConfig()), u, n, xi, eta)
     return SampleBatch(
-        xi=xi, eta=eta, spec=spec, cfg=cfg, method="gbmm",
+        xi=xi, eta=eta, spec=spec, cfg=None, method="gbmm",
         seed_info={"stream_state": seed_state},
         kernel="python" if lib is None else "c",
     )

@@ -2,11 +2,11 @@
 
 Three layers:
 
-* chebyshev_pair -- the degree-d angle-multiplying map on the unit circle,
-  written as polynomial pairs (P_d, Q_d) in Horner form.  The degree-8 pair
-  uses the exact expression shapes of the reference implementation; the
-  conformance tests pin its bit patterns, so do not re-associate the
-  arithmetic.
+* chebyshev_pair -- one step of the orbit's circle half: the degree-d
+  angle-multiplying map on the unit circle, as polynomial pairs (P_d, Q_d)
+  in Horner form, then the renormalization.  The degree-8 pair uses the
+  reference implementation's exact expression shapes; the conformance
+  tests pin its bits, so do not re-associate the arithmetic.
 * tri_map -- the slope-l piecewise linear fold of [0, 1] onto itself, with
   the slope depressed by a small epsilon so the top of the tent never maps
   exactly onto the fixed point at 1.
@@ -15,22 +15,22 @@ Three layers:
   radial part of a two dimensional deformed Gaussian.
 
 Each map's step is written once in Python, as the compiled library
-(_orbit.c) writes it once in C: the circle step in _circle_step, which
-chebyshev_pair calls, and the radial step in the iterator _radial_steps,
-which composes the halves of _orbit.c's radial_step: q_exp, the clamp,
-_fold (tri_map's fold too), the floor of _u_floor and q_ln, with the
-constants of _radial_params.  z_map is its argument checks plus one step
-of that iterator; the Python fallbacks of the generator
-(generator._run_python) and of both Lyapunov routes
-(stats._lyapunov_python) step whole orbits through the two functions, in
+(_orbit.c) writes it once in C: the circle step, the pair and its
+renormalization, in _circle_step, and the radial step in the iterator
+_radial_steps, which composes the halves of _orbit.c's radial_step: q_exp,
+the clamp, _fold (tri_map's fold too), the floor of _u_floor and q_ln,
+with the constants of _radial_params.  chebyshev_pair is its checks plus
+one circle step, z_map its checks plus one step of that iterator; the
+Python fallbacks of the generator (generator._run_python) and of both
+Lyapunov routes (stats._lyapunov_python) step whole orbits through them, in
 the order of the compiled loops.  The analytic derivative is written once
 too, in _fold_derivative, which z_map_derivative and the Python Lyapunov
 fallback share.  The tests hold every caller to the same bits: z_map
 against the step written out literally (tests/test_maps.py),
-generate/step against z_map and the compiled orbit against _run_python
-(tests/test_generator.py), the compiled Lyapunov loop against
-_lyapunov_python, and lyapunov against the per-call composition of the
-public functions (tests/lyapunov_reference.py).
+generate/step against chebyshev_pair and z_map and the compiled orbit
+against _run_python (tests/test_generator.py), the compiled Lyapunov loop
+against _lyapunov_python, and lyapunov against the per-call composition of
+the public functions (tests/lyapunov_reference.py).
 """
 
 from __future__ import annotations
@@ -52,10 +52,17 @@ __all__ = [
 
 
 def _check_count(name: str, n: int, lo: int) -> None:
-    """Reject a count n unless it is an int in lo..2**63-1 (the compiled
-    loops count in int64): the one rule of every public count."""
-    if not (isinstance(n, int) and lo <= n < 2 ** 63):
+    """Reject a count n unless it is a non-bool int in lo..2**63-1 (the
+    compiled loops count in int64): the one rule of every public count."""
+    if not (isinstance(n, int) and not isinstance(n, bool) and lo <= n < 2 ** 63):
         raise ValueError("%s must be an integer in %d..2**63-1, got %r" % (name, lo, n))
+
+
+def _check_degree(d: int) -> None:
+    """Reject a circle map degree d unless it is a non-bool int in 2..8:
+    the one rule of MapConfig, chebyshev_pair and the compiled orbit."""
+    if not (isinstance(d, int) and not isinstance(d, bool) and 2 <= d <= 8):
+        raise ValueError("d must be an integer in 2..8, got %r" % (d,))
 
 
 def _check_fold(l: int, epsilon: float) -> None:
@@ -64,6 +71,10 @@ def _check_fold(l: int, epsilon: float) -> None:
         raise ValueError("l must be an integer >= 2, got %r" % (l,))
     if not 0.0 <= epsilon < 1e-3:
         raise ValueError("epsilon must satisfy 0 <= epsilon < 1e-3, got %r" % (epsilon,))
+
+
+# Circle renormalization threshold on |w*w + v*v - 1|.
+_RADIUS_TOL = 1e-10
 
 
 class CirclePoint(NamedTuple):
@@ -89,8 +100,7 @@ class MapConfig:
     epsilon: float = 5e-6
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or not 2 <= self.d <= 8:
-            raise ValueError("d must be an integer in 2..8, got %r" % (self.d,))
+        _check_degree(self.d)
         _check_fold(self.l, self.epsilon)
         _check_count("c", self.c, 1)
 
@@ -102,50 +112,48 @@ class MapConfig:
 
 def _circle_step(d: int, w: float, v: float) -> Tuple[float, float]:
     """(P_d(w), Q_d(w, v)) = (cos(d t), sin(d t)) for (w, v) = (cos t, sin t),
-    in Horner form, both from the old w: the circle step of the orbit
-    loops.  d is tried from 8, the default, down; it is not checked here,
-    chebyshev_pair and MapConfig do that."""
+    in Horner form, both from the old w, divided by its radius where r2 is
+    more than _RADIUS_TOL from 1: the circle step of the orbit loops.  d is
+    tried from 8, the default, down; _check_degree checks it."""
     if d == 8:
-        return ((((128.0 * w * w - 256.0) * w * w + 160.0) * w * w - 32.0) * w * w + 1.0,
+        w, v = ((((128.0 * w * w - 256.0) * w * w + 160.0) * w * w - 32.0) * w * w + 1.0,
                 8 * w * v * (((16.0 * w * w - 24.0) * w * w + 10.0) * w * w - 1.0))
-    if d == 7:
-        return ((((64.0 * w * w - 112.0) * w * w + 56.0) * w * w - 7.0) * w,
+    elif d == 7:
+        w, v = ((((64.0 * w * w - 112.0) * w * w + 56.0) * w * w - 7.0) * w,
                 v * (((64.0 * w * w - 80.0) * w * w + 24.0) * w * w - 1.0))
-    if d == 6:
-        return (((32.0 * w * w - 48.0) * w * w + 18.0) * w * w - 1.0,
+    elif d == 6:
+        w, v = (((32.0 * w * w - 48.0) * w * w + 18.0) * w * w - 1.0,
                 v * (((32.0 * w * w - 32.0) * w * w + 6.0) * w))
-    if d == 5:
-        return (((16.0 * w * w - 20.0) * w * w + 5.0) * w,
+    elif d == 5:
+        w, v = (((16.0 * w * w - 20.0) * w * w + 5.0) * w,
                 v * ((16.0 * w * w - 12.0) * w * w + 1.0))
-    if d == 4:
-        return ((8.0 * w * w - 8.0) * w * w + 1.0,
+    elif d == 4:
+        w, v = ((8.0 * w * w - 8.0) * w * w + 1.0,
                 v * ((8.0 * w * w - 4.0) * w))
-    if d == 3:
-        return ((4.0 * w * w - 3.0) * w,
+    elif d == 3:
+        w, v = ((4.0 * w * w - 3.0) * w,
                 v * (4.0 * w * w - 1.0))
-    if d == 2:
-        return (2.0 * w * w - 1.0,
+    else:  # d == 2
+        w, v = (2.0 * w * w - 1.0,
                 2.0 * w * v)
-    return (w, v)  # d == 1
+    r2 = w * w + v * v
+    if abs(r2 - 1.0) > _RADIUS_TOL:
+        r = math.sqrt(r2)
+        w /= r
+        v /= r
+    return w, v
 
 
-def chebyshev_pair(d: int, p: CirclePoint, renormalize: bool = True) -> CirclePoint:
-    """Apply the degree-d circle map to p = (w, v).
+def chebyshev_pair(d: int, p: CirclePoint) -> CirclePoint:
+    """One step of the orbit's circle half from p = (w, v), as z_map is
+    one step of its radial half; d is an integer in 2..8.
 
     Computes (P_d(w), Q_d(w, v)), which multiplies the angle of p by d when
-    p lies on the unit circle.  With renormalize=True (default) the result
-    is divided by its radius, which suppresses the d-fold per-step growth
-    of rounding drift; pass renormalize=False to get the raw polynomial
-    values.
+    p lies on the unit circle, and divides it by its radius where the
+    squared radius drifts more than 1e-10 from 1, as the orbit does.
     """
-    if d not in range(1, 9):
-        raise ValueError("degree d must be an integer in 1..8, got %r" % (d,))
-    nw, nv = _circle_step(d, *p)
-    if renormalize:
-        r = math.sqrt(nw * nw + nv * nv)
-        nw /= r
-        nv /= r
-    return CirclePoint(nw, nv)
+    _check_degree(d)
+    return CirclePoint(*_circle_step(d, *p))
 
 
 def tri_map(l: int, epsilon: float, u: float) -> float:

@@ -85,7 +85,7 @@ def test_criterion_01_chebyshev_identity():
     for d in range(2, 9):
         for theta in thetas:
             p = CirclePoint(w=math.cos(theta), v=math.sin(theta))
-            nxt = chebyshev_pair(d, p, renormalize=False)
+            nxt = chebyshev_pair(d, p)
             worst = max(
                 worst,
                 abs(nxt.w - math.cos(d * theta)),

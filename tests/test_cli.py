@@ -95,6 +95,19 @@ class TestGen:
         assert meta["kernel"] in ("c", "python")
         assert meta["version"] == __version__
 
+    @pytest.mark.parametrize("method", ["chaotic", "gbmm"])
+    def test_sidecar_map_fields(self, capsys, tmp_path, method):
+        """The map fields are recorded where a map ran, and not for the
+        transform sampler, which reads none."""
+        out_path = tmp_path / "samples.csv"
+        code, _, _ = _run(capsys, "gen", "--method", method, "--q", "1.5",
+                          "--count", "5", "--out", str(out_path))
+        assert code == EXIT_OK
+        meta = json.loads((tmp_path / "samples.csv.meta.json").read_text())
+        assert meta["method"] == method
+        fields = {"d", "l", "c", "epsilon"} & set(meta)
+        assert fields == (set() if method == "gbmm" else {"d", "l", "c", "epsilon"})
+
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

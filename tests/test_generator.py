@@ -6,6 +6,7 @@ is ~8x per step, so 100-step agreement at 1e-12 pins every expression shape
 in the hot path.
 """
 
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import types
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ import scipy.stats as spstats
 
 import qgauss
 from oracle_reference import reference_sequence
-from qgauss import _orbit
+from qgauss import _orbit, maps
 from qgauss.distribution import support
 from qgauss.generator import (
     _MASK64,
@@ -43,7 +45,14 @@ from qgauss.generator import (
     make_spec,
     step,
 )
-from qgauss.maps import MapConfig, _radial_params, _RadialParams, z_map
+from qgauss.maps import (
+    CirclePoint,
+    MapConfig,
+    _radial_params,
+    _RadialParams,
+    chebyshev_pair,
+    z_map,
+)
 from qgauss.stats import _both_statistics_numpy, _edf_steps, lyapunov
 
 REF_CFG = MapConfig()  # d=8, l=2, c=1: the only configuration the C code has
@@ -159,25 +168,46 @@ class TestStateAndStep:
         assert meta["kernel"] == ("python" if _orbit.kernel() is None else "c")
 
 
+@functools.lru_cache(maxsize=None)
+def _circle_orbit(d, start, n):
+    """n iterates of chebyshev_pair from the circle point start, and how
+    many of the n steps renormalized: those whose pair differs from the
+    step with the renormalization switched off."""
+    points = list(accumulate(range(n), lambda p, _: chebyshev_pair(d, p),
+                             initial=CirclePoint(*start)))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(maps, "_RADIUS_TOL", math.inf)
+        renormalized = sum(nxt != maps._circle_step(d, *p)
+                           for p, nxt in zip(points, points[1:]))
+    return points[1:], renormalized
+
+
 class TestRadialBits:
-    """generate/step and z_map step the radius through one loop; these
-    hold them to the same bits, including just below q_int = 1, where the
-    Gaussian branch of q_ln and q_exp takes over."""
+    """generate/step, chebyshev_pair and z_map step the orbit through one
+    loop; these hold them to the same bits, including just below
+    q_int = 1, where the Gaussian branch of q_ln and q_exp takes over."""
 
     @pytest.mark.parametrize("q_out", [-1.0, 0.5, 1.0 - 5e-13, 1.0,
                                        1.0 + 5e-13, 1.5, 2.9])
-    @pytest.mark.parametrize("d,l,c", [(8, 2, 1), (6, 2, 6), (8, 3, 1)])
+    @pytest.mark.parametrize("d,l,c", [(8, 2, 1), (6, 2, 6), (8, 3, 1), (2, 2, 1)])
     def test_state_z_matches_z_map(self, q_out, d, l, c):
+        """state.z is iterated z_map and (state.w, state.v) iterated
+        chebyshev_pair, bit for bit, over a run long enough that the
+        circle step renormalizes at least once (first at step 3480 for
+        d = 2 from v0 = 0.1)."""
+        n = 4000
         spec = make_spec(q_out)
         cfg = MapConfig(d=d, l=l, c=c)
         stepped = init(spec, cfg, v0=0.1, z0=0.9)
+        circle, renormalized = _circle_orbit(d, (stepped.w, stepped.v), n)
+        assert renormalized >= 1
         z = 0.9
         pairs = []
-        for i in range(2000):
+        for i in range(n):
             pairs.append(step(stepped))
             z = z_map(spec.q_int, cfg, z)
-            assert stepped.z == z, i
-        batch = generate(init(spec, cfg, v0=0.1, z0=0.9), 2000)
+            assert (stepped.w, stepped.v, stepped.z) == (*circle[i], z), i
+        batch = generate(init(spec, cfg, v0=0.1, z0=0.9), n)
         assert list(zip(batch.xi, batch.eta)) == pairs
 
     @pytest.mark.parametrize("q_out", [0.5, 1.5])
@@ -279,10 +309,10 @@ class TestCompiledOrbit:
                 _run(state, 4, bad, good)
             with pytest.raises(ValueError):
                 _run(state, 4, good, bad)
-        for d, c in ((1, 1), (9, 1), (8, 0), (8, 2 ** 63)):
+        for d, c in ((1, 1), (9, 1), (True, 1), (8, 0), (8, 2 ** 63)):
             radial = _radial_params(1.5, REF_CFG)._replace(c=c)
             with pytest.raises(ValueError):
-                _orbit.orbit(_orbit.kernel(), d, radial, 1e-10,
+                _orbit.orbit(_orbit.kernel(), d, radial,
                              (1.0, 0.0, 1.0), 4, good, np.empty(4))
         fresh = init(make_spec(1.5), REF_CFG)
         assert (state.w, state.v, state.z, state.steps) == (

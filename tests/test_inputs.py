@@ -44,14 +44,14 @@ COUNTS = [
 
 @pytest.mark.parametrize("lo, call", [c[1:] for c in COUNTS], ids=[c[0] for c in COUNTS])
 def test_count_rule(monkeypatch, lo, call):
-    """lo - 1, a float, None and 2**63 raise ValueError before numpy, the
-    null, the compiled library or a worker is touched; lo is accepted.
-    2**63 is the one value past the rule that is tried: a huge count that
-    passed would allocate."""
+    """lo - 1, a float, None, a bool and 2**63 raise ValueError before
+    numpy, the null, the compiled library or a worker is touched; lo is
+    accepted.  2**63 is the one value past the rule that is tried: a huge
+    count that passed would allocate."""
     for module, name in ((generator, "np"), (stats, "np"), (stats, "_orbit"),
                          (stats, "_null_statistics"), (stats, "ProcessPoolExecutor")):
         monkeypatch.setattr(module, name, _Poison())
-    for bad in (lo - 1, 1.5, None, 2 ** 63):
+    for bad in (lo - 1, 1.5, None, True, False, 2 ** 63):
         with pytest.raises(ValueError):
             call(bad)
     monkeypatch.undo()

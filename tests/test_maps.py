@@ -53,7 +53,7 @@ class TestChebyshevPair:
         """P_d(cos t) = cos(dt) and Q_d(cos t, sin t) = sin(dt)."""
         for t in np.linspace(0.0, 2.0 * math.pi, 97):
             p = CirclePoint(math.cos(t), math.sin(t))
-            out = chebyshev_pair(d, p, renormalize=False)
+            out = chebyshev_pair(d, p)
             assert out.w == pytest.approx(math.cos(d * t), abs=1e-12)
             assert out.v == pytest.approx(math.sin(d * t), abs=1e-12)
 
@@ -62,10 +62,13 @@ class TestChebyshevPair:
         out = chebyshev_pair(3, p)
         assert out.w * out.w + out.v * out.v == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("d", [0, 9, 2.5, None])
+    @pytest.mark.parametrize("d", [0, 1, 9, 2.5, None, True])
     def test_invalid_degree(self, d):
-        with pytest.raises(ValueError):
+        """The degree rule of MapConfig: an int in 2..8, and not a bool."""
+        with pytest.raises(ValueError, match="d must be an integer in 2..8"):
             chebyshev_pair(d, CirclePoint(1.0, 0.0))
+        with pytest.raises(ValueError, match="d must be an integer in 2..8"):
+            MapConfig(d=d)
 
     @given(t=st.floats(0.0, 2.0 * math.pi), d=st.integers(2, 8))
     @settings(max_examples=80, deadline=None)
@@ -282,10 +285,25 @@ def _is_floor_bound(node):
     return isinstance(node, ast.Constant) and node.value == 709.0
 
 
+def _is_radius_gate(node):
+    """A comparison against _RADIUS_TOL: the renormalization gate."""
+    return (isinstance(node, ast.Compare)
+            and any(_name(n) == "_RADIUS_TOL" for n in node.comparators))
+
+
+def _is_degree_range(node):
+    """A comparison with both 2 and 8 among its operands: 2 <= d <= 8."""
+    if not isinstance(node, ast.Compare):
+        return False
+    values = {n.value for n in [node.left, *node.comparators] if isinstance(n, ast.Constant)}
+    return {2, 8} <= values
+
+
 class TestOneCopyOfEachHalf:
-    """The Python radial step composes one copy of each half, as _orbit.c's
-    radial_step does: the fold in maps._fold, the deformed exp/log pair in
-    specfun, and the q >= 1 floor rule in maps._u_floor."""
+    """The Python orbit step composes one copy of each half, as _orbit.c's
+    does: the circle step and its renormalization in maps._circle_step, the
+    fold in maps._fold, the deformed exp/log pair in specfun, and the
+    q >= 1 floor rule in maps._u_floor."""
 
     def test_fold_is_written_once(self):
         assert _owners(_is_tent) == {"maps._fold"}
@@ -297,6 +315,15 @@ class TestOneCopyOfEachHalf:
     def test_step_and_tri_map_call_the_fold(self):
         callers = _owners(lambda n: isinstance(n, ast.Call) and _name(n.func) == "_fold")
         assert {"maps._radial_steps", "maps.tri_map"} <= callers
+
+    def test_circle_rules_are_written_once(self):
+        """The renormalization gate sits in maps._circle_step alone (and
+        once in _orbit.c's circle_step), and the degree rule in
+        maps._check_degree alone."""
+        assert _owners(_is_radius_gate) == {"maps._circle_step"}
+        source = (Path(qgauss.__file__).parent / "_orbit.c").read_text()
+        assert source.count("fabs(r2 - 1.0) > tol") == 1
+        assert _owners(_is_degree_range) == {"maps._check_degree"}
 
     def test_floor_rule_is_written_once(self):
         """Every _u_floor call is unconditional, so no caller repeats its
