@@ -249,8 +249,7 @@ def take(lib: ctypes.CDLL, state: int, n: int, out: np.ndarray) -> None:
     """Fill out with UniformStream words 1..n after state (see
     generator.UniformStream), in C.  Checks every argument the C loop
     trusts; the caller advances its state."""
-    if not (isinstance(state, int) and 0 <= state < 2 ** 64):
-        raise ValueError("state must be an integer in [0, 2**64), got %r" % (state,))
+    _check_count("state", state, 0, 2 ** 64 - 1)
     _check_count("n", n, 0)
     _check_array("out", out, (n,))
     lib.qgauss_take(state, n, out.ctypes.data)

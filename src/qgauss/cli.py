@@ -162,9 +162,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         fh.write("xi,eta\n")
         _write_pairs(fh, batch.xi, batch.eta)
     if args.out != "-":
-        meta = {"command": "gen", "master_seed": args.seed}
-        meta.update(batch.metadata())
-        _write_sidecar(args.out, meta)
+        _write_sidecar(args.out, {"command": "gen", **batch.metadata()})
         sys.stdout.write(json.dumps({"written": args.out, "count": batch.count}) + "\n")
     return EXIT_OK
 
@@ -230,12 +228,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_count("--count", args.count, 1)
     _check_count("--n-null", args.n_null, 1)
     _check_count("--jobs", args.jobs, 1)
-    q_list = _parse_q_list(args.q_list)
-    if not q_list:
-        raise ValueError("--q-list resolved to no grid points")
     t0 = time.perf_counter()
     table = run_trial_table(
-        q_list,
+        _parse_q_list(args.q_list),
         cfg=_map_config(args),
         trials=args.trials,
         samples=args.count,

@@ -34,6 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .maps import _is_real
 from .specfun import _Q_ONE_EPS, beta, q_exp
 
 __all__ = [
@@ -92,7 +93,7 @@ class QSpec:
 def make_spec(q_out: float) -> QSpec:
     """The family member q_out: the one check of q_out and the one place
     its constants are derived."""
-    if not (math.isfinite(q_out) and q_out < 3.0):
+    if not (_is_real(q_out) and math.isfinite(q_out) and q_out < 3.0):
         raise ValueError("q_out must be finite and < 3, got %r" % (q_out,))
     if q_out < 1.0:
         a = (2.0 - q_out) / (1.0 - q_out)

@@ -96,8 +96,9 @@ def init(
     if not 0.0 < v0 < 1.0:
         raise ValueError("v0 must lie strictly inside (0, 1), got %r" % (v0,))
     _check_start(spec.q_int, cfg, z0)
-    if w0_sign not in (1, -1):
-        raise ValueError("w0_sign must be +1 or -1, got %r" % (w0_sign,))
+    _check_count("w0_sign", w0_sign, -1, 1)
+    if w0_sign == 0:
+        raise ValueError("w0_sign must be +1 or -1, got 0")
     w0 = w0_sign * math.sqrt(1.0 - v0 * v0)
     return GeneratorState(
         spec=spec, cfg=cfg, w=w0, v=v0, z=z0, steps=0, v0=v0, z0=z0, w0_sign=w0_sign
@@ -267,7 +268,6 @@ _U_MAX = 1.0 - _TWO_NEG53
 
 
 def _mix64(x: int) -> int:
-    x &= _MASK64
     x = ((x ^ (x >> 30)) * _SM_MIX1) & _MASK64
     x = ((x ^ (x >> 27)) * _SM_MIX2) & _MASK64
     return x ^ (x >> 31)
@@ -276,7 +276,7 @@ def _mix64(x: int) -> int:
 class UniformStream:
     """Deterministic uniform(0,1) stream (SplitMix64).
 
-    The stream is counter-based: from seed s0 (reduced mod 2**64), word k
+    The stream is counter-based: from seed s0, an int in 0..2**64-1, word k
     (k = 1, 2, ...) is mix64(s0 + k*gamma mod 2**64), and after n words
     the state is s0 + n*gamma mod 2**64.  So take(n) computes a whole
     block in one array expression, with the same bits as n next_float
@@ -293,9 +293,8 @@ class UniformStream:
     __slots__ = ("_s",)
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int):
-            raise ValueError("seed must be an integer, got %r" % (seed,))
-        self._s = seed & _MASK64
+        _check_count("seed", seed, 0, _MASK64)
+        self._s = seed
 
     @property
     def state(self) -> int:
@@ -351,10 +350,11 @@ def _take_numpy(s: int, n: int) -> np.ndarray:
 def derive_seed(master: int, *indices: int) -> int:
     """Fold integer indices into a master seed, with full avalanche per index.
 
-    Pure function of its arguments; used to give every (q, trial) cell of a
-    trial table its own independent substream.
+    Pure function of its arguments (master an int in 0..2**64-1); gives every
+    (q, trial) cell of a trial table its own independent substream.
     """
-    s = _mix64(master & _MASK64)
+    _check_count("master", master, 0, _MASK64)
+    s = _mix64(master)
     for k in indices:
         s = _mix64(((s + _SM_GAMMA) & _MASK64) ^ _mix64((k + _SM_GAMMA) & _MASK64))
     return s

@@ -36,6 +36,7 @@ the public functions (tests/lyapunov_reference.py).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Tuple
 
@@ -51,25 +52,27 @@ __all__ = [
 ]
 
 
-def _check_count(name: str, n: int, lo: int) -> None:
-    """Reject a count n unless it is a non-bool int in lo..2**63-1 (the
-    compiled loops count in int64): the one rule of every public count."""
-    if not (isinstance(n, int) and not isinstance(n, bool) and lo <= n < 2 ** 63):
-        raise ValueError("%s must be an integer in %d..2**63-1, got %r" % (name, lo, n))
+def _check_count(name: str, n: int, lo: int, hi: int = 2 ** 63 - 1) -> None:
+    """Reject n unless it is a non-bool int in lo..hi (by default 2**63-1, as
+    the compiled loops count in int64): the package's one integer rule."""
+    if not (isinstance(n, int) and not isinstance(n, bool) and lo <= n <= hi):
+        raise ValueError("%s must be an integer in %d..%d, got %r" % (name, lo, hi, n))
+
+
+def _is_real(x: float) -> bool:
+    """A real number, not a bool: the type rule of q', epsilon and z0."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _check_degree(d: int) -> None:
-    """Reject a circle map degree d unless it is a non-bool int in 2..8:
-    the one rule of MapConfig, chebyshev_pair and the compiled orbit."""
-    if not (isinstance(d, int) and not isinstance(d, bool) and 2 <= d <= 8):
-        raise ValueError("d must be an integer in 2..8, got %r" % (d,))
+    """The degree rule of MapConfig, chebyshev_pair and the compiled orbit."""
+    _check_count("d", d, 2, 8)
 
 
 def _check_fold(l: int, epsilon: float) -> None:
-    """Reject a fold order l below 2 or a slope depression outside [0, 1e-3)."""
-    if not isinstance(l, int) or l < 2:
-        raise ValueError("l must be an integer >= 2, got %r" % (l,))
-    if not 0.0 <= epsilon < 1e-3:
+    """Reject a fold order l outside 2..2**63-1 or an epsilon outside [0, 1e-3)."""
+    _check_count("l", l, 2)
+    if not (_is_real(epsilon) and 0.0 <= epsilon < 1e-3):
         raise ValueError("epsilon must satisfy 0 <= epsilon < 1e-3, got %r" % (epsilon,))
 
 
@@ -89,7 +92,7 @@ class MapConfig:
     """Static map parameters for one generator instance.
 
     d        circle map degree, integer in 2..8
-    l        interval fold order, integer >= 2
+    l        interval fold order, integer in 2..2**63-1
     c        fold applications per step, integer >= 1
     epsilon  slope depression; effective slope is l*(1 - epsilon)
     """
@@ -222,7 +225,7 @@ def _check_start(q_int: float, cfg: MapConfig, z0: float) -> None:
     and g_inv's underflow or the tent fold's rounding of an s*u below about
     2**-54 gives 0 from every z0 above 0.56 z_edge at q' = 0.99."""
     _check_q_int(q_int)
-    if not (math.isfinite(z0) and z0 > 0.0):
+    if not (_is_real(z0) and math.isfinite(z0) and z0 > 0.0):
         raise ValueError("z0 must be finite and > 0, got %r" % (z0,))
     if q_int < 1.0 and z0 >= _z_edge(q_int):
         raise ValueError("z0=%r is outside the radial support [0, %r) for q_int=%r"

@@ -291,8 +291,7 @@ def autocorrelation(samples: Sequence[float], m: int) -> float:
     """
     x = np.asarray(samples, dtype=float)
     N = x.size
-    if not (isinstance(m, int) and 0 <= m < N):
-        raise ValueError("lag m must satisfy 0 <= m < len(samples), got %r" % (m,))
+    _check_count("lag m", m, 0, N - 1)
     mean = float(x.mean())
     if m == 0:
         return float(np.dot(x, x)) / N - mean * mean
@@ -518,15 +517,18 @@ def run_trial_table(
     Every (q, trial) cell seeds its own generator start from a substream of
     master_seed, so results do not depend on jobs or evaluation order; rows
     run in a pool of at most one worker per grid value when jobs > 1.  Each
-    trial is scored as gof_test scores a sample.  Every argument, each q'
-    of q_list included, is checked, and every trial's start derived, before
-    the null is built or a worker starts.
+    trial is scored as gof_test scores a sample.  Every argument (each of at
+    least one q', both seeds in 0..2**64-1) is checked, and every trial's
+    start derived, before the null is built or a worker starts.
     """
     _check_count("trials", trials, 1)
     _check_count("samples", samples, 1)
     _check_count("n_null", n_null, 1)
     _check_count("jobs", jobs, 1)
+    _check_count("master_seed", master_seed, 0, 2 ** 64 - 1)
+    _check_count("null_seed", null_seed, 0, 2 ** 64 - 1)
     q_out = [float(q) for q in q_list]
+    _check_count("len(q_list)", len(q_out), 1)
     starts = []
     for iq, q in enumerate(q_out):
         spec = make_spec(q)

@@ -1,5 +1,6 @@
-"""The input contract: every public count follows one rule, checked before
-any work, and lyapunov takes exactly the starts init takes."""
+"""The input contract: every integer input (a count, the fold order, the
+lag, the start sign, a seed) follows one rule, maps._check_count, checked
+before any work, and lyapunov takes exactly the starts init takes."""
 
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from qgauss import generator, stats
 from qgauss.generator import UniformStream, gbmm_generate, generate, init, make_spec
 from qgauss.maps import MapConfig, _z_edge
-from qgauss.stats import lyapunov, mc_p_value, run_trial_table
+from qgauss.stats import autocorrelation, lyapunov, mc_p_value, run_trial_table
 
 
 class _Poison:
@@ -56,6 +57,41 @@ def test_count_rule(monkeypatch, lo, call):
             call(bad)
     monkeypatch.undo()
     call(lo)
+
+
+def _table(**kwargs):
+    return run_trial_table([1.0], trials=1, samples=50, n_null=9, **kwargs)
+
+
+# (argument, values past the rule, a value at its edge, call with the argument)
+INTEGERS = [
+    ("MapConfig l", [2 ** 63, True], 2 ** 63 - 1, lambda l: MapConfig(l=l)),
+    ("autocorrelation lag", [True, 3], 2, lambda m: autocorrelation([1.0, 2.0, 4.0], m)),
+    ("init w0_sign", [True, 1.0, 0], -1,
+     lambda s: init(make_spec(1.5), MapConfig(), w0_sign=s)),
+    ("UniformStream seed", [True, -7, 2 ** 64], 2 ** 64 - 1, UniformStream),
+    ("run_trial_table master_seed", [1.5, -1], 2 ** 64 - 1,
+     lambda s: _table(master_seed=s)),
+    ("run_trial_table null_seed", [2 ** 64, True], 2 ** 64 - 1,
+     lambda s: _table(null_seed=s)),
+]
+
+
+@pytest.mark.parametrize("bad, edge, call", [i[1:] for i in INTEGERS],
+                         ids=[i[0] for i in INTEGERS])
+def test_integer_rule(monkeypatch, bad, edge, call):
+    """Each bad value raises ValueError before a trial start, the null, a
+    uniform word, the compiled library or a worker is touched; the edge
+    value is accepted."""
+    for module, name in ((generator, "_orbit"), (stats, "_orbit"),
+                         (stats, "_trial_start"), (stats, "_null_statistics"),
+                         (stats, "ProcessPoolExecutor")):
+        monkeypatch.setattr(module, name, _Poison())
+    for value in bad:
+        with pytest.raises(ValueError):
+            call(value)
+    monkeypatch.undo()
+    call(edge)
 
 
 def _accepts(fn, *args, **kwargs):

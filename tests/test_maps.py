@@ -41,6 +41,7 @@ class TestMapConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(d=1), dict(d=9), dict(d=2.5), dict(l=1), dict(c=0),
         dict(epsilon=-1e-9), dict(epsilon=1e-3),
+        dict(epsilon=False), dict(epsilon="x"),
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
@@ -100,15 +101,16 @@ class TestTriMap:
             assert tri_map(3, 0.0, u) == pytest.approx(want, abs=1e-12)
 
     @given(u=st.floats(0.0, 1.0),
-           l=st.one_of(st.integers(2, 6), st.integers(3, 10**300)),
+           l=st.one_of(st.integers(2, 6), st.integers(3, 2**63 - 1)),
            epsilon=st.sampled_from([0.0, 5e-6, 9.99e-4]))
     @example(u=1.0, l=3, epsilon=0.0)
     @example(u=1.0 / 3.0, l=3, epsilon=0.0)
     @example(u=0.9999999999999999, l=2**52 + 1, epsilon=0.0)
-    @example(u=1.0, l=10**300, epsilon=5e-6)
+    @example(u=1.0, l=2**63 - 1, epsilon=5e-6)
+    @example(u=1.0, l=2**63 - 1, epsilon=0.0)
     @settings(max_examples=400, deadline=None)
     def test_range_contract(self, u, l, epsilon):
-        """[0, 1] into itself at every order l up to 10**300, unclamped:
+        """[0, 1] into itself at every order l up to 2**63-1, unclamped:
         y - k and the odd cell's (k + 1) - y are exact, and y >= 2**53 is
         even."""
         out = tri_map(l, epsilon, u)
@@ -292,11 +294,24 @@ def _is_radius_gate(node):
 
 
 def _is_degree_range(node):
-    """A comparison with both 2 and 8 among its operands: 2 <= d <= 8."""
-    if not isinstance(node, ast.Compare):
+    """A comparison or a call with both 2 and 8 among its operands:
+    2 <= d <= 8, or _check_count("d", d, 2, 8)."""
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+    elif isinstance(node, ast.Call):
+        operands = node.args
+    else:
         return False
-    values = {n.value for n in [node.left, *node.comparators] if isinstance(n, ast.Constant)}
-    return {2, 8} <= values
+    return {2, 8} <= {n.value for n in operands if isinstance(n, ast.Constant)}
+
+
+def _is_int_test(node):
+    """isinstance(..., int), alone or in a tuple of types."""
+    if not (isinstance(node, ast.Call) and _name(node.func) == "isinstance"
+            and len(node.args) == 2):
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(_name(kind) == "int" for kind in kinds)
 
 
 class TestOneCopyOfEachHalf:
@@ -324,6 +339,11 @@ class TestOneCopyOfEachHalf:
         source = (Path(qgauss.__file__).parent / "_orbit.c").read_text()
         assert source.count("fabs(r2 - 1.0) > tol") == 1
         assert _owners(_is_degree_range) == {"maps._check_degree"}
+
+    def test_integer_rule_is_written_once(self):
+        """Every count, order, degree, lag, sign, seed and stream state is
+        checked by maps._check_count, the one isinstance(..., int) test."""
+        assert _owners(_is_int_test) == {"maps._check_count"}
 
     def test_floor_rule_is_written_once(self):
         """Every _u_floor call is unconditional, so no caller repeats its

@@ -164,7 +164,7 @@ class TestMcPValue:
 
 class TestNullStatistics:
     @pytest.mark.parametrize("M, n_null, seed", [
-        (1, 7, 3), (50, 99, 5), (317, 41, 2 ** 64 - 1), (1000, 13, -7),
+        (1, 7, 3), (50, 99, 5), (317, 41, 2 ** 64 - 1), (1000, 13, 2 ** 64 - 7),
         # block edges: one row per block at and past _NULL_BLOCK words,
         # n_null one below and one above a multiple of the rows per block,
         # and at M = 1 one replicate past a whole block
@@ -182,7 +182,7 @@ class TestNullStatistics:
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     @pytest.mark.parametrize("M, n_null, seed", [
         (1, _NULL_BLOCK + 1, 2 ** 64 - 1), (2, 9, 3),
-        (_NULL_BLOCK, 3, 2 ** 64 - 1), (_NULL_BLOCK + 1, 3, -3),
+        (_NULL_BLOCK, 3, 2 ** 64 - 1), (_NULL_BLOCK + 1, 3, 2 ** 64 - 3),
         (10 ** 4, 3, 2 ** 64 - 1),
     ])
     def test_both_paths_match_per_word_reference(self, monkeypatch, path, M, n_null, seed):
@@ -251,15 +251,11 @@ def _scores_both_ways(F):
     return np.array(_both_statistics(F)), np.array(_both_statistics_numpy(F))
 
 
+@pytest.mark.usefixtures("needs_kernel")
 class TestCompiledScores:
     """_both_statistics scores rows in the compiled library (qgauss_scores
     in _orbit.c) wherever it can be built; _both_statistics_numpy is its
     oracle, byte for byte."""
-
-    @pytest.fixture(autouse=True)
-    def _needs_kernel(self):
-        if _orbit.kernel() is None:
-            pytest.skip("the compiled library cannot be built here")
 
     @pytest.mark.parametrize("F", [
         _edf_steps(10)[0], _edf_steps(10)[1], _edf_steps(7)[0] * 0.5 + 0.25,
@@ -498,18 +494,14 @@ def _compiled_lyapunov(q_int, cfg, z0, t, burn_in):
                            z0, t, burn_in)
 
 
+@pytest.mark.usefixtures("needs_kernel")
 class TestCompiledLyapunov:
     """lyapunov runs the compiled loop (qgauss_lyapunov in _orbit.c)
     wherever it can be built; _lyapunov_python is its oracle, bit for bit
     and exception type for exception type."""
 
-    @pytest.fixture(autouse=True)
-    def _needs_kernel(self):
-        if _orbit.kernel() is None:
-            pytest.skip("the compiled library cannot be built here")
-
-    @pytest.mark.parametrize("l,c", [(2, 1), (2, 6), (3, 1), (3, 6), (2 ** 64 + 7, 1)],
-                             ids=["2-1", "2-6", "3-1", "3-6", "2**64+7-1"])
+    @pytest.mark.parametrize("l,c", [(2, 1), (2, 6), (3, 1), (3, 6), (2 ** 63 - 1, 1)],
+                             ids=["2-1", "2-6", "3-1", "3-6", "2**63-1-1"])
     def test_matches_python_loop(self, l, c):
         """Burn-ins of 0, 1 and 4097 and lengths of 1, 4095 and 4097, over
         q' on both sides of 1 and up to where the analytic route raises;
@@ -687,6 +679,16 @@ class TestTrialTable:
         with pytest.raises(ValueError):
             run_trial_table([0.5, bad_q], trials=1, samples=100, n_null=99,
                             jobs=2)
+
+    def test_rejects_empty_grid_before_work(self, monkeypatch):
+        """A q_list with no q' is rejected with the counts, before the null
+        is built: a table of no rows is no table."""
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before q_list was checked")
+
+        monkeypatch.setattr(stats, "_null_statistics", fail)
+        with pytest.raises(ValueError, match="len"):
+            run_trial_table([], trials=1, samples=100, n_null=99)
 
     def test_complement_table_scores_with_cdf_array(self):
         """Each p-value of a table is its trial scored as gof_test scores
