@@ -164,7 +164,9 @@ class TestMcPValue:
 
 class TestNullStatistics:
     @pytest.mark.parametrize("M, n_null, seed", [
-        (1, 7, 3), (50, 99, 5), (317, 41, 2 ** 64 - 1), (1000, 13, 2 ** 64 - 7),
+        # 2**64 - 7 is the 64-bit word of -7; its id keeps the short signed name
+        (1, 7, 3), (50, 99, 5), (317, 41, 2 ** 64 - 1),
+        pytest.param(1000, 13, 2 ** 64 - 7, id="1000-13--7"),
         # block edges: one row per block at and past _NULL_BLOCK words,
         # n_null one below and one above a multiple of the rows per block,
         # and at M = 1 one replicate past a whole block
@@ -182,7 +184,9 @@ class TestNullStatistics:
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     @pytest.mark.parametrize("M, n_null, seed", [
         (1, _NULL_BLOCK + 1, 2 ** 64 - 1), (2, 9, 3),
-        (_NULL_BLOCK, 3, 2 ** 64 - 1), (_NULL_BLOCK + 1, 3, 2 ** 64 - 3),
+        (_NULL_BLOCK, 3, 2 ** 64 - 1),
+        # 2**64 - 3 is the 64-bit word of -3; its id keeps the short signed name
+        pytest.param(_NULL_BLOCK + 1, 3, 2 ** 64 - 3, id=f"{_NULL_BLOCK + 1}-3--3"),
         (10 ** 4, 3, 2 ** 64 - 1),
     ])
     def test_both_paths_match_per_word_reference(self, monkeypatch, path, M, n_null, seed):
