@@ -13,8 +13,9 @@
  * generator._take_numpy, stats._both_statistics_numpy,
  * generator.gbmm_sample): circle_step is maps._circle_step, one
  * maps.chebyshev_pair step with its renormalization, and radial_step one
- * maps.z_map step, written as its halves g_inv, clamp, fold (floored by
- * floor_u) and g; qgauss_gbmm calls floor_u and g for gbmm_sample's radius.
+ * maps._radial_steps step (z, u0, u), of halves g_inv, clamp, fold (floored
+ * by floor_u) and g, which every orbit and Lyapunov loop steps through;
+ * qgauss_gbmm calls floor_u and g for gbmm_sample's radius.
  * The orbit is chaotic, so one ulp anywhere changes every later sample;
  * the build therefore uses -ffp-contract=off (no fused multiply-add) and
  * calls only libm's exp, log, pow, sqrt, cos and sin, the functions
@@ -29,8 +30,9 @@
  * even from the remainder, as Python's dtoa and glibc's printf round.
  *
  * The fold of order l >= 3 tests the parity of k = trunc(y) with
- * fmod(k, 2.0): y reaches l*(1 - epsilon) and l is unbounded, so an integer
- * cast would overflow where Python's int(y) stays exact.
+ * fmod(k, 2.0): y reaches s = l*(1 - epsilon), and l <= 2**63 - 1, but at
+ * epsilon = 0 the slope of l = 2**63 - 1 rounds up to 2**63, where an int64
+ * cast of trunc(y) would overflow while Python's int(y) stays exact.
  *
  * Where the Python Lyapunov loop raises, qgauss_lyapunov returns the status
  * that _orbit.lyapunov turns into the same exception type: a zero base to a
@@ -101,9 +103,13 @@ static inline double g(const struct radial *p, double u)
     return sqrt(-2.0 * ((exp(log(u) * p->one_m_q) - 1.0) / p->one_m_q));
 }
 
-static inline double radial_step(const struct radial *p, double z)
+/* The next z = g(u); *u0 is g_inv(z) before the clamp, *u the fold output. */
+static inline double radial_step(const struct radial *p, double z,
+                                 double *u0, double *u)
 {
-    return g(p, fold(p, clamp(p, g_inv(p, z))));
+    *u0 = g_inv(p, z);
+    *u = fold(p, clamp(p, *u0));
+    return g(p, *u);
 }
 
 /* (P_d(w), Q_d(w, v)), both from the old w, divided by its radius where
@@ -157,10 +163,10 @@ static inline void circle_step(int d, double tol, double *pw, double *pv)
 void qgauss_orbit(int d, const struct radial *p, double radius_tol,
                   double *wvz, int64_t n, double *xi, double *eta)
 {
-    double w = wvz[0], v = wvz[1], z = wvz[2];
+    double w = wvz[0], v = wvz[1], z = wvz[2], u0, u;
     for (int64_t i = 0; i < n; i++) {
         circle_step(d, radius_tol, &w, &v);
-        z = radial_step(p, z);
+        z = radial_step(p, z, &u0, &u);
         xi[i] = w * z;
         eta[i] = v * z;
     }
@@ -186,74 +192,64 @@ static int py_pow(double x, double y, double *r)
 /* The Lyapunov average of stats._lyapunov_python: burn_in radial steps from
  * z, then t steps whose log-derivatives are summed into *acc, *used counting
  * the steps not skipped.  l = 2, c = 1 (tent with one fold) averages the
- * analytic derivative of maps.z_map_derivative, taken on each step's u
- * before the clamp; every other map sums the chain-rule terms
- * c*log(s) + q*(log u0 - log u) + log z - log z_next.  Returns QG_OK, or the
- * status of the first step where the Python loop raises (see the header);
- * *acc and *used are then not written.  The caller checks p->c >= 1 and
- * burn_in, t >= 0. */
+ * analytic derivative of maps.z_map_derivative, num/g(w), at each step's u0;
+ * every other map sums c*log(s) + q*(log u0 - log u) + log z - log z_next,
+ * with u0 clamped.  Returns QG_OK, or the status of the first step where the
+ * Python loop raises (see the header); *acc and *used are then not written.
+ * The caller checks p->c >= 1 and burn_in, t >= 0. */
 int qgauss_lyapunov(const struct radial *p, double q_int, double z,
                     int64_t burn_in, int64_t t, double *acc, int64_t *used)
 {
-    double sum = 0.0;
+    double sum = 0.0, u0, u;
     int64_t n = 0;
     for (int64_t i = 0; i < burn_in; i++)
-        z = radial_step(p, z);
+        z = radial_step(p, z, &u0, &u);
     if (p->tent && p->c == 1) {
-        /* z* = sqrt(-2 q_ln(q_int, 1/2)); infinite where q_ln's math.exp
-         * overflows, which Python raises as OverflowError. */
+        /* z* = g(1/2), infinite where Python's math.exp overflows. */
         double z_star = g(p, 0.5);
         if (isinf(z_star))
             return QG_OVERFLOW;
         double scale = pow(2.0, p->one_m_q);
         for (int64_t i = 0; i < t; i++) {
-            double u = g_inv(p, z);
+            double z_next = radial_step(p, z, &u0, &u);
             double d = 0.0;
             if (z > 0.0 && fabs(z - z_star) > 1e-9) {
                 double num, w;
                 if (z > z_star) {
                     num = scale * z;
-                    w = 2.0 * u;
+                    w = 2.0 * u0;
                 } else {
                     double a, b;
-                    int st = py_pow(1.0 - u, -q_int, &a);
+                    int st = py_pow(1.0 - u0, -q_int, &a);
                     if (st == QG_OK)
-                        st = py_pow(u, q_int, &b);
+                        st = py_pow(u0, q_int, &b);
                     if (st != QG_OK)
                         return st;
                     num = -scale * a * b * z;
-                    w = 2.0 * (1.0 - u);
+                    w = 2.0 * (1.0 - u0);
                 }
+                /* g(0) is the edge, where q_ln raises; an inf g(w) is
+                 * math.exp's overflow, a nan one math.sqrt's ValueError. */
                 if (w > 0.0) {
-                    double x;
-                    if (p->gaussian) {
-                        x = -2.0 * log(w);
-                    } else {
-                        double e = exp(log(w) * p->one_m_q);
-                        if (isinf(e))
-                            return QG_OVERFLOW;
-                        x = -2.0 * ((e - 1.0) / p->one_m_q);
-                    }
-                    if (x >= 0.0) {
-                        double r = sqrt(x);
-                        if (r == 0.0)
-                            return QG_ZERO_DIVISION;
-                        d = num / r;
-                    }
+                    double r = g(p, w);
+                    if (isinf(r))
+                        return QG_OVERFLOW;
+                    if (r == 0.0)
+                        return QG_ZERO_DIVISION;
+                    d = num / r;
                 }
             }
-            z = g(p, fold(p, clamp(p, u)));
             if (d != 0.0 && isfinite(d)) {
                 sum += log(fabs(d));
                 n++;
             }
+            z = z_next;
         }
     } else {
         double log_slope = (double)p->c * log(p->s);
         for (int64_t i = 0; i < t; i++) {
-            double u0 = clamp(p, g_inv(p, z));
-            double u = fold(p, u0);
-            double z_next = g(p, u);
+            double z_next = radial_step(p, z, &u0, &u);
+            u0 = clamp(p, u0);
             if (u0 > 0.0 && u > 0.0 && z > 0.0 && z_next > 0.0) {
                 sum += log_slope + q_int * (log(u0) - log(u)) + log(z) - log(z_next);
                 n++;

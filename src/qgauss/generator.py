@@ -44,11 +44,11 @@ from .maps import (
     _check_count,
     _check_start,
     _circle_step,
+    _g,
     _radial_params,
     _radial_steps,
     _u_floor,
 )
-from .specfun import q_ln
 
 __all__ = [
     "QSpec",
@@ -213,7 +213,7 @@ def generate(state: GeneratorState, n: int) -> SampleBatch:
 def gbmm_sample(spec: QSpec, u1: float, u2: float) -> Tuple[float, float]:
     """Transform two uniforms from (0,1) into one output pair.
 
-    Radius sqrt(-2 q_ln(q_int, u1)) and angle 2*pi*u2.  Boundary values of
+    Radius maps._g(q_int, u1) and angle 2*pi*u2.  Boundary values of
     u1 or u2 are domain errors.  For strongly deformed q_int > 1 the radius
     power u1**(1-q_int) can exceed double range, so u1 is floored at the
     chaotic route's maps._u_floor (0 below q_int = 1), which is unreachable
@@ -222,7 +222,7 @@ def gbmm_sample(spec: QSpec, u1: float, u2: float) -> Tuple[float, float]:
     """
     if not (0.0 < u1 < 1.0 and 0.0 < u2 < 1.0):
         raise ValueError("u1 and u2 must lie strictly inside (0, 1), got %r, %r" % (u1, u2))
-    r = math.sqrt(-2.0 * q_ln(spec.q_int, max(u1, _u_floor(spec.q_int))))
+    r = _g(spec.q_int, max(u1, _u_floor(spec.q_int)))
     a = 2.0 * math.pi * u2
     return r * math.cos(a), r * math.sin(a)
 

@@ -17,15 +17,15 @@ Three layers:
 Each map's step is written once in Python, as the compiled library
 (_orbit.c) writes it once in C: the circle step, the pair and its
 renormalization, in _circle_step, and the radial step in the iterator
-_radial_steps, which composes the halves of _orbit.c's radial_step: q_exp,
-the clamp, _fold (tri_map's fold too), the floor of _u_floor and q_ln,
+_radial_steps, which composes the halves of _orbit.c's radial_step: _g_inv,
+the clamp, _fold (tri_map's fold too), the floor of _u_floor and _g,
 with the constants of _radial_params.  chebyshev_pair is its checks plus
 one circle step, z_map its checks plus one step of that iterator; the
 Python fallbacks of the generator (generator._run_python) and of both
 Lyapunov routes (stats._lyapunov_python) step whole orbits through them, in
 the order of the compiled loops.  The analytic derivative is written once
 too, in _fold_derivative, which z_map_derivative and the Python Lyapunov
-fallback share.  The tests hold every caller to the same bits: z_map
+fallback share, over _g.  The tests hold every caller to the same bits: z_map
 against the step written out literally (tests/test_maps.py),
 generate/step against chebyshev_pair and z_map and the compiled orbit
 against _run_python (tests/test_generator.py), the compiled Lyapunov loop
@@ -287,25 +287,36 @@ def _radial_params(q_int: float, cfg: MapConfig) -> _RadialParams:
     )
 
 
+def _g_inv(q_int: float, z: float) -> float:
+    """g_inv(z) = q_exp(q_int, -z*z/2): the fold input before its clamp."""
+    return q_exp(q_int, -z * z * 0.5)
+
+
+def _g(q_int: float, u: float) -> float:
+    """g(u) = sqrt(-2 q_ln(q_int, u)) for u > 0, else ValueError (_orbit.c's
+    g maps u = 0 to the support edge; _radial_steps does that here)."""
+    return math.sqrt(-2.0 * q_ln(q_int, u))
+
+
 def _radial_steps(
     q_int: float, cfg: MapConfig, z: float
 ) -> Iterator[Tuple[float, float, float]]:
     """The radial map's orbit from a valid z, one (z, u0, u) per step, without end.
 
-    A step is u0 = q_exp(q_int, -z*z/2), the clamp at u_clamp, _fold, the
-    floor at u_lo and z = sqrt(-2 q_ln(q_int, u)), or z_edge where u is 0.
-    It yields the new z, u0 before the clamp (z_map_derivative's arithmetic
-    uses that value; the chain-rule Lyapunov route applies the clamp
-    itself) and u after the floor.  z is not checked; z_map does that.
+    A step is u0 = _g_inv(q_int, z), the clamp at u_clamp, _fold, the floor
+    at u_lo and z = _g(q_int, u), or z_edge where u is 0.  It yields the
+    new z, u0 before the clamp (z_map_derivative's arithmetic uses that
+    value; the chain-rule Lyapunov route applies the clamp itself) and u
+    after the floor.  z is not checked; z_map does that.
     """
     _, tent, c, _, u_clamp, u_lo, z_edge, s = _radial_params(q_int, cfg)
-    q_exp_, q_ln_, sqrt_ = q_exp, q_ln, math.sqrt
+    g_inv_, g_ = _g_inv, _g
     while True:
-        u0 = q_exp_(q_int, -z * z * 0.5)
+        u0 = g_inv_(q_int, z)
         u = _fold(tent, s, c, u_clamp if u0 < u_clamp else u0)
         if u < u_lo:
             u = u_lo
-        z = z_edge if u == 0.0 else sqrt_(-2.0 * q_ln_(q_int, u))
+        z = z_edge if u == 0.0 else g_(q_int, u)
         yield z, u0, u
 
 
@@ -334,21 +345,17 @@ def z_map_derivative(q_int: float, z: float) -> float:
     if not (math.isfinite(z) and z > 0.0):
         raise ValueError("z must be finite and > 0, got %r" % (z,))
     _check_support(q_int, z)
-    return _fold_derivative(q_int, z, q_exp(q_int, -z * z * 0.5), _fold_point(q_int))
-
-
-def _fold_point(q_int: float) -> float:
-    """The fold point z*, where g_inv(z*) = 1/2."""
-    return math.sqrt(-2.0 * q_ln(q_int, 0.5))
+    return _fold_derivative(q_int, z, _g_inv(q_int, z), _g(q_int, 0.5))
 
 
 def _fold_derivative(q_int: float, z: float, u: float, z_star: float) -> float:
     """z_map_derivative at a valid z > 0, from u = g_inv(z) (before the
-    clamp, as _radial_steps yields it) and the fold point z_star.
+    clamp, as _radial_steps yields it) and the fold point z_star: num over
+    _g(q_int, w), with (num, w) from the fold arm u lies on.
 
-    Raises ValueError within 1e-9 of z_star and where q_ln or the square
-    root leave their domain, ZeroDivisionError where u == 1 meets the
-    power (1 - u)**(-q_int), and OverflowError where that power or q_ln's
+    Raises ValueError within 1e-9 of z_star and where _g leaves its
+    domain, ZeroDivisionError where u == 1 meets the power
+    (1 - u)**(-q_int), and OverflowError where that power or q_ln's
     exponential leaves double range.
     """
     if abs(z - z_star) <= 1e-9:
@@ -358,13 +365,8 @@ def _fold_derivative(q_int: float, z: float, u: float, z_star: float) -> float:
     scale = 2.0 ** (1.0 - q_int)
     if z > z_star:
         # u < 1/2: increasing arm of the fold
-        return scale * z / math.sqrt(-2.0 * q_ln(q_int, 2.0 * u))
-    # u > 1/2: decreasing arm; u**q / (1-u)**q restores the conjugation factors
-    w = 2.0 * (1.0 - u)
-    return (
-        -scale
-        * (1.0 - u) ** (-q_int)
-        * u ** q_int
-        * z
-        / math.sqrt(-2.0 * q_ln(q_int, w))
-    )
+        num, w = scale * z, 2.0 * u
+    else:
+        # u > 1/2: decreasing arm; u**q / (1-u)**q restores the conjugation factors
+        num, w = -scale * (1.0 - u) ** (-q_int) * u ** q_int * z, 2.0 * (1.0 - u)
+    return num / _g(q_int, w)

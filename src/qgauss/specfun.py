@@ -5,7 +5,7 @@ point expression shapes used by the reference generator, because the chaotic
 iteration amplifies single-ulp differences exponentially.  Do not "simplify"
 q_exp or q_ln (for example into log1p/expm1 forms): the conformance tests
 pin the bit patterns.  They are the pair's one Python copy, which the radial
-step (maps._radial_steps) and gbmm_sample call.
+step's halves (maps._g_inv, maps._g) and distribution.joint_pdf call.
 
 Log-gamma and the complete beta function (the density's normalizing
 constant) wrap the platform libm through the math module.  The incomplete

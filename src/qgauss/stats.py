@@ -40,7 +40,7 @@ from .maps import (
     _check_count,
     _check_start,
     _fold_derivative,
-    _fold_point,
+    _g,
     _is_absorbed,
     _radial_params,
     _radial_steps,
@@ -254,6 +254,7 @@ def mc_p_value(
     i = _kind_index(kind)
     _check_count("M", M, 1)
     _check_count("n_null", n_null, 1)
+    _check_count("seed", seed, 0, 2 ** 64 - 1)
     if not (math.isfinite(observed) and observed >= 0.0):
         raise ValueError("observed statistic must be finite and >= 0, got %r" % (observed,))
     return _p_value(_null_statistics(M, n_null, seed)[i], observed)
@@ -275,6 +276,7 @@ def gof_test(
     """
     i = _kind_index(kind)
     _check_count("n_null", n_null, 1)
+    _check_count("seed", seed, 0, 2 ** 64 - 1)
     stat = _score(q_out, samples)[i]
     return GofResult(
         q_out=q_out, kind=kind, statistic=stat,
@@ -289,7 +291,7 @@ def autocorrelation(samples: Sequence[float], m: int) -> float:
     C(0) is the biased sample variance; a constant sequence gives 0 at
     every lag.  Callers wanting the normalized ratio divide by C(0).
     """
-    x = np.asarray(samples, dtype=float)
+    x = _sample(samples)
     N = x.size
     _check_count("lag m", m, 0, N - 1)
     mean = float(x.mean())
@@ -319,14 +321,14 @@ def lyapunov(
 
     z0 is held to init's start rule (maps._check_start).  The burn-in and
     both routes then run in the compiled library (_orbit.c,
-    qgauss_lyapunov), which steps the radial map through the same
-    conjugation halves as the generator's orbit; where it cannot be built,
-    _lyapunov_python runs both routes over the one Python radial loop
-    (maps._radial_steps), with the same bits and the same exceptions.  The
-    analytic route raises ZeroDivisionError where (1 - u)**(-q_int) meets
-    u == 1 (z0 near 0 with burn_in=0), and OverflowError where that power
-    or q_ln's math.exp leaves double range, which an orbit of 2*10**4 steps
-    from z0 = 1 meets from q' = 2.95 (q_int = 79) up.  Both routes match
+    qgauss_lyapunov), which steps through radial_step, as the generator's
+    orbit does; where it cannot be built, _lyapunov_python runs both
+    routes over the one Python radial loop (maps._radial_steps), with the
+    same bits and the same exceptions.  The analytic route raises
+    ZeroDivisionError where (1 - u)**(-q_int) meets u == 1 (z0 near 0
+    with burn_in=0), and OverflowError where that power or q_ln's
+    math.exp leaves double range, which an orbit of 2*10**4 steps from
+    z0 = 1 meets from q' = 2.95 (q_int = 79) up.  Both routes match
     the per-call composition of the public functions bit for bit
     (tests/lyapunov_reference.py keeps that composition, and
     test_matches_per_call_reference compares the two).
@@ -365,7 +367,7 @@ def _lyapunov_python(
     used = 0
     if cfg.l == 2 and cfg.c == 1:
         isfinite_ = math.isfinite
-        z_star = _fold_point(q_int)
+        z_star = _g(q_int, 0.5)
         for z_next, u0, _ in islice(steps, t):
             # z_map_derivative(q_int, z), skipped where it raises ValueError;
             # z comes from the radial loop, so it is finite and inside the
@@ -527,7 +529,7 @@ def run_trial_table(
     _check_count("jobs", jobs, 1)
     _check_count("master_seed", master_seed, 0, 2 ** 64 - 1)
     _check_count("null_seed", null_seed, 0, 2 ** 64 - 1)
-    q_out = [float(q) for q in q_list]
+    q_out = [float(make_spec(q).q_out) for q in q_list]
     _check_count("len(q_list)", len(q_out), 1)
     starts = []
     for iq, q in enumerate(q_out):

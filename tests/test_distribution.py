@@ -268,6 +268,23 @@ class TestMakeSpec:
         with pytest.raises(ValueError):
             variance(2.0)
 
+    def test_mapping_examples(self):
+        assert make_spec(1.0).q_int == 1.0
+        assert make_spec(-1.0).q_int == 0.0
+        assert make_spec(1.5).nu == pytest.approx(3.0)
+        assert make_spec(2.0).nu == pytest.approx(1.0)
+
+    def test_nu_undefined_at_gaussian_point(self):
+        assert make_spec(1.0).nu is None
+
+    def test_rejects_q_at_or_above_three(self):
+        with pytest.raises(ValueError):
+            make_spec(3.0)
+        with pytest.raises(ValueError):
+            make_spec(math.inf)
+        with pytest.raises(ValueError):  # a bool is no q'
+            make_spec(True)
+
 
 class TestJointPdf:
     def test_radial_symmetry(self):

@@ -9,7 +9,7 @@ import pytest
 from qgauss import generator, stats
 from qgauss.generator import UniformStream, gbmm_generate, generate, init, make_spec
 from qgauss.maps import MapConfig, _z_edge
-from qgauss.stats import autocorrelation, lyapunov, mc_p_value, run_trial_table
+from qgauss.stats import autocorrelation, gof_test, lyapunov, mc_p_value, run_trial_table
 
 
 class _Poison:
@@ -74,6 +74,10 @@ INTEGERS = [
      lambda s: _table(master_seed=s)),
     ("run_trial_table null_seed", [2 ** 64, True], 2 ** 64 - 1,
      lambda s: _table(null_seed=s)),
+    ("mc_p_value seed", [True, -1, 2 ** 64], 2 ** 64 - 1,
+     lambda s: mc_p_value(20, 0.5, n_null=9, seed=s)),
+    ("gof_test seed", [-1, True, 1.5], 2 ** 64 - 1,
+     lambda s: gof_test([0.1, -0.3, 0.7], 1.0, n_null=9, seed=s)),
 ]
 
 
@@ -81,8 +85,8 @@ INTEGERS = [
                          ids=[i[0] for i in INTEGERS])
 def test_integer_rule(monkeypatch, bad, edge, call):
     """Each bad value raises ValueError before a trial start, the null, a
-    uniform word, the compiled library or a worker is touched; the edge
-    value is accepted."""
+    uniform word, the compiled library (so before gof_test scores) or a
+    worker is touched; the edge value is accepted."""
     for module, name in ((generator, "_orbit"), (stats, "_orbit"),
                          (stats, "_trial_start"), (stats, "_null_statistics"),
                          (stats, "ProcessPoolExecutor")):

@@ -246,6 +246,18 @@ def _owners(predicate):
     return owners
 
 
+def _importers(name):
+    """Every module of src/qgauss/*.py, other than specfun and the package
+    itself, that imports name from another."""
+    modules = set()
+    for path in sorted(Path(qgauss.__file__).parent.glob("*.py")):
+        if path.stem not in ("specfun", "__init__") and any(
+                isinstance(node, ast.ImportFrom) and name in {a.name for a in node.names}
+                for node in ast.walk(ast.parse(path.read_text()))):
+            modules.add(path.stem)
+    return modules
+
+
 def _is_tent(node):
     """1.0 - abs(1.0 - ...): the tent fold."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
@@ -317,8 +329,8 @@ def _is_int_test(node):
 class TestOneCopyOfEachHalf:
     """The Python orbit step composes one copy of each half, as _orbit.c's
     does: the circle step and its renormalization in maps._circle_step, the
-    fold in maps._fold, the deformed exp/log pair in specfun, and the
-    q >= 1 floor rule in maps._u_floor."""
+    fold in maps._fold, the deformed exp/log pair in specfun (called through
+    maps._g_inv and maps._g), and the q >= 1 floor rule in maps._u_floor."""
 
     def test_fold_is_written_once(self):
         assert _owners(_is_tent) == {"maps._fold"}
@@ -344,6 +356,28 @@ class TestOneCopyOfEachHalf:
         """Every count, order, degree, lag, sign, seed and stream state is
         checked by maps._check_count, the one isinstance(..., int) test."""
         assert _owners(_is_int_test) == {"maps._check_count"}
+
+    def test_g_is_written_once(self):
+        """q_ln is named (aliases included) only in maps._g, so the radial
+        step, the derivative, the fold point and gbmm_sample share one g."""
+        assert _owners(lambda n: _name(n) == "q_ln") == {"maps._g"}
+        assert _importers("q_ln") == {"maps"}
+
+    def test_g_inv_is_written_once(self):
+        """q_exp is named only in maps._g_inv and the joint density, so the
+        radial step and the derivative share one g_inv."""
+        assert _owners(lambda n: _name(n) == "q_exp") == {
+            "maps._g_inv", "distribution.joint_pdf"}
+        assert _importers("q_exp") == {"maps", "distribution"}
+
+    def test_compiled_loops_share_one_radial_step(self):
+        """_orbit.c calls g_inv and fold once each, in radial_step, which
+        every orbit and Lyapunov loop steps through, and writes
+        exp(log(...)) only in g_inv and g."""
+        source = (Path(qgauss.__file__).parent / "_orbit.c").read_text()
+        assert source.count("g_inv(p, ") == 1
+        assert source.count("fold(p, ") == 1
+        assert source.count("exp(log(") == 2
 
     def test_floor_rule_is_written_once(self):
         """Every _u_floor call is unconditional, so no caller repeats its

@@ -410,10 +410,14 @@ class TestAutocorrelation:
                                                       rel=1e-12)
 
     def test_lag_bounds(self):
+        """The sample rule of _score (non-empty, 1-d, finite), then the lag."""
         with pytest.raises(ValueError):
             autocorrelation([1.0, 2.0], 2)
         with pytest.raises(ValueError):
             autocorrelation([1.0, 2.0], -1)
+        for bad in ([], [[1.0, 2.0], [3.0, 4.0]], [1.0, math.nan], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="samples must be"):
+                autocorrelation(bad, 0)
 
 
 class TestLyapunov:
@@ -671,10 +675,10 @@ class TestTrialTable:
         with pytest.raises(ValueError):
             run_trial_table([1.0], trials=1, samples=100, n_null=n_null)
 
-    @pytest.mark.parametrize("bad_q", [3.5, math.nan, math.inf])
+    @pytest.mark.parametrize("bad_q", [3.5, math.nan, math.inf, True, "1.5"])
     def test_rejects_bad_q_before_work(self, monkeypatch, bad_q):
-        """Each q' of q_list is checked with the counts, before the null is
-        built or a worker starts."""
+        """Each q' of q_list is checked by make_spec, before it is converted,
+        the null is built or a worker starts: a bool or a string is no q'."""
         def fail(*args, **kwargs):
             raise AssertionError("work started before q' was checked")
 
