@@ -1,16 +1,20 @@
 /* Compiled loops of the chaotic generator, its Lyapunov estimate, the
  * Monte Carlo null, the transform sampler and the CSV rows.
  *
- * The library has six entry points.  qgauss_orbit is generator._run in
+ * The library has seven entry points.  qgauss_orbit is generator._run in
  * one C loop, and qgauss_lyapunov is stats.lyapunov's burn-in and average.
  * qgauss_take fills a block of generator.UniformStream words, and
  * qgauss_scores forms stats._both_statistics' two EDF statistics of rows of
- * sorted values; the null's sort stays in numpy.  qgauss_gbmm is
- * generator.gbmm_generate's gbmm_sample loop, and qgauss_write_rows
- * formats rows of doubles as cli._format_rows does, in "%.17g".  Every
- * expression has the shape and evaluation order of the Python or numpy
- * code it replaces (generator._run_python, stats._lyapunov_python,
- * generator._take_numpy, stats._both_statistics_numpy,
+ * sorted values; the null's sort stays in numpy.  qgauss_bounded_scores
+ * forms the same two statistics of one sample under
+ * distribution.cdf_array_direct, stats._score's, from the cdf values of
+ * only the samples that can hold a maximum; both add each value through
+ * one edf_add.  qgauss_gbmm is generator.gbmm_generate's gbmm_sample loop,
+ * and qgauss_write_rows formats rows of doubles as cli._format_rows does,
+ * in "%.17g".  Every expression has the shape and evaluation order of the
+ * Python or numpy code it replaces (generator._run_python,
+ * stats._lyapunov_python, generator._take_numpy,
+ * stats._both_statistics_numpy, distribution.cdf_array_direct,
  * generator.gbmm_sample): circle_step is maps._circle_step, one
  * maps.chebyshev_pair step with its renormalization, and radial_step one
  * maps._radial_steps step (z, u0, u), of halves g_inv, clamp, fold (floored
@@ -22,6 +26,14 @@
  * Python's math module and float power call.  The radial constants come
  * from maps._radial_params, so each is defined once, in Python, and reach
  * the entry points as one struct radial, by pointer.
+ *
+ * The cdf values of qgauss_bounded_scores come from scipy's own scalar
+ * kernels, which the betainc and ndtr ufuncs evaluate: the caller reads
+ * their addresses from scipy.special.cython_special's capsules
+ * (distribution._direct_kernels, which checks each capsule's signature)
+ * and passes them as typed function pointers, betainc_fn and ndtr_fn
+ * below.  This file neither links scipy nor converts between object and
+ * function pointers.
  *
  * The row writer forms the 17 digits of a double exactly, in 128-bit
  * integers (Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
@@ -209,12 +221,17 @@ int qgauss_lyapunov(const struct radial *p, double q_int, double z,
         double z_star = g(p, 0.5);
         if (isinf(z_star))
             return QG_OVERFLOW;
-        double scale = pow(2.0, p->one_m_q);
+        /* 2**(1 - q_int), whose status is returned where the Python loop
+         * first forms it: the first step it calls _fold_derivative at. */
+        double scale;
+        int scale_st = py_pow(2.0, p->one_m_q, &scale);
         for (int64_t i = 0; i < t; i++) {
             double z_next = radial_step(p, z, &u0, &u);
             double d = 0.0;
             if (z > 0.0 && fabs(z - z_star) > 1e-9) {
                 double num, w;
+                if (scale_st != QG_OK)
+                    return scale_st;
                 if (z > z_star) {
                     num = scale * z;
                     w = 2.0 * u0;
@@ -285,13 +302,43 @@ void qgauss_take(uint64_t state, int64_t n, double *out)
     }
 }
 
+/* The running maxima of the (KS, tail-weighted) EDF statistics, before
+ * their factor sqrt(M): mk of the deviations, ma of the tail-weighted
+ * terms, and gate = ma*ma*(1 - 1e-9) (see qgauss_scores). */
+struct edf_max {
+    double mk, ma, gate;
+};
+
+/* Adds the cdf value f at EDF steps hi = i/M and lo = (i-1)/M to m, in
+ * stats._both_statistics_numpy's expression shapes: dev = max(hi - f,
+ * f - lo); w = f clipped to [w_lo, w_hi], then w*(1 - w), its sqrt and
+ * dev over the sqrt.  Both entry points that score add every value
+ * through it. */
+static inline void edf_add(struct edf_max *m, double f, double hi, double lo,
+                           double w_lo, double w_hi)
+{
+    double a = hi - f, b = f - lo;
+    double dev = a > b ? a : b;
+    double w = f < w_lo ? w_lo : f;
+    if (w > w_hi)
+        w = w_hi;
+    double p = w * (1.0 - w);
+    if (dev > m->mk)
+        m->mk = dev;
+    if (dev * dev < m->gate * p)
+        return;
+    double t = dev / sqrt(p);
+    if (t > m->ma) {
+        m->ma = t;
+        m->gate = t * t * (1.0 - 1e-9);
+    }
+}
+
 /* The (KS, tail-weighted) statistics of each of rows rows of M sorted
- * values F (row-major), in stats._both_statistics_numpy's expression
- * shapes: dev = max(hi - f, f - lo) over the EDF steps, rows hi = i/M and
- * lo = (i-1)/M of steps; w = f clipped to [1/(2M), 1 - 1/(2M)], then
- * w*(1 - w), its sqrt and dev over the sqrt; rows 0 (KS) and 1 of out are
- * the row maxima times sqrt(M).  A row that holds a NaN gives NaN for
- * both, as numpy's max does.  The caller checks M >= 1 and the shapes.
+ * values F (row-major), added one by one through edf_add against rows
+ * hi = i/M and lo = (i-1)/M of steps; rows 0 (KS) and 1 of out are the
+ * row maxima times sqrt(M).  A row that holds a NaN gives NaN for both,
+ * as numpy's max does.  The caller checks M >= 1 and the shapes.
  *
  * The tail-weighted term skips the sqrt and the divide where
  * dev*dev < gate*p, with p = w*(1 - w) and gate = ma*ma*(1 - 1e-9) for the
@@ -300,7 +347,8 @@ void qgauss_take(uint64_t state, int64_t n, double *out)
  * skipped term has dev/sqrt(p) < ma*(1 - 5e-10 + 3e-16); the sqrt and the
  * divide add at most a few ulps (about 3e-16) to it, so its computed value
  * is below ma and cannot change the maximum.  No term is skipped while
- * ma is 0, and no NaN or infinite dev is ever skipped. */
+ * ma is 0, and no NaN or infinite dev is ever skipped.  The maxima are
+ * therefore those of every term, in any order of the values. */
 void qgauss_scores(const double *F, int64_t rows, int64_t M,
                    const double *steps, double *out)
 {
@@ -308,30 +356,225 @@ void qgauss_scores(const double *F, int64_t rows, int64_t M,
     const double w_hi = 1.0 - 1.0 / (2.0 * (double)M);
     const double root_m = sqrt((double)M);
     for (int64_t r = 0; r < rows; r++, F += M) {
-        double mk = 0.0, ma = 0.0, gate = 0.0;
+        struct edf_max m = {0.0, 0.0, 0.0};
         int has_nan = 0;
         for (int64_t i = 0; i < M; i++) {
             double f = F[i];
-            double a = steps[i] - f, b = f - steps[M + i];
-            double dev = a > b ? a : b;
-            double w = f < w_lo ? w_lo : f;
-            if (w > w_hi)
-                w = w_hi;
-            double p = w * (1.0 - w);
+            edf_add(&m, f, steps[i], steps[M + i], w_lo, w_hi);
             has_nan |= f != f;
-            if (dev > mk)
-                mk = dev;
-            if (dev * dev < gate * p)
-                continue;
-            double t = dev / sqrt(p);
-            if (t > ma) {
-                ma = t;
-                gate = ma * ma * (1.0 - 1e-9);
+        }
+        out[r] = has_nan ? NAN : root_m * m.mk;
+        out[rows + r] = has_nan ? NAN : root_m * m.ma;
+    }
+}
+
+/* scipy's scalar kernels as scipy.special.cython_special exports them
+ * (__pyx_fuse_0betainc and __pyx_fuse_1ndtr); the last argument is
+ * Cython's skip-dispatch flag, passed as 0. */
+typedef double (*betainc_fn)(double, double, double, int);
+typedef double (*ndtr_fn)(double, int);
+
+/* distribution.cdf_array_direct's branches. */
+enum { CDF_GAUSSIAN = 0, CDF_COMPACT = 1, CDF_HEAVY = 2 };
+
+/* Samples per top-level block, and the size at or below which a block that
+ * may hold a maximum is evaluated whole. */
+enum { BLOCK = 64, LEAF = 4 };
+
+/* How far a kernel value may fall as its argument grows: betainc(0.5, a,
+ * t) on [0, 1] and ndtr on the reals are monotone to one ulp (the largest
+ * descent over 8e5 sorted arguments at 17 q' was 1.1e-16). */
+static const double KERNEL_SLACK = 1e-13;
+
+struct direct {
+    const double *x, *steps;
+    int64_t M;
+    int branch;
+    double a, half_width, w_lo, w_hi;
+    betainc_fn betainc;
+    ndtr_fn ndtr;
+    const double *t; /* each sample's kernel argument */
+    double *v;       /* its kernel value, NaN until evaluated */
+    struct edf_max m;
+    int has_nan;
+    int64_t calls;
+};
+
+/* x on the compact support's edges, where cdf_array_direct sets F to 0
+ * or 1 whatever the kernel gives. */
+static inline int direct_edge(const struct direct *d, double x)
+{
+    return d->branch == CDF_COMPACT && (x <= -d->half_width || x >= d->half_width);
+}
+
+/* F of sample i from its kernel value v: ndtr(x) for the Gaussian, else
+ * 0.5*(1 + sign(x)*v), and 0 or 1 on the edges. */
+static inline double direct_cdf(const struct direct *d, int64_t i, double v)
+{
+    double x = d->x[i];
+    if (d->branch == CDF_GAUSSIAN)
+        return v;
+    if (direct_edge(d, x))
+        return x < 0.0 ? 0.0 : 1.0;
+    double s = x > 0.0 ? 1.0 : x < 0.0 ? -1.0 : 0.0;
+    return 0.5 * (1.0 + s * v);
+}
+
+static inline void direct_add(struct direct *d, int64_t i, double v)
+{
+    edf_add(&d->m, direct_cdf(d, i, v), d->steps[i], d->steps[d->M + i],
+            d->w_lo, d->w_hi);
+}
+
+/* Sample i scored exactly: its kernel value, evaluated on first use. */
+static double direct_value(struct direct *d, int64_t i)
+{
+    double v = d->v[i];
+    if (v != v) {
+        v = d->branch == CDF_GAUSSIAN ? d->ndtr(d->t[i], 0)
+                                      : d->betainc(0.5, d->a, d->t[i], 0);
+        d->v[i] = v;
+        d->calls++;
+        d->has_nan |= v != v;
+        direct_add(d, i, v);
+    }
+    return v;
+}
+
+/* The samples of [i0, i1) off the edges with the smallest and the largest
+ * argument, both -1 if there are none, and the signs of the smallest and
+ * the largest of their x. */
+static void direct_extremes(const struct direct *d, int64_t i0, int64_t i1,
+                            int64_t *lo, int64_t *hi, double *s_lo, double *s_hi)
+{
+    double x_lo = INFINITY, x_hi = -INFINITY;
+    *lo = *hi = -1;
+    for (int64_t i = i0; i < i1; i++) {
+        double x = d->x[i];
+        if (direct_edge(d, x))
+            continue;
+        if (*lo < 0 || d->t[i] < d->t[*lo])
+            *lo = i;
+        if (*hi < 0 || d->t[i] > d->t[*hi])
+            *hi = i;
+        x_lo = x < x_lo ? x : x_lo;
+        x_hi = x > x_hi ? x : x_hi;
+    }
+    *s_lo = x_lo > 0.0 ? 1.0 : x_lo < 0.0 ? -1.0 : 0.0;
+    *s_hi = x_hi > 0.0 ? 1.0 : x_hi < 0.0 ? -1.0 : 0.0;
+}
+
+/* Scores the samples of [i0, i1) that may raise either maximum.  The
+ * kernel values at the block's extreme arguments bracket every other
+ * value in it, widened by KERNEL_SLACK; rounding is monotone, so the
+ * bracket bounds each F, each deviation and (with a relative 1e-12 for
+ * the rounding of w*(1 - w), its sqrt and the divide) each tail-weighted
+ * term.  A block whose bounds cannot pass the running maxima is dropped,
+ * one of at most LEAF samples is evaluated whole, and any other is
+ * halved. */
+static void direct_refine(struct direct *d, int64_t i0, int64_t i1)
+{
+    int64_t lo, hi;
+    double s_lo, s_hi;
+    direct_extremes(d, i0, i1, &lo, &hi, &s_lo, &s_hi);
+    if (lo < 0)
+        return;
+    double v_lo = direct_value(d, lo), v_hi = direct_value(d, hi);
+    if (d->t[lo] == d->t[hi]) {
+        /* one argument: every value is v_lo */
+        for (int64_t i = i0; i < i1; i++) {
+            if (d->v[i] != d->v[i] && !direct_edge(d, d->x[i])) {
+                d->v[i] = v_lo;
+                direct_add(d, i, v_lo);
             }
         }
-        out[r] = has_nan ? NAN : root_m * mk;
-        out[rows + r] = has_nan ? NAN : root_m * ma;
+        return;
     }
+    double in_lo = v_lo - KERNEL_SLACK, in_hi = v_hi + KERNEL_SLACK;
+    double f_lo = in_lo, f_hi = in_hi;
+    if (d->branch != CDF_GAUSSIAN) {
+        /* s*v over s in [s_lo, s_hi], v in [in_lo, in_hi]: the corners */
+        double c0 = s_lo * in_lo, c1 = s_lo * in_hi, c2 = s_hi * in_lo, c3 = s_hi * in_hi;
+        f_lo = 0.5 * (1.0 + fmin(fmin(c0, c1), fmin(c2, c3)));
+        f_hi = 0.5 * (1.0 + fmax(fmax(c0, c1), fmax(c2, c3)));
+    }
+    double a = d->steps[i1 - 1] - f_lo, b = f_hi - d->steps[d->M + i0];
+    double dev = a > b ? a : b;
+    double w0 = fmin(fmax(f_lo, d->w_lo), d->w_hi);
+    double w1 = fmin(fmax(f_hi, d->w_lo), d->w_hi);
+    double p = fmin(w0 * (1.0 - w0), w1 * (1.0 - w1));
+    double tail = dev / sqrt(p) * (1.0 + 1e-12);
+    if (dev <= d->m.mk && tail <= d->m.ma)
+        return;
+    if (i1 - i0 <= LEAF) {
+        for (int64_t i = i0; i < i1; i++)
+            if (!direct_edge(d, d->x[i]))
+                direct_value(d, i);
+        return;
+    }
+    int64_t mid = i0 + (i1 - i0) / 2;
+    direct_refine(d, i0, mid);
+    direct_refine(d, mid, i1);
+}
+
+/* stats._score's two statistics, (KS, tail-weighted) into out[0] and
+ * out[1], of the M samples x, with the bits qgauss_scores gives the
+ * values of distribution.cdf_array_direct at x, from the values of only
+ * the samples that can hold a maximum.  x may come in any order; sorted,
+ * which stats._score passes, few blocks survive (bound and prune, Land
+ * & Doig, Econometrica 28, 1960).
+ *
+ * The kernel argument t of each sample is formed as cdf_array_direct
+ * forms it: x for the Gaussian (branch CDF_GAUSSIAN, F = ndtr(t)); below
+ * q' = 1 (CDF_COMPACT) y = k*x*x clipped to [0, 1]; above (CDF_HEAVY)
+ * fmin(y/(1 + y), 1), and F = 0.5*(1 + sign(x)*betainc(0.5, a, t)), set
+ * to 0 at x <= -half_width and 1 at x >= half_width below q' = 1.  The
+ * kernels come from the caller as typed function pointers.  Every block
+ * of BLOCK samples is first seeded with its two extreme arguments, so
+ * both maxima start high, and then refined by direct_refine.  Returns the
+ * number of kernel calls.  A NaN among the kernel values it evaluates
+ * gives NaN for both, as qgauss_scores does, and a NaN bound never
+ * prunes.  work holds 2*M doubles: each sample's argument and
+ * kernel value.  The caller checks M >= 1, the branch and the shapes. */
+int64_t qgauss_bounded_scores(const double *x, int64_t M, int branch, double k,
+                              double a, double half_width, const double *steps,
+                              betainc_fn betainc, ndtr_fn ndtr,
+                              double *work, double *out)
+{
+    struct direct d = {
+        .x = x, .steps = steps, .M = M, .branch = branch, .a = a,
+        .half_width = half_width, .w_lo = 1.0 / (2.0 * (double)M),
+        .w_hi = 1.0 - 1.0 / (2.0 * (double)M), .betainc = betainc,
+        .ndtr = ndtr, .t = work, .v = work + M,
+    };
+    double *t = work;
+    for (int64_t i = 0; i < M; i++) {
+        double xi = x[i], y = k * xi * xi;
+        if (branch == CDF_GAUSSIAN)
+            t[i] = xi;
+        else if (branch == CDF_COMPACT)
+            t[i] = y > 1.0 ? 1.0 : y; /* y >= 0 */
+        else
+            t[i] = fmin(y / (1.0 + y), 1.0);
+        d.v[i] = NAN;
+        if (direct_edge(&d, xi))
+            direct_add(&d, i, 0.0);
+    }
+    for (int64_t i0 = 0; i0 < M; i0 += BLOCK) {
+        int64_t lo, hi;
+        double s_lo, s_hi;
+        direct_extremes(&d, i0, i0 + BLOCK < M ? i0 + BLOCK : M, &lo, &hi, &s_lo, &s_hi);
+        if (lo >= 0) {
+            direct_value(&d, lo);
+            direct_value(&d, hi);
+        }
+    }
+    for (int64_t i0 = 0; i0 < M; i0 += BLOCK)
+        direct_refine(&d, i0, i0 + BLOCK < M ? i0 + BLOCK : M);
+    const double root_m = sqrt((double)M);
+    out[0] = d.has_nan ? NAN : root_m * d.m.mk;
+    out[1] = d.has_nan ? NAN : root_m * d.m.ma;
+    return d.calls;
 }
 
 /* generator.gbmm_sample over n pairs: xi[i], eta[i] from u1 = u[2i] and

@@ -9,22 +9,30 @@ source or changed flags never load a stale build.  Each process compiles
 into its own temporary file and renames it into place with os.replace, so
 processes that start together race only to write identical bytes.
 
-The library has six entry points, each behind a wrapper here: the
+The library has seven entry points, each behind a wrapper here: the
 generator's orbit (orbit), one maps.chebyshev_pair and one maps.z_map
 step at a time, the Lyapunov average (lyapunov), UniformStream words
 (take), the two EDF statistics of rows of sorted values (scores), which
-the Monte Carlo null, the table trials and stats.gof_test call, the
-transform sampler's pairs (gbmm), which generator.gbmm_generate calls,
-and the "%.17g" CSV rows of a block of doubles (write_rows), which qgauss
-gen and diag write.  The wrappers check every argument the C loops trust,
-with the rules of maps (_check_count, _check_degree); the callers check
-z0.  maps._RadialParams goes to C by pointer, as the record _Radial
-built from its fields, and scores passes its two-row arrays whole.  take
-and scores are called thousands of times per null, so they, like gbmm and
-write_rows, pass pointers as arr.ctypes.data, not through data_as.
-kernel() returns None, and never raises, when no compiler runs, the
-compile fails or the cache directory is unusable; the callers then run
-their Python or numpy code, which gives the same bytes.
+the Monte Carlo null calls, the same two statistics of one sample under
+distribution.cdf_array_direct from the cdf values of only the samples
+that can hold a maximum (bounded_scores), which stats._score calls for
+stats.gof_test and the table trials, the transform sampler's pairs
+(gbmm), which generator.gbmm_generate calls, and the "%.17g" CSV rows of
+a block of doubles (write_rows), which qgauss gen and diag write.  The
+wrappers check every argument the C loops trust, with the rules of maps
+(_check_count, _check_degree); the callers check z0.
+maps._RadialParams goes to C by pointer, as the record _Radial built from
+its fields, and scores passes its two-row arrays whole.  bounded_scores
+takes scipy's scalar betainc and ndtr as the addresses
+distribution._direct_kernels reads from scipy.special.cython_special,
+and C declares them as typed function pointers (double (double, double,
+double, int) and double (double, int)), the signatures that function
+checks.  take and scores are called thousands of times per null, so
+they, like bounded_scores, gbmm and write_rows, pass pointers as
+arr.ctypes.data, not through data_as.  kernel() returns None, and never
+raises, when no compiler runs, the compile fails or the cache directory
+is unusable; the callers then run their Python or numpy code, which gives
+the same bytes.
 """
 
 from __future__ import annotations
@@ -34,8 +42,6 @@ import functools
 import hashlib
 import os
 import stat
-import subprocess
-import tempfile
 from pathlib import Path
 from typing import Optional, Tuple, get_type_hints
 
@@ -123,6 +129,13 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.c_void_p,
     ]
     fn.restype = None
+    fn = lib.qgauss_bounded_scores
+    fn.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double,
+        ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    ]
+    fn.restype = ctypes.c_int64
     fn = lib.qgauss_gbmm
     fn.argtypes = [
         ctypes.POINTER(_Radial), ctypes.c_void_p, ctypes.c_int64,
@@ -148,6 +161,10 @@ def build(directory: Path, cc: str = "cc") -> Optional[ctypes.CDLL]:
     if not _private_dir(directory):
         return None
     if not target.is_file():
+        # only a build needs these, so importing the package loads neither
+        import subprocess
+        import tempfile
+
         try:
             fd, tmp = tempfile.mkstemp(prefix=".orbit-", suffix=".so", dir=directory)
         except OSError:
@@ -269,6 +286,38 @@ def scores(lib: ctypes.CDLL, F: np.ndarray, steps: np.ndarray,
     _check_array("steps", steps, (2, M), writeable=False)
     _check_array("out", out, (2, rows))
     lib.qgauss_scores(F.ctypes.data, rows, M, steps.ctypes.data, out.ctypes.data)
+
+
+# qgauss_bounded_scores' branch of each cdf_array_direct arrangement.
+_GAUSSIAN, _COMPACT, _HEAVY = 0, 1, 2
+
+
+def bounded_scores(lib: ctypes.CDLL, spec, x: np.ndarray, steps: np.ndarray,
+                   kernels: Tuple[int, int]) -> Tuple[float, float, int]:
+    """(KS, tail-weighted) statistics of the sample x under
+    distribution.cdf_array_direct for the family member spec (a
+    distribution.QSpec), against the EDF steps of stats._edf_steps(M), in
+    C, and the number of betainc or ndtr calls that took.  They have the
+    bits scores gives the cdf values of x.  kernels is the pair of
+    addresses distribution._direct_kernels returns.  x is scored in any
+    order; sorted, few of its values are evaluated.  Checks every argument
+    the C loop trusts."""
+    if not (isinstance(x, np.ndarray) and x.ndim == 1):
+        raise ValueError("x must be a 1-d array of samples")
+    M = x.size
+    _check_count("M", M, 1)
+    _check_array("x", x, (M,), writeable=False)
+    _check_array("steps", steps, (2, M), writeable=False)
+    betainc, ndtr = kernels
+    _check_count("betainc", betainc, 1, 2 ** 64 - 1)
+    _check_count("ndtr", ndtr, 1, 2 ** 64 - 1)
+    branch = _GAUSSIAN if spec.gaussian else _COMPACT if spec.q_out < 1.0 else _HEAVY
+    work = np.empty(2 * M)
+    out = np.empty(2)
+    calls = lib.qgauss_bounded_scores(
+        x.ctypes.data, M, branch, spec.k, spec.a, spec.half_width,
+        steps.ctypes.data, betainc, ndtr, work.ctypes.data, out.ctypes.data)
+    return float(out[0]), float(out[1]), calls
 
 
 def gbmm(lib: ctypes.CDLL, radial: _RadialParams, u: np.ndarray, n: int,

@@ -21,11 +21,16 @@ Importing this module does not import scipy.special: the generator, the
 Lyapunov estimate and the density need none of it, and it is most of the
 package's import time.  _special() imports it on the first cdf_array,
 cdf_array_direct or quantile call (so on the first cdf, ccdf, gof_test or
-table row), and every later call reuses that module.
+table row), and every later call reuses that module.  Beside it,
+_direct_kernels() reads the C addresses of the scalar betainc and ndtr
+that cdf_array_direct's ufuncs evaluate from scipy.special.cython_special,
+on the first gof_test or table row, for the compiled scorer
+(stats._score).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import sys
@@ -64,6 +69,42 @@ def _special():
     import scipy.special
 
     return scipy.special
+
+
+# The scalar kernels of cdf_array_direct's betainc and ndtr ufuncs in
+# scipy.special.cython_special's C API: each capsule's name and the C
+# signature it must carry, the one _orbit.c's qgauss_bounded_scores
+# declares.
+_DIRECT_KERNELS = (
+    ("__pyx_fuse_0betainc", b"double (double, double, double, int __pyx_skip_dispatch)"),
+    ("__pyx_fuse_1ndtr", b"double (double, int __pyx_skip_dispatch)"),
+)
+
+
+@functools.cache
+def _direct_kernels() -> Optional[Tuple[int, int]]:
+    """The C addresses of scipy's scalar betainc and ndtr, (betainc, ndtr),
+    or None where they cannot be read.
+
+    cython_special is scipy's public Cython API, but these fused names are
+    generated, so a scipy that renames them, or gives them another
+    signature, makes this None, and stats._score then scores through
+    cdf_array_direct.  PyCapsule_GetPointer checks each signature: it
+    fails unless the capsule's name is the one _DIRECT_KERNELS expects.
+    """
+    try:
+        _special()
+        from scipy.special import cython_special
+
+        get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))
+        capi = cython_special.__pyx_capi__
+        betainc, ndtr = (get(capi[name], signature) for name, signature in _DIRECT_KERNELS)
+    except (ImportError, AttributeError, KeyError, ValueError):
+        # no scipy or cython_special, no C API, a missing name or
+        # (PyCapsule_GetPointer) another signature
+        return None
+    return betainc, ndtr
 
 
 @dataclass(frozen=True)

@@ -415,7 +415,7 @@ class TestOrbitBuild:
         assert [name for name, _ in _orbit._Radial._fields_] == fields
         signatures = re.findall(r"^(?!static\b)\w[\w ]*?\b(qgauss_\w+)\(([^)]*)\)",
                                 source, re.M)
-        assert len(signatures) == 6
+        assert len(signatures) == 7
         for name, params in signatures:
             names = {re.findall(r"\w+", p)[-1] for p in params.split(",")}
             assert not names & set(fields), name

@@ -1,5 +1,6 @@
 """What a fresh interpreter imports: scipy.special only once a cdf or
-quantile is evaluated.
+quantile is evaluated, and the build and process-pool modules only where
+they are used.
 
 The generator, gbmm, the Lyapunov estimate, `qgauss gen` and the diag kinds
 that evaluate no cdf must run without scipy, which is most of the package's
@@ -7,6 +8,7 @@ import time.  The first cdf_array_direct or quantile call loads
 scipy.special and returns the same bytes as a call in this process.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -76,3 +78,20 @@ def test_scipy_loads_on_the_first_cdf_or_quantile(first_call):
     else:
         expected = [[float.hex(quantile(q, p)) for p in _P] for q in _Q]
     assert run["out"] == expected
+
+
+def test_build_and_pool_modules_are_imported_where_used():
+    """subprocess and tempfile (only a build of _orbit.c needs them) and
+    concurrent.futures (only run_trial_table with jobs > 1) are imported
+    inside the functions that use them, at no module's top level, so
+    importing the package loads them only where numpy does."""
+    lazy = {"subprocess", "tempfile", "concurrent"}
+    for path in sorted(Path(qgauss.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not {name.split(".")[0] for name in names} & lazy, path.name

@@ -1,5 +1,6 @@
 """Weighted EDF statistics, Monte-Carlo p-values, and the trial protocol."""
 
+import concurrent.futures
 import io
 import math
 import signal
@@ -320,6 +321,159 @@ class TestCompiledScores:
         assert compiled.tobytes() == numpy_.tobytes()
 
 
+# The acceptance tables' grid, and the q' on both sides of the Gaussian
+# switch and next to 3 that the bounded scorer must also hold.
+PROTOCOL_Q = (-1.0, 0.0, 1.0, 1.5, 2.0, 2.3, 2.4, 2.5, 2.6, 2.8, 2.9)
+BOUNDED_Q = PROTOCOL_Q + (0.99, 1.01, 2.99)
+
+
+def _direct_sample(q_out, M, seed, far, ties):
+    """M sorted samples for q_out: the bulk spread over the body and tails
+    of the family, a share far of them where the direct cdf saturates
+    (past +-L below q' = 1, where y/(1 + y) rounds to 1 above, and out to
+    the largest double), a share ties of them copies of others, and 0, -0
+    and +-L among them."""
+    spec = make_spec(q_out)
+    rng = np.random.default_rng(seed)
+    if q_out < 1.0 and not spec.gaussian:
+        x = rng.uniform(-1.05, 1.05, M) * spec.half_width
+    else:
+        x = rng.standard_t(1.0 / max(q_out - 1.0, 0.05), M)
+    r1 = math.sqrt(2.0 ** 53 / spec.k) if spec.k else 40.0  # y/(1+y) -> 1
+    extremes = [0.0, -0.0, spec.half_width, -spec.half_width, r1, -r1,
+                r1 * (1.0 - 1e-6), -r1 * (1.0 + 1e-6), 1e154, -3e154, 1e300,
+                -1.7976931348623157e308, 1.7976931348623157e308]
+    extremes = [e for e in extremes if math.isfinite(e)]
+    pick = rng.random(M)
+    x[pick < far] = rng.choice(extremes, int(np.count_nonzero(pick < far)))
+    copy = rng.random(M) < ties
+    x[copy] = rng.choice(x, int(np.count_nonzero(copy)))
+    return np.sort(x)
+
+
+@pytest.fixture
+def direct_kernels():
+    """scipy's scalar betainc and ndtr addresses; skips where the compiled
+    library or those kernels are missing (_score then takes its oracle)."""
+    from qgauss import distribution
+    if _orbit.kernel() is None or distribution._direct_kernels() is None:
+        pytest.skip("the compiled scorer or scipy's scalar kernels are missing")
+    return distribution._direct_kernels()
+
+
+@pytest.mark.usefixtures("direct_kernels")
+class TestBoundedScores:
+    """_score's compiled route (qgauss_bounded_scores in _orbit.c) gives
+    the bits of _both_statistics_numpy over cdf_array_direct at every
+    sample, its byte oracle, from the cdf values of the samples that can
+    hold a maximum."""
+
+    @given(q_out=st.sampled_from(BOUNDED_Q),
+           M=st.one_of(st.integers(1, 3), st.integers(4, 3000)),
+           seed=st.integers(0, 2 ** 32 - 1),
+           far=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+           ties=st.sampled_from([0.0, 0.05, 0.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_oracle(self, q_out, M, seed, far, ties):
+        """Through _score, and through the kernel on the same values in
+        any order, where the oracle scores that order."""
+        from qgauss import distribution
+        x = _direct_sample(q_out, M, seed, far, ties)
+        shuffled = np.random.default_rng(seed).permutation(x)
+        with np.errstate(all="ignore"):
+            expected = _both_statistics_numpy(cdf_array_direct(q_out, x))
+            unsorted = _both_statistics_numpy(cdf_array_direct(q_out, shuffled))
+        assert stats._score(q_out, shuffled) == expected
+        ks, ad, _ = _orbit.bounded_scores(_orbit.kernel(), make_spec(q_out), shuffled,
+                                          _edf_steps(M), distribution._direct_kernels())
+        assert (ks, ad) == unsorted
+
+    def test_matches_the_oracle_on_protocol_trials_in_few_calls(self, direct_kernels):
+        """Five protocol trials per q' of table one: the bits of the oracle,
+        from at most 1000 kernel values per 10**4-sample trial on average
+        (all 2200 trials of both tables averaged 849)."""
+        cfg = MapConfig()
+        calls = []
+        for iq, q_out in enumerate(PROTOCOL_Q):
+            spec = make_spec(q_out)
+            for trial in range(5):
+                v0, z0, sign = stats._trial_start(spec, cfg, 20260839, iq, trial)
+                x = np.sort(generate(init(spec, cfg, v0=v0, z0=z0, w0_sign=sign),
+                                     10000).xi)
+                ks, ad, n = _orbit.bounded_scores(
+                    _orbit.kernel(), spec, x, _edf_steps(x.size), direct_kernels)
+                assert (ks, ad) == _both_statistics_numpy(cdf_array_direct(q_out, x))
+                calls.append(n)
+        assert np.mean(calls) <= 1000
+
+    def test_kernels_give_the_ufuncs_bits(self, direct_kernels):
+        """betainc(0.5, a, t) at the a of every non-Gaussian q' above, over
+        t on a grid of [0, 1] dense at both ends, and ndtr over [-40, 40],
+        called through the two addresses, give the ufuncs' bits."""
+        import ctypes
+
+        import scipy.special as sc
+        betainc = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double,
+                                   ctypes.c_double, ctypes.c_int)(direct_kernels[0])
+        ndtr = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double,
+                                ctypes.c_int)(direct_kernels[1])
+        u = np.linspace(0.0, 1.0, 401)
+        t = np.unique(np.concatenate([u, u ** 6, 1.0 - u ** 6, [5e-324, 1e-300]]))
+        for q_out in BOUNDED_Q:
+            spec = make_spec(q_out)
+            if spec.gaussian:
+                continue
+            expected = sc.betainc(0.5, spec.a, t)
+            got = np.array([betainc(0.5, spec.a, v, 0) for v in t])
+            assert got.tobytes() == expected.tobytes(), q_out
+        x = np.linspace(-40.0, 40.0, 8001)
+        assert np.array([ndtr(v, 0) for v in x]).tobytes() == sc.ndtr(x).tobytes()
+
+    def test_rejects_what_it_cannot_score(self, direct_kernels):
+        lib, spec = _orbit.kernel(), make_spec(1.5)
+        x = np.linspace(-1.0, 1.0, 5)
+        steps = _edf_steps(5)
+        for bad in (x[:0], x.reshape(1, 5), x.astype(np.float32), list(x)):
+            with pytest.raises(ValueError):
+                _orbit.bounded_scores(lib, spec, bad, steps, direct_kernels)
+        with pytest.raises(ValueError):
+            _orbit.bounded_scores(lib, spec, x, _edf_steps(4), direct_kernels)
+        for kernels in ((0, direct_kernels[1]), (direct_kernels[0], None)):
+            with pytest.raises(ValueError):
+                _orbit.bounded_scores(lib, spec, x, steps, kernels)
+
+
+class TestDirectKernelFallback:
+    """Where scipy's scalar kernels cannot be read, _score takes its
+    oracle, cdf_array_direct then _both_statistics, with the same bytes."""
+
+    def test_wrong_signature_or_missing_name_reads_none(self, monkeypatch):
+        from qgauss import distribution
+        cases = [(("__pyx_fuse_0betainc", b"float (float)"),
+                  distribution._DIRECT_KERNELS[1]),
+                 (distribution._DIRECT_KERNELS[0], ("no_such_kernel", b"double (double)"))]
+        try:
+            for wrong in cases:
+                monkeypatch.setattr(distribution, "_DIRECT_KERNELS", wrong)
+                distribution._direct_kernels.cache_clear()
+                assert distribution._direct_kernels() is None
+        finally:
+            monkeypatch.undo()
+            distribution._direct_kernels.cache_clear()
+
+    def test_table_bytes_do_not_depend_on_the_kernels(self, monkeypatch, direct_kernels):
+        from qgauss import distribution
+        kw = dict(trials=2, samples=2000, n_null=99, master_seed=5)
+        q_list = [-1.0, 1.0, 1.5, 2.9]
+        out = []
+        for kernels in (distribution._direct_kernels, lambda: None):
+            monkeypatch.setattr(distribution, "_direct_kernels", kernels)
+            fh = io.StringIO()
+            run_trial_table(q_list, **kw).to_csv(fh)
+            out.append(fh.getvalue())
+        assert out[0] == out[1]
+
+
 class TestGofTest:
     def test_model_samples_pass(self):
         from qgauss.distribution import quantile
@@ -543,6 +697,16 @@ class TestCompiledLyapunov:
         lam = lyapunov(make_spec(2.99).q_int, MapConfig(l=3), z0=1.0, t=4097)
         assert math.isfinite(lam)
 
+    def test_power_out_of_range_raises_where_python_raises(self):
+        """At q_int = -3000, 2**(1 - q_int) overflows: both loops raise
+        where the first step forms it, from z0 = 1e-9 (the maps' start
+        checks reject every such start, so lyapunov itself never gets
+        there)."""
+        for t in (1, 10, 4097):
+            args = (-3000.0, MapConfig(), 1e-9, t, 0)
+            assert _lyapunov_outcome(_lyapunov_python, *args) is OverflowError
+            assert _lyapunov_outcome(_compiled_lyapunov, *args) is OverflowError
+
     def test_rejects_counts_it_cannot_run(self):
         lib = _orbit.kernel()
         radial = _radial_params(1.5, MapConfig())
@@ -683,7 +847,7 @@ class TestTrialTable:
             raise AssertionError("work started before q' was checked")
 
         monkeypatch.setattr(stats, "_null_statistics", fail)
-        monkeypatch.setattr(stats, "ProcessPoolExecutor", fail)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
         with pytest.raises(ValueError):
             run_trial_table([0.5, bad_q], trials=1, samples=100, n_null=99,
                             jobs=2)
@@ -746,7 +910,7 @@ class TestTrialTable:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(stats, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         kw = dict(trials=2, samples=300, n_null=99, master_seed=2)
         wide = run_trial_table([0.5, 1.5], jobs=10 ** 6, **kw)
         assert workers == [2]
