@@ -2,7 +2,8 @@
  * Monte Carlo null, the transform sampler and the CSV rows.
  *
  * The library has seven entry points.  qgauss_orbit is generator._run in
- * one C loop, and qgauss_lyapunov is stats.lyapunov's burn-in and average.
+ * one C loop, over orbits that share a map and q_int, and qgauss_lyapunov
+ * is stats.lyapunov's burn-in and average.
  * qgauss_take fills a block of generator.UniformStream words, and
  * qgauss_scores forms stats._both_statistics' two EDF statistics of rows of
  * sorted values; the null's sort stays in numpy.  qgauss_bounded_scores
@@ -17,9 +18,15 @@
  * stats._both_statistics_numpy, distribution.cdf_array_direct,
  * generator.gbmm_sample): circle_step is maps._circle_step, one
  * maps.chebyshev_pair step with its renormalization, and radial_step one
- * maps._radial_steps step (z, u0, u), of halves g_inv, clamp, fold (floored
- * by floor_u) and g, which every orbit and Lyapunov loop steps through;
- * qgauss_gbmm calls floor_u and g for gbmm_sample's radius.
+ * maps._radial_steps step (z, u0, u) of each of up to LANES lanes, of
+ * halves g_inv, clamp, fold (floored by floor_u) and g, which every orbit
+ * and Lyapunov loop steps through; qgauss_gbmm calls floor_u and g for
+ * gbmm_sample's radius.
+ * qgauss_orbit steps up to LANES orbits in lockstep: radial_step runs
+ * each half over every lane before the next, so the orbits' serial chains
+ * of exp and log calls, which wait on each call's latency, overlap.  Each
+ * lane takes exactly its own orbit's operations and branches, so the bits
+ * are those of the orbit stepped alone; the Lyapunov loops step one lane.
  * The orbit is chaotic, so one ulp anywhere changes every later sample;
  * the build therefore uses -ffp-contract=off (no fused multiply-add) and
  * calls only libm's exp, log, pow, sqrt, cos and sin, the functions
@@ -115,13 +122,25 @@ static inline double g(const struct radial *p, double u)
     return sqrt(-2.0 * ((exp(log(u) * p->one_m_q) - 1.0) / p->one_m_q));
 }
 
-/* The next z = g(u); *u0 is g_inv(z) before the clamp, *u the fold output. */
-static inline double radial_step(const struct radial *p, double z,
-                                 double *u0, double *u)
+/* Orbits that qgauss_orbit steps together, at most; _orbit.LANES repeats
+ * it.  exp and log take about twice as long to return as to issue, so a
+ * few lanes already fill the core, and 8 keeps the lane arrays small. */
+enum { LANES = 8 };
+
+/* One radial step of each of k lanes: z_next[j] = g(u[j]), with u0[j] =
+ * g_inv(z[j]) before the clamp and u[j] the fold output; z_next may be z.
+ * Each half runs over every lane before the next half starts, so the
+ * lanes' independent chains of libm calls overlap, and every lane takes
+ * exactly the operations, and the branches, of its own orbit. */
+static inline void radial_step(const struct radial *p, int k, const double *z,
+                               double *u0, double *u, double *z_next)
 {
-    *u0 = g_inv(p, z);
-    *u = fold(p, clamp(p, *u0));
-    return g(p, *u);
+    for (int j = 0; j < k; j++)
+        u0[j] = g_inv(p, z[j]);
+    for (int j = 0; j < k; j++)
+        u[j] = fold(p, clamp(p, u0[j]));
+    for (int j = 0; j < k; j++)
+        z_next[j] = g(p, u[j]);
 }
 
 /* (P_d(w), Q_d(w, v)), both from the old w, divided by its radius where
@@ -169,22 +188,55 @@ static inline void circle_step(int d, double tol, double *pw, double *pv)
     *pv = nv;
 }
 
-/* n steps from wvz = {w, v, z}: xi[i] = w_i*z_i, eta[i] = v_i*z_i, and the
- * end state written back to wvz.  The caller checks d in 2..8, p->c >= 1
- * and that xi and eta hold n doubles. */
-void qgauss_orbit(int d, const struct radial *p, double radius_tol,
-                  double *wvz, int64_t n, double *xi, double *eta)
+/* n steps of each of m <= LANES orbits from wvz[3j..3j+2] = {w, v, z} of
+ * orbit j, in lockstep, through one radial_step of all m lanes per step;
+ * row j of xi and eta (n doubles each, row-major) gets orbit j's outputs
+ * and the end state is written back to wvz.  Always inlined, so a call
+ * with a constant m is compiled for that m. */
+static inline __attribute__((always_inline)) void
+orbit_lanes(int d, const struct radial *p, double radius_tol, int m,
+            double *wvz, int64_t n, double *xi, double *eta)
 {
-    double w = wvz[0], v = wvz[1], z = wvz[2], u0, u;
-    for (int64_t i = 0; i < n; i++) {
-        circle_step(d, radius_tol, &w, &v);
-        z = radial_step(p, z, &u0, &u);
-        xi[i] = w * z;
-        eta[i] = v * z;
+    double w[LANES], v[LANES], z[LANES], u0[LANES], u[LANES];
+    for (int j = 0; j < m; j++) {
+        w[j] = wvz[3 * j];
+        v[j] = wvz[3 * j + 1];
+        z[j] = wvz[3 * j + 2];
     }
-    wvz[0] = w;
-    wvz[1] = v;
-    wvz[2] = z;
+    for (int64_t i = 0; i < n; i++) {
+        for (int j = 0; j < m; j++)
+            circle_step(d, radius_tol, &w[j], &v[j]);
+        radial_step(p, m, z, u0, u, z);
+        for (int j = 0; j < m; j++) {
+            xi[j * n + i] = w[j] * z[j];
+            eta[j * n + i] = v[j] * z[j];
+        }
+    }
+    for (int j = 0; j < m; j++) {
+        wvz[3 * j] = w[j];
+        wvz[3 * j + 1] = v[j];
+        wvz[3 * j + 2] = z[j];
+    }
+}
+
+/* n steps of each of k orbits that share d and p, from wvz[3j..3j+2] =
+ * {w, v, z} of orbit j: row j of xi and eta (k rows of n, row-major) gets
+ * xi[i] = w_i*z_i and eta[i] = v_i*z_i, and the end state is written back
+ * to wvz.  The orbits step LANES at a time (orbit_lanes).  A lone orbit,
+ * as generate and step run it, gets orbit_lanes compiled for one lane:
+ * its values then stay in registers, and its step costs what a one-orbit
+ * loop's does.  The caller checks d in 2..8, p->c >= 1, k >= 0 and that
+ * xi and eta hold k*n doubles. */
+void qgauss_orbit(int d, const struct radial *p, double radius_tol,
+                  int64_t k, double *wvz, int64_t n, double *xi, double *eta)
+{
+    for (int64_t j0 = 0; j0 < k; j0 += LANES) {
+        int m = k - j0 < LANES ? (int)(k - j0) : LANES;
+        if (m == 1)
+            orbit_lanes(d, p, radius_tol, 1, wvz + 3 * j0, n, xi + j0 * n, eta + j0 * n);
+        else
+            orbit_lanes(d, p, radius_tol, m, wvz + 3 * j0, n, xi + j0 * n, eta + j0 * n);
+    }
 }
 
 /* x ** y as Python's float power evaluates it, for finite x >= 0: a zero
@@ -215,7 +267,7 @@ int qgauss_lyapunov(const struct radial *p, double q_int, double z,
     double sum = 0.0, u0, u;
     int64_t n = 0;
     for (int64_t i = 0; i < burn_in; i++)
-        z = radial_step(p, z, &u0, &u);
+        radial_step(p, 1, &z, &u0, &u, &z);
     if (p->tent && p->c == 1) {
         /* z* = g(1/2), infinite where Python's math.exp overflows. */
         double z_star = g(p, 0.5);
@@ -226,7 +278,8 @@ int qgauss_lyapunov(const struct radial *p, double q_int, double z,
         double scale;
         int scale_st = py_pow(2.0, p->one_m_q, &scale);
         for (int64_t i = 0; i < t; i++) {
-            double z_next = radial_step(p, z, &u0, &u);
+            double z_next;
+            radial_step(p, 1, &z, &u0, &u, &z_next);
             double d = 0.0;
             if (z > 0.0 && fabs(z - z_star) > 1e-9) {
                 double num, w;
@@ -265,7 +318,8 @@ int qgauss_lyapunov(const struct radial *p, double q_int, double z,
     } else {
         double log_slope = (double)p->c * log(p->s);
         for (int64_t i = 0; i < t; i++) {
-            double z_next = radial_step(p, z, &u0, &u);
+            double z_next;
+            radial_step(p, 1, &z, &u0, &u, &z_next);
             u0 = clamp(p, u0);
             if (u0 > 0.0 && u > 0.0 && z > 0.0 && z_next > 0.0) {
                 sum += log_slope + q_int * (log(u0) - log(u)) + log(z) - log(z_next);

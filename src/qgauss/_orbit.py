@@ -10,8 +10,9 @@ into its own temporary file and renames it into place with os.replace, so
 processes that start together race only to write identical bytes.
 
 The library has seven entry points, each behind a wrapper here: the
-generator's orbit (orbit), one maps.chebyshev_pair and one maps.z_map
-step at a time, the Lyapunov average (lyapunov), UniformStream words
+generator's orbits (orbit), one maps.chebyshev_pair and one maps.z_map
+step at a time, of up to LANES orbits that share the map and q_int in
+lockstep, the Lyapunov average (lyapunov), UniformStream words
 (take), the two EDF statistics of rows of sorted values (scores), which
 the Monte Carlo null calls, the same two statistics of one sample under
 distribution.cdf_array_direct from the cdf values of only the samples
@@ -43,7 +44,7 @@ import hashlib
 import os
 import stat
 from pathlib import Path
-from typing import Optional, Tuple, get_type_hints
+from typing import List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -53,9 +54,17 @@ _SOURCE = Path(__file__).with_name("_orbit.c")
 
 # -ffp-contract=off keeps every product and sum separately rounded, as in
 # Python; a fused multiply-add changes the orbit's bits.
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# -falign-functions=64 starts every function on a cache line, so an edit
+# that grows one function does not move the others' loops across the
+# 64-byte instruction-fetch windows: unaligned, an unchanged
+# qgauss_scores ran 4-5% slower after the orbit grew.
+_FLAGS = ("-O2", "-ffp-contract=off", "-falign-functions=64", "-fPIC", "-shared")
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+# Orbits qgauss_orbit steps together at most: the LANES of _orbit.c, and
+# the group size of a trial-table row's trials (stats._table_row).
+LANES = 8
 
 # Bytes the row writer may need per value: the longest "%.17g" field (a
 # sign, 17 digits, a point and "e-308", see format_g17 in _orbit.c) and the
@@ -110,7 +119,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     fn = lib.qgauss_orbit
     fn.argtypes = [
         ctypes.c_int, ctypes.POINTER(_Radial), ctypes.c_double,
-        _DOUBLE_P, ctypes.c_int64, _DOUBLE_P, _DOUBLE_P,
+        ctypes.c_int64, _DOUBLE_P, ctypes.c_int64, _DOUBLE_P, _DOUBLE_P,
     ]
     fn.restype = None
     fn = lib.qgauss_lyapunov
@@ -215,25 +224,29 @@ def orbit(
     lib: ctypes.CDLL,
     d: int,
     radial: _RadialParams,
-    wvz: Tuple[float, float, float],
+    wvz: Sequence[Tuple[float, float, float]],
     n: int,
     xi: np.ndarray,
     eta: np.ndarray,
-) -> Tuple[float, float, float]:
-    """Run n steps from wvz = (w, v, z) in C, renormalizing the circle at
-    maps._RADIUS_TOL, filling xi and eta; returns the end (w, v, z).
-    Checks every argument the C loop trusts."""
+) -> List[Tuple[float, float, float]]:
+    """Run n steps of each of the K orbits that start from wvz, a sequence
+    of K (w, v, z) triples, in C, renormalizing the circle at
+    maps._RADIUS_TOL; row j of xi and eta, of shape (K, n), gets orbit j's
+    outputs.  Returns the K end (w, v, z).  The orbits step in lockstep,
+    LANES at a time, and each gets the bits it gets alone.  Checks every
+    argument the C loop trusts."""
     _check_degree(d)
     _check_count("c", radial.c, 1)
     _check_count("n", n, 0)
-    _check_array("xi", xi, (n,))
-    _check_array("eta", eta, (n,))
-    state = (ctypes.c_double * 3)(*wvz)
+    k = len(wvz)
+    _check_array("xi", xi, (k, n))
+    _check_array("eta", eta, (k, n))
+    state = (ctypes.c_double * (3 * k))(*(x for triple in wvz for x in triple))
     lib.qgauss_orbit(
-        d, _Radial(*radial), _RADIUS_TOL, state, n,
+        d, _Radial(*radial), _RADIUS_TOL, k, state, n,
         xi.ctypes.data_as(_DOUBLE_P), eta.ctypes.data_as(_DOUBLE_P),
     )
-    return state[0], state[1], state[2]
+    return [tuple(state[3 * j:3 * j + 3]) for j in range(k)]
 
 
 def lyapunov(

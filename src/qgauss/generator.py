@@ -7,10 +7,14 @@ advanced by the conjugated fold map.  Each step emits the pair
 That member is a distribution.QSpec from distribution.make_spec (both
 re-exported here), and the radial map runs at its q_int.
 
-Bit discipline: generate() and step() share one entry point (_run).  It
-runs the compiled orbit of _orbit.c, built with the system C compiler on
-the first call and cached per user (see qgauss._orbit), or, where that
-cannot be built, _run_python, which gives the same bytes and is the
+Bit discipline: generate(), step() and the trial-table rows share one
+entry point (_run), which advances a group of states that share q_int and
+the map: generate() and step() pass one, and stats._table_row a group of
+its trials.  It runs the compiled orbit of _orbit.c, built with the
+system C compiler on the first call and cached per user (see
+qgauss._orbit), which steps the group in lockstep lanes and gives each
+state the bits it gets alone, or, where that cannot be built,
+_run_python on each state in turn, which gives the same bytes and is the
 compiled orbit's test oracle.  Both take each step in the same order:
 the circle step of maps._circle_step, one maps.chebyshev_pair step, and
 the radial step of maps._radial_steps, one maps.z_map step, with its
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,26 +135,38 @@ def _run_python(
 
 
 def _run(
-    state: GeneratorState, n: int, xi_out: np.ndarray, eta_out: np.ndarray
+    states: Sequence[GeneratorState], n: int,
+    xi_out: np.ndarray, eta_out: np.ndarray,
 ) -> str:
-    """Advance the orbit n steps, filling xi_out/eta_out (shape (n,)) in
-    place; returns the loop that ran, "c" or "python".
+    """Advance each of the K states n steps, filling row j of xi_out and
+    eta_out (shape (K, n)) with state j's outputs in place; returns the
+    loop that ran, "c" or "python".
 
-    step() and generate() both call this.  The compiled orbit (_orbit.c,
-    built on the first call) runs when it can be built here, and
-    _run_python otherwise; the two give the same bytes, which
+    step() and generate() both call this with one state, and a trial-table
+    row with a group of its trials.  The states must share q_int and the
+    map.  The compiled orbit (_orbit.c, built on the first call) steps
+    them in lockstep when it can be built here, and _run_python runs each
+    in turn otherwise; every state gets the bytes it gets alone, which
     tests/test_generator.py checks, as it holds the state to chebyshev_pair
     and z_map at every step.
     """
+    if any((s.spec.q_int, s.cfg) != (states[0].spec.q_int, states[0].cfg)
+           for s in states[1:]):
+        raise ValueError("the states of one run must share q_int and the map")
     lib = _orbit.kernel()
     if lib is None:
-        _run_python(state, n, xi_out, eta_out)
+        for state, xi, eta in zip(states, xi_out, eta_out):
+            _run_python(state, n, xi, eta)
         return "python"
-    state.w, state.v, state.z = _orbit.orbit(
-        lib, state.cfg.d, _radial_params(state.spec.q_int, state.cfg),
-        (state.w, state.v, state.z), n, xi_out, eta_out,
-    )
-    state.steps += n
+    if states:
+        first = states[0]
+        ends = _orbit.orbit(
+            lib, first.cfg.d, _radial_params(first.spec.q_int, first.cfg),
+            [(s.w, s.v, s.z) for s in states], n, xi_out, eta_out,
+        )
+        for state, end in zip(states, ends):
+            state.w, state.v, state.z = end
+            state.steps += n
     return "c"
 
 
@@ -158,7 +174,7 @@ def step(state: GeneratorState) -> Tuple[float, float]:
     """Advance one step and return the output pair (xi, eta)."""
     xi = np.empty(1)
     eta = np.empty(1)
-    _run(state, 1, xi, eta)
+    _run([state], 1, xi[None], eta[None])
     return float(xi[0]), float(eta[0])
 
 
@@ -203,7 +219,7 @@ def generate(state: GeneratorState, n: int) -> SampleBatch:
         "w0_sign": state.w0_sign,
         "skipped_steps": state.steps,
     }
-    kernel = _run(state, n, xi, eta)
+    kernel = _run([state], n, xi[None], eta[None])
     return SampleBatch(
         xi=xi, eta=eta, spec=state.spec, cfg=state.cfg,
         method="chaotic", seed_info=seed_info, kernel=kernel,

@@ -17,12 +17,14 @@ import subprocess
 import sys
 import textwrap
 import types
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats as spstats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qgauss
 from oracle_reference import reference_sequence
@@ -33,6 +35,7 @@ from qgauss.generator import (
     _SM_GAMMA,
     _SM_MIX1,
     _SM_MIX2,
+    GeneratorState,
     UniformStream,
     _mix64,
     _run,
@@ -49,7 +52,9 @@ from qgauss.maps import (
     CirclePoint,
     MapConfig,
     _radial_params,
+    _radial_steps,
     _RadialParams,
+    _z_edge,
     chebyshev_pair,
     z_map,
 )
@@ -215,6 +220,11 @@ ORBIT_Q = [-1.0, 0.0, 0.5, 1.0 - 5e-13, 1.0, 1.0 + 5e-13, 1.5, 2.5, 2.9, 2.99]
 SPLIT = (1, 4095, 0, 4097)
 
 
+def _run_alone(state, n, xi, eta):
+    """_run on one state, as generate and step call it."""
+    _run([state], n, xi[None], eta[None])
+
+
 def _split_run(run, q_out, cfg):
     """xi and eta bytes, and the end (w, v, z, steps), of `run` called on
     the SPLIT sizes from one start."""
@@ -268,7 +278,7 @@ class TestCompiledOrbit:
     def test_matches_python_loop(self, d, l, c):
         cfg = MapConfig(d=d, l=l, c=c)
         for q_out in ORBIT_Q:
-            assert _split_run(_run, q_out, cfg) == _split_run(_run_python, q_out, cfg), q_out
+            assert _split_run(_run_alone, q_out, cfg) == _split_run(_run_python, q_out, cfg), q_out
 
     @pytest.mark.parametrize("c", [1, 6])
     @pytest.mark.parametrize("l, epsilon", [(2 ** 62, 5e-6), (2 ** 63 - 1, 5e-6),
@@ -282,22 +292,27 @@ class TestCompiledOrbit:
         slope is 0, so init rejects the start as absorbed."""
         cfg = MapConfig(l=l, c=c, epsilon=epsilon)
         for q_out in (q for q in ORBIT_Q if q >= 1.0):
-            assert _split_run(_run, q_out, cfg) == _split_run(_run_python, q_out, cfg), q_out
+            assert _split_run(_run_alone, q_out, cfg) == _split_run(_run_python, q_out, cfg), q_out
 
     def test_rejects_arrays_it_cannot_fill(self):
         state = init(make_spec(1.5), REF_CFG)
         good = np.empty(4)
-        for bad in (np.empty(3), np.empty(4, np.float32), np.empty(8)[::2],
-                    np.empty((2, 2)), [0.0] * 4):
+        rows = np.empty((1, 4))
+        for bad in (np.empty((1, 3)), np.empty((1, 4), np.float32),
+                    np.empty((1, 8))[:, ::2], np.empty(4), np.empty((2, 2)),
+                    np.empty((2, 4)), [[0.0] * 4]):
             with pytest.raises(ValueError):
-                _run(state, 4, bad, good)
+                _run([state], 4, bad, rows)
             with pytest.raises(ValueError):
-                _run(state, 4, good, bad)
+                _run([state], 4, rows, bad)
+        other = init(make_spec(0.5), REF_CFG)
+        with pytest.raises(ValueError, match="share"):
+            _run([state, other], 4, np.empty((2, 4)), np.empty((2, 4)))
         for d, c in ((1, 1), (9, 1), (True, 1), (8, 0), (8, 2 ** 63)):
             radial = _radial_params(1.5, REF_CFG)._replace(c=c)
             with pytest.raises(ValueError):
                 _orbit.orbit(_orbit.kernel(), d, radial,
-                             (1.0, 0.0, 1.0), 4, good, np.empty(4))
+                             [(1.0, 0.0, 1.0)], 4, rows, np.empty((1, 4)))
         fresh = init(make_spec(1.5), REF_CFG)
         assert (state.w, state.v, state.z, state.steps) == (
             fresh.w, fresh.v, fresh.z, 0)
@@ -345,6 +360,77 @@ class TestCompiledOrbit:
                 _orbit.scores(lib, *args)
 
 
+LANES = _orbit.LANES
+# Each lane's (v0, its z0 as a fraction of the start scale, w0_sign).
+LANE_START = st.tuples(st.floats(0.05, 0.95), st.floats(0.01, 0.99), st.sampled_from([-1, 1]))
+# Eight lanes and one more at q' = 0.9 (l = 2): the third starts at
+# 0.99 z_edge, whose first fold output is 0, the support edge, where it
+# stays; the others do not.
+EDGE_GROUP = [(0.1 + 0.1 * j, 0.99 if j == 2 else 0.1 + 0.1 * j, (-1) ** j)
+              for j in range(LANES + 1)]
+
+
+def _lane_states(q_out, cfg, starts):
+    """Unchecked states at starts: z0 is the fraction times the support
+    edge below q_int = 1, and times 2 from q_int = 1 up."""
+    spec = make_spec(q_out)
+    scale = _z_edge(spec.q_int) if spec.q_int < 1.0 else 2.0
+    return [GeneratorState(spec=spec, cfg=cfg, w=sign * math.sqrt(1.0 - v0 * v0),
+                           v=v0, z=frac * scale)
+            for v0, frac, sign in starts]
+
+
+@pytest.mark.usefixtures("needs_kernel")
+class TestLanes:
+    """qgauss_orbit steps its orbits in lockstep lanes; every lane must
+    get the bits of its orbit stepped alone."""
+
+    @given(q_out=st.sampled_from([1.0, -1.0, 0.9, 1.5, 2.9]), d=st.integers(2, 8),
+           l=st.sampled_from([2, 3, 5]), c=st.sampled_from([1, 6]),
+           starts=st.lists(LANE_START, max_size=2 * LANES + 1), n=st.integers(0, 120))
+    @example(q_out=1.5, d=8, l=2, c=1, starts=[], n=5)
+    @example(q_out=1.0, d=2, l=3, c=6, starts=EDGE_GROUP[:1], n=50)
+    @example(q_out=-1.0, d=6, l=5, c=1, starts=EDGE_GROUP[:LANES], n=50)
+    @example(q_out=0.9, d=8, l=2, c=1, starts=EDGE_GROUP, n=50)
+    @example(q_out=0.9, d=3, l=2, c=6, starts=EDGE_GROUP + EDGE_GROUP[-2::-1], n=50)
+    @settings(max_examples=60, deadline=None)
+    def test_lanes_match_one_orbit_at_a_time(self, q_out, d, l, c, starts, n):
+        """One K-lane _orbit.orbit call gives each orbit the xi, eta and
+        end state of a one-lane call and of _run_python, byte for byte."""
+        cfg = MapConfig(d=d, l=l, c=c)
+        lib = _orbit.kernel()
+        radial = _radial_params(make_spec(q_out).q_int, cfg)
+        states = _lane_states(q_out, cfg, starts)
+        wvz = [(s.w, s.v, s.z) for s in states]
+        xi, eta = np.empty((len(wvz), n)), np.empty((len(wvz), n))
+        ends = _orbit.orbit(lib, d, radial, wvz, n, xi, eta)
+        assert len(ends) == len(states)
+        for j, state in enumerate(states):
+            one_xi, one_eta = np.empty((1, n)), np.empty((1, n))
+            (one_end,) = _orbit.orbit(lib, d, radial, [wvz[j]], n, one_xi, one_eta)
+            py_xi, py_eta = np.empty(n), np.empty(n)
+            _run_python(state, n, py_xi, py_eta)
+            assert xi[j].tobytes() == one_xi.tobytes() == py_xi.tobytes(), j
+            assert eta[j].tobytes() == one_eta.tobytes() == py_eta.tobytes(), j
+            py_end = (state.w, state.v, state.z)
+            assert [x.hex() for x in ends[j]] == [x.hex() for x in one_end] == [
+                x.hex() for x in py_end], j
+
+    def test_lane_count_is_the_sources(self):
+        source = _orbit._SOURCE.read_text()
+        assert re.findall(r"enum \{ LANES = (\d+) \};", source) == [str(LANES)]
+
+    def test_edge_group_holds_one_lane_on_the_edge(self):
+        """The EDGE_GROUP example steps one lane onto the support edge
+        beside lanes that never reach it."""
+        q_int = make_spec(0.9).q_int
+        z_edge = _z_edge(q_int)
+        for c in (1, 6):
+            for j, state in enumerate(_lane_states(0.9, MapConfig(l=2, c=c), EDGE_GROUP)):
+                zs = [z for z, _, _ in islice(_radial_steps(q_int, state.cfg, state.z), 50)]
+                assert (z_edge in zs) == (j == 2), (c, j)
+
+
 class TestOrbitBuild:
     def test_active_whenever_cc_is_on_path(self):
         """A broken build must not fall back to Python unnoticed."""
@@ -365,15 +451,18 @@ class TestOrbitBuild:
         assert lib.stat().st_mtime_ns == mtime
         assert cache.stat().st_mode & 0o777 == 0o700
 
-    def test_source_is_strict_c99(self):
-        """_orbit.c passes a strict C99 syntax check with every warning an
-        error.  The check is a test, not a build flag, because the build
-        flags are hashed into the cache key."""
+    def test_source_is_strict_c99(self, tmp_path):
+        """_orbit.c builds under the build's own flags in strict C99 with
+        every warning an error.  It is compiled, not only syntax-checked,
+        because -Wmaybe-uninitialized and -Warray-bounds need the
+        optimizer's analysis to see the fixed-size lane arrays.  The check
+        is a test, not a build flag, because the build flags are hashed
+        into the cache key."""
         if shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         done = subprocess.run(
-            ["cc", "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror",
-             "-fsyntax-only", str(_orbit._SOURCE)],
+            ["cc", *_orbit._FLAGS, "-std=c99", "-Wall", "-Wextra", "-Wpedantic",
+             "-Werror", str(_orbit._SOURCE), "-o", str(tmp_path / "orbit.so"), "-lm"],
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr

@@ -734,14 +734,14 @@ class TestTrialTable:
         radial step that lands on the support edge, where the orbit stays;
         _trial_start halves those z0 until the step does not."""
         ends = []
-        real = stats.generate
+        real = stats._run
 
-        def recording(state, n):
-            batch = real(state, n)
-            ends.append(state.z)
-            return batch
+        def recording(states, n, xi, eta):
+            kernel = real(states, n, xi, eta)
+            ends.extend(state.z for state in states)
+            return kernel
 
-        monkeypatch.setattr(stats, "generate", recording)
+        monkeypatch.setattr(stats, "_run", recording)
         run_trial_table([0.99], trials=100, samples=50, n_null=19)
         assert len(ends) == 100
         assert _z_edge(make_spec(0.99).q_int) not in ends
@@ -771,20 +771,20 @@ class TestTrialTable:
     def test_trial_holding_a_sample_whose_square_overflows_scores(self, monkeypatch):
         """A trial holding 1e200 is scored as gof_test scores it, with that
         sample at F = 1."""
-        real = stats.generate
-        batches = []
+        real = stats._run
+        samples = []
 
-        def overflowing(state, n):
-            batch = real(state, n)
-            batch.xi[0] = 1e200
-            batches.append(batch)
-            return batch
+        def overflowing(states, n, xi, eta):
+            kernel = real(states, n, xi, eta)
+            xi[:, 0] = 1e200
+            samples.extend(xi.copy())
+            return kernel
 
-        monkeypatch.setattr(stats, "generate", overflowing)
+        monkeypatch.setattr(stats, "_run", overflowing)
         row = run_trial_table([1.5], trials=1, samples=50, n_null=19).rows[0]
-        (batch,) = batches
-        assert row.p_ks == (gof_test(batch.xi, 1.5, "ks", n_null=19).p_value,)
-        assert row.p_ad == (gof_test(batch.xi, 1.5, "ad", n_null=19).p_value,)
+        (xi,) = samples
+        assert row.p_ks == (gof_test(xi, 1.5, "ks", n_null=19).p_value,)
+        assert row.p_ad == (gof_test(xi, 1.5, "ad", n_null=19).p_value,)
 
     def test_jobs_do_not_change_results(self):
         q_list = [0.5, 1.5]
@@ -793,6 +793,40 @@ class TestTrialTable:
         parallel = run_trial_table(q_list, trials=2, samples=300, n_null=99,
                                    master_seed=2, jobs=2)
         assert serial.rows == parallel.rows
+
+    def test_lane_groups_keep_the_trials_bytes(self):
+        """Trials that cross lane-group boundaries score as each trial
+        generated alone and scored by _score gives, in the CSV bytes and
+        every p-value, with one worker or two."""
+        q_list, cfg = [0.5, 1.0, 2.5], MapConfig(d=6, c=6)
+        trials, samples, n_null = 2 * _orbit.LANES + 3, 500, 99
+        rows = []
+        ks_null, ad_null = _null_statistics(samples, n_null, DEFAULT_NULL_SEED)
+        for iq, q in enumerate(q_list):
+            spec = make_spec(q)
+            p_ks, p_ad = [], []
+            for trial in range(trials):
+                v0, z0, w0_sign = stats._trial_start(spec, cfg, 7, iq, trial)
+                batch = generate(init(spec, cfg, v0=v0, z0=z0, w0_sign=w0_sign), samples)
+                ks, ad = stats._score(q, batch.xi)
+                p_ks.append(stats._p_value(ks_null, ks))
+                p_ad.append(stats._p_value(ad_null, ad))
+            rows.append(stats.TrialRow(q_out=q, nu=spec.nu, p_ks_best=max(p_ks),
+                                       p_ad_best=max(p_ad), p_ks=tuple(p_ks),
+                                       p_ad=tuple(p_ad), kernel=batch.kernel))
+        expected = stats.TrialTable(rows=tuple(rows), cfg=cfg, trials=trials,
+                                    samples=samples, n_null=n_null, master_seed=7,
+                                    null_seed=DEFAULT_NULL_SEED)
+        for jobs in (1, 2):
+            table = run_trial_table(q_list, cfg=cfg, trials=trials, samples=samples,
+                                    master_seed=7, n_null=n_null, jobs=jobs)
+            assert [(r.p_ks, r.p_ad) for r in table.rows] == [
+                (r.p_ks, r.p_ad) for r in expected.rows]
+            csv, expected_csv = io.StringIO(), io.StringIO()
+            table.to_csv(csv)
+            expected.to_csv(expected_csv)
+            assert csv.getvalue().encode() == expected_csv.getvalue().encode()
+            assert table.rows == expected.rows
 
     def test_csv_layout(self):
         tab = run_trial_table([0.5, 1.5], trials=2, samples=200, n_null=99,
