@@ -47,6 +47,9 @@
  * Conversions", 1990, and Adams, "Ryu revisited", OOPSLA 2019, treat the
  * general case): m * 10**p >> -e or (m << e) / 10**-p, rounded half to
  * even from the remainder, as Python's dtoa and glibc's printf round.
+ * It turns them into text 8 digits at a time in one 64-bit word (SWAR:
+ * each multiply divides every lane of the word at once), and stores whole
+ * words, counting the bytes that stand after.
  *
  * The fold of order l >= 3 tests the parity of k = trunc(y) with
  * fmod(k, 2.0): y reaches s = l*(1 - epsilon), and l <= 2**63 - 1, but at
@@ -680,9 +683,9 @@ static uint64_t digits17(uint64_t m, int e, int *x10)
         if (p >= 0 && p <= 22 && e > -128 && e <= 0) {
             /* m * 10**p / 2**-e: m * 10**p < 2**53 * 2**73. */
             u128 n = (u128)m * pow10_u128(p);
-            q = n >> -e;
-            rem = n - (q << -e);
             den = (u128)1 << -e;
+            q = n >> -e;
+            rem = n & (den - 1);
         } else if (p < 0 && p >= -22 && e >= 0 && e <= 74) {
             /* (m << e) / 10**-p: m << e < 2**127. */
             u128 n = (u128)m << e;
@@ -691,8 +694,9 @@ static uint64_t digits17(uint64_t m, int e, int *x10)
             rem = n - q * den;
         } else if (p >= 0 && p <= 17 && e > 0 && e <= 10) {
             /* An integer from 2**53 up with at most 17 digits:
-             * m * 2**e * 10**p < 2**63 * 2**57, exact. */
-            q = ((u128)m << e) * pow10_u128(p);
+             * m * 2**e * 10**p < 2**63 * 2**57, exact.  Shifted last: a
+             * loop-invariant m << e is hoisted ahead of every value. */
+            q = ((u128)m * pow10_u128(p)) << e;
             rem = 0;
             den = 1;
         } else {
@@ -706,9 +710,11 @@ static uint64_t digits17(uint64_t m, int e, int *x10)
             ++*x10;
             continue;
         }
+        /* Half to even in one comparison: 2 * rem + (d & 1) > den above
+         * the half, and at the half only where d is odd.  No branch: the
+         * way it goes is as random as the digits. */
         uint64_t d = (uint64_t)q;
-        if (2 * rem > den || (2 * rem == den && (d & 1)))
-            d++;
+        d += 2 * rem + (d & 1) > den;
         if (d == pow10_u64[17]) {
             d = pow10_u64[16];
             ++*x10;
@@ -717,27 +723,42 @@ static uint64_t digits17(uint64_t m, int e, int *x10)
     }
 }
 
-static const char two_digits[] =
-    "0001020304050607080910111213141516171819"
-    "2021222324252627282930313233343536373839"
-    "4041424344454647484950515253545556575859"
-    "6061626364656667686970717273747576777879"
-    "8081828384858687888990919293949596979899";
-
-/* The 8 decimal digits of v < 10**8 at s. */
-static void put8(char *s, uint32_t v)
+/* The 8 decimal digits of v < 10**8, each as its value 0..9 in one byte
+ * of the result, the first digit in the lowest byte: v splits into two
+ * 4-digit halves, one per 32-bit lane, then each lane into two 2-digit
+ * quarters, one per 16-bit lane, then each quarter into two digits, one
+ * per byte, with every lane's quotient taken by one multiply and shift:
+ * (x * 10486) >> 20 is x / 100 for x < 10**4, and (x * 103) >> 10 is
+ * x / 10 for x < 100.  No lane's product reaches the next lane, and the
+ * bits a shift brings down from a higher lane are masked off. */
+static inline uint64_t digits8(uint32_t v)
 {
-    for (int i = 6; i >= 0; i -= 2) {
-        memcpy(s + i, two_digits + 2 * (v % 100), 2);
-        v /= 100;
-    }
+    uint64_t halves = (uint64_t)(v / 10000) | (uint64_t)(v % 10000) << 32;
+    uint64_t hundreds = (halves * 10486 >> 20) & UINT64_C(0x0000007f0000007f);
+    uint64_t quarters = hundreds | (halves - 100 * hundreds) << 16;
+    uint64_t tens = (quarters * 103 >> 10) & UINT64_C(0x000f000f000f000f);
+    return tens | (quarters - 10 * tens) << 8;
+}
+
+/* The bytes of digits8's word as ASCII, lowest byte first, at s. */
+static void put8(char *s, uint64_t digits)
+{
+    digits += UINT64_C(0x3030303030303030);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    digits = __builtin_bswap64(digits);
+#endif
+    memcpy(s, &digits, 8);
 }
 
 /* x as Python's "%.17g" % x formats it, written at out; returns the number
- * of bytes, at most 24: a sign, 17 digits, a point and "e-308".  A nan is "nan" whatever its sign, as
- * Python prints it (glibc prints "-nan"), and is never passed to snprintf.
- * Finite values outside digits17's range go to snprintf, which glibc
- * rounds exactly, half to even. */
+ * of bytes, at most 24: a sign, 17 digits, a point and "e-308".  The
+ * digits go out as 8-byte stores of digits8's words, each layout placing
+ * them with no copy of variable length and no scan for trailing zeros,
+ * and the count is taken after: a store may reach 26 bytes from out, past
+ * the bytes counted, which the next field or separator overwrites.  A nan
+ * is "nan" whatever its sign, as Python prints it (glibc prints "-nan"),
+ * and is never passed to snprintf.  Finite values outside digits17's
+ * range go to snprintf, which glibc rounds exactly, half to even. */
 static int format_g17(double x, char *out)
 {
     uint64_t bits;
@@ -749,8 +770,10 @@ static int format_g17(double x, char *out)
         memcpy(p, "nan", 3);
         return 3;
     }
-    if (bits >> 63)
-        *p++ = '-';
+    /* The sign is stored always and counted where it is set: a branch on
+     * it would be mispredicted on half of a symmetric sample. */
+    *p = '-';
+    p += bits >> 63;
     if (biased == 0x7ff) {
         memcpy(p, "inf", 3);
         return (int)(p - out) + 3;
@@ -770,51 +793,71 @@ static int format_g17(double x, char *out)
         memcpy(out, tmp, (size_t)len);
         return len;
     }
-    char digit[17];
-    uint64_t hi = d / 100000000;
-    digit[0] = (char)('0' + hi / 100000000);
-    put8(digit + 1, (uint32_t)(hi % 100000000));
-    put8(digit + 9, (uint32_t)(d % 100000000));
-    int nd = 17;
-    while (digit[nd - 1] == '0')
-        nd--;
-    if (x10 < -4 || x10 >= 17) {
-        *p++ = digit[0];
-        if (nd > 1) {
-            *p++ = '.';
-            memcpy(p, digit + 1, (size_t)(nd - 1));
-            p += nd - 1;
-        }
-        *p++ = 'e';
-        *p++ = x10 < 0 ? '-' : '+';
-        int a = x10 < 0 ? -x10 : x10;
-        if (a >= 100)
-            *p++ = (char)('0' + a / 100);
-        *p++ = (char)('0' + a / 10 % 10);
-        *p++ = (char)('0' + a % 10);
-    } else if (x10 >= 0) {
-        memcpy(p, digit, (size_t)(x10 + 1));
-        p += x10 + 1;
-        if (nd > x10 + 1) {
-            *p++ = '.';
-            memcpy(p, digit + x10 + 1, (size_t)(nd - x10 - 1));
-            p += nd - x10 - 1;
-        }
-    } else {
-        *p++ = '0';
-        *p++ = '.';
-        for (int i = -1; i > x10; i--)
-            *p++ = '0';
-        memcpy(p, digit, (size_t)nd);
-        p += nd;
+    /* d's first digit, then two words of 8; nd counts the digits up to the
+     * last nonzero one, from the zero bytes that end the words. */
+    uint32_t hi = (uint32_t)(d / 100000000);
+    char first = (char)('0' + hi / 100000000);
+    uint64_t mid = digits8(hi % 100000000);
+    uint64_t lo = digits8((uint32_t)(d % 100000000));
+    int nd = lo ? 17 - (__builtin_clzll(lo) >> 3)
+           : mid ? 9 - (__builtin_clzll(mid) >> 3) : 1;
+    if (x10 <= 0 && x10 >= -4) {
+        /* |x| < 10, the usual case, without a branch on x10: the first
+         * digit, or "0." and -x10 - 1 zeros before it, then the rest. */
+        int z = -x10;
+        memcpy(p, "0.000000", 8);
+        p[0] = z ? '0' : first;
+        p[1 + z] = first;
+        p[1] = '.';
+        put8(p + 2 + z, mid);
+        put8(p + 10 + z, lo);
+        return (int)(p - out) + z + nd + (z || nd > 1);
     }
+    if (x10 > 0 && x10 < 16) {
+        /* The first x10 + 1 digits, a point, and the rest, if any is
+         * nonzero: the word that holds the point is stored again one byte
+         * on, from the point's place. */
+        int ip = x10 + 1;
+        p[0] = first;
+        put8(p + 1, mid);
+        if (ip <= 8) {
+            put8(p + ip + 1, mid >> 8 * (ip - 1));
+            put8(p + 10, lo);
+        } else {
+            put8(p + 9, lo);
+            put8(p + ip + 1, lo >> 8 * (ip - 9));
+        }
+        p[ip] = '.';
+        return (int)(p - out) + (nd > ip ? nd + 1 : ip);
+    }
+    /* 17 digits, or one digit, a point and the rest, if any is nonzero,
+     * then the exponent: a sign and at least two digits. */
+    p[0] = first;
+    if (x10 == 16) {
+        put8(p + 1, mid);
+        put8(p + 9, lo);
+        return (int)(p - out) + 17;
+    }
+    p[1] = '.';
+    put8(p + 2, mid);
+    put8(p + 10, lo);
+    p += nd > 1 ? nd + 1 : 1;
+    *p++ = 'e';
+    *p++ = x10 < 0 ? '-' : '+';
+    int a = x10 < 0 ? -x10 : x10;
+    if (a >= 100)
+        *p++ = (char)('0' + a / 100);
+    *p++ = (char)('0' + a / 10 % 10);
+    *p++ = (char)('0' + a % 10);
     return (int)(p - out);
 }
 
 /* The rows rows of cols values of x (row-major) as CSV: each value in
  * "%.17g", the values of a row joined by ',' and each row ended by '\n'.
  * Returns the bytes written to out.  The caller checks cols >= 1 and that
- * out holds 25 bytes per value (format_g17's 24 and a separator). */
+ * out holds 26 bytes per value: format_g17 counts at most 24 and a
+ * separator follows, but its stores may reach 26 bytes from the field's
+ * start. */
 int64_t qgauss_write_rows(const double *x, int64_t rows, int64_t cols, char *out)
 {
     char *p = out;

@@ -19,7 +19,8 @@ distribution.cdf_array_direct from the cdf values of only the samples
 that can hold a maximum (bounded_scores), which stats._score calls for
 stats.gof_test and the table trials, the transform sampler's pairs
 (gbmm), which generator.gbmm_generate calls, and the "%.17g" CSV rows of
-a block of doubles (write_rows), which qgauss gen and diag write.  The
+a block of doubles (write_rows), which qgauss gen and diag write, with
+fixed-width stores of 8 digits at a time (see FIELD_BYTES).  The
 wrappers check every argument the C loops trust, with the rules of maps
 (_check_count, _check_degree); the callers check z0.
 maps._RadialParams goes to C by pointer, as the record _Radial built from
@@ -66,10 +67,12 @@ _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 # the group size of a trial-table row's trials (stats._table_row).
 LANES = 8
 
-# Bytes the row writer may need per value: the longest "%.17g" field (a
-# sign, 17 digits, a point and "e-308", see format_g17 in _orbit.c) and the
-# ',' or '\n' after it.
-FIELD_BYTES = 25
+# Bytes the row writer may need per value.  A field counts at most 25: the
+# longest "%.17g" value (a sign, 17 digits, a point and "e-308", see
+# format_g17 in _orbit.c) and the ',' or '\n' after it.  format_g17 stores
+# whole 8-byte words, which may reach 26 bytes from the field's start
+# before the next field overwrites what is past its count.
+FIELD_BYTES = 26
 
 # Status codes of qgauss_lyapunov: the exception the Python loop raises at
 # the same step.

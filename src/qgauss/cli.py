@@ -9,22 +9,26 @@ row and 17 significant digits, enough to round-trip doubles exactly.
 gen's and diag's rows are formatted a block at a time by the compiled row
 writer (_orbit.c, qgauss_write_rows), which gives the bytes of Python's
 "%.17g" % formatting, or, where the library cannot be built, by that
-formatting itself.  The CSV files that gen and table write get a JSON
-sidecar (<out>.meta.json) recording everything needed to reproduce them
-byte for byte; gof's JSON report and diag's CSV get none.
+formatting itself, and written as bytes to the output's binary layer.
+The CSV files that gen and table write get a JSON sidecar
+(<out>.meta.json) recording everything needed to reproduce them byte for
+byte, and the time each stage took; gof's JSON report and diag's CSV get
+none.  The parser is built once per process for each --jobs default, and
+main looks each subcommand's function up by name when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
 import os
 import sys
 import time
-from typing import Iterable, Iterator, List, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -132,21 +136,34 @@ def _format_rows(block: np.ndarray) -> str:
     return (row * rows) % tuple(block.ravel().tolist())
 
 
+def _byte_writer(fh: TextIO) -> Callable[[bytes], object]:
+    """The write method of fh's binary layer, with fh flushed first so
+    that the bytes follow the text already written; where fh has no binary
+    layer (io.StringIO), a write of the bytes to fh as ASCII text."""
+    buffer = getattr(fh, "buffer", None)
+    if buffer is None:
+        return lambda data: fh.write(str(data, "ascii"))
+    fh.flush()
+    return buffer.write
+
+
 def _write_rows(fh: TextIO, blocks: Iterable[np.ndarray]) -> None:
     """Write each 2-d float64 block, of at most _CSV_BLOCK rows, as CSV
-    rows of _FLOAT_FMT values: through the compiled row writer into one
-    reused buffer, or with _format_rows where it cannot be built."""
+    rows of _FLOAT_FMT values to fh's binary layer: through the compiled
+    row writer into one reused buffer, or with _format_rows, encoded once,
+    where it cannot be built."""
     lib = _orbit.kernel()
+    write = _byte_writer(fh)
     buf = np.empty(0, np.uint8)
     for block in blocks:
         if lib is None:
-            fh.write(_format_rows(block))
+            write(_format_rows(block).encode("ascii"))
             continue
         need = _orbit.FIELD_BYTES * block.size
         if buf.size < need:
             buf = np.empty(need, np.uint8)
         n = _orbit.write_rows(lib, block, buf)
-        fh.write(str(memoryview(buf)[:n], "ascii"))
+        write(memoryview(buf)[:n])
 
 
 def _write_pairs(fh: TextIO, xi: np.ndarray, eta: np.ndarray) -> None:
@@ -157,12 +174,17 @@ def _write_pairs(fh: TextIO, xi: np.ndarray, eta: np.ndarray) -> None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     _check_count("--count", args.count, 0)
+    t0 = time.perf_counter()
     batch = _smoke_batch(args)
+    t1 = time.perf_counter()
     with _output(args.out) as fh:
         fh.write("xi,eta\n")
         _write_pairs(fh, batch.xi, batch.eta)
+    t2 = time.perf_counter()
     if args.out != "-":
-        _write_sidecar(args.out, {"command": "gen", **batch.metadata()})
+        _write_sidecar(args.out, {"command": "gen", **batch.metadata(),
+                                  "generate_s": round(t1 - t0, 2),
+                                  "write_s": round(t2 - t1, 2)})
         sys.stdout.write(json.dumps({"written": args.out, "count": batch.count}) + "\n")
     return EXIT_OK
 
@@ -343,6 +365,16 @@ def _usable_cpus() -> int:
 
 
 def _build_parser() -> _Parser:
+    """The command line parser, whose table --jobs default is the CPU
+    count this process may use now: affinity can change between calls."""
+    return _parser(_usable_cpus())
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(jobs: int) -> _Parser:
+    """The parser with table --jobs defaulting to jobs, built once per
+    process and value: building one costs about a hundred argparse help
+    formatters, each of which asks for the terminal size."""
     parser = _Parser(prog="qgauss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
                             parser_class=_Parser)
@@ -353,7 +385,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=10000, help="samples to generate")
     p.add_argument("--method", choices=("chaotic", "gbmm"), default="chaotic")
     p.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
-    p.set_defaults(fn=cmd_gen)
 
     # Scores a sample file only; `qgauss gen --out FILE` makes a fresh one.
     p = sub.add_parser("gof",
@@ -365,7 +396,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-null", type=int, default=999, dest="n_null")
     p.add_argument("--null-seed", type=int, default=DEFAULT_NULL_SEED, dest="null_seed")
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_gof)
 
     # Whole flag names only, so gen's --q is not read as --q-list here.
     p = sub.add_parser("table", allow_abbrev=False,
@@ -379,11 +409,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--n-null", type=int, default=999, dest="n_null")
     p.add_argument("--null-seed", type=int, default=DEFAULT_NULL_SEED, dest="null_seed")
-    p.add_argument("--jobs", type=int, default=_usable_cpus(),
+    p.add_argument("--jobs", type=int, default=jobs,
                    help="worker processes, at most one per q' (default: the "
                    "usable CPU count, %(default)s; results independent of this)")
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("diag", help="diagnostic CSV dumps")
     _add_generator_args(p)
@@ -394,16 +423,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("chaotic", "gbmm"), default="chaotic")
     p.add_argument("--max-lag", type=int, default=100, dest="max_lag")
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_diag)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # Looked up by name at each call, not bound into the cached parser, so
+    # that whatever cmd_<name> is bound to now (a wrapper, a test's stub)
+    # is what runs.
+    command = globals()["cmd_" + args.command]
     try:
-        return args.fn(args)
+        return command(args)
     except DataError as exc:
         _fail(EXIT_DATA, "data", str(exc))
     except (ValueError, ArithmeticError) as exc:

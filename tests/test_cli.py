@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgauss
-from qgauss import __version__, _orbit, stats
+from qgauss import __version__, _orbit, cli, stats
 from qgauss.cli import (
     _CSV_BLOCK,
     _FLOAT_FMT,
@@ -59,6 +59,17 @@ def _expect_count_error(capsys, out_path, flag, *argv):
     assert not Path(str(out_path) + ".meta.json").exists()
 
 
+def _text_over_bytes():
+    """A text stream with a binary layer, as stdout and open files have."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="ascii", newline="\n")
+
+
+def _written(fh):
+    """Everything written to a _text_over_bytes stream, as text."""
+    fh.flush()
+    return fh.buffer.getvalue().decode("ascii")
+
+
 def _run_process(*argv):
     """`python -m qgauss.cli argv` in a fresh interpreter, so that stderr
     holds everything the process writes there, warnings included."""
@@ -94,6 +105,19 @@ class TestGen:
         assert "master_seed" not in meta  # a chaotic gen reads no --seed
         assert meta["kernel"] in ("c", "python")
         assert meta["version"] == __version__
+
+    def test_sidecar_records_stage_times(self, capsys, tmp_path):
+        """The sidecar holds the time of generation and of the CSV write,
+        rounded as table's elapsed_s is; the CSV bytes are those of the
+        same request to stdout."""
+        out_path = tmp_path / "samples.csv"
+        argv = ("gen", "--q", "1.5", "--count", str(_CSV_BLOCK + 1))
+        _run(capsys, *argv, "--out", str(out_path))
+        meta = json.loads((tmp_path / "samples.csv.meta.json").read_text())
+        for key in ("generate_s", "write_s"):
+            assert meta[key] >= 0.0
+            assert meta[key] == round(meta[key], 2)
+        assert out_path.read_bytes() == _run(capsys, *argv)[1].encode()
 
     @pytest.mark.parametrize("method", ["chaotic", "gbmm"])
     def test_sidecar_map_fields(self, capsys, tmp_path, method):
@@ -229,16 +253,30 @@ class TestPairWriter:
     ])
     def test_matches_per_row_format(self, xi, eta):
         xi, eta = np.array(xi, dtype=float), np.array(eta, dtype=float)
-        out = io.StringIO()
+        out = _text_over_bytes()
         _write_pairs(out, xi, eta)
-        assert out.getvalue() == _per_row(xi, eta)
+        assert _written(out) == _per_row(xi, eta)
 
     def test_spans_blocks(self):
         rng = np.random.default_rng(3)
         xi, eta = rng.standard_t(1.5, (2, 2 * _CSV_BLOCK + 3))
-        out = io.StringIO()
+        out = _text_over_bytes()
         _write_pairs(out, xi, eta)
-        assert out.getvalue() == _per_row(xi, eta)
+        assert _written(out) == _per_row(xi, eta)
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_bytes_follow_the_text_before_them(self, monkeypatch, compiled):
+        """The rows go to the binary layer after the text written before
+        them, and to a stream with no binary layer (io.StringIO) as text;
+        the compiled writer and its fallback write the same."""
+        if not compiled:
+            monkeypatch.setattr(_orbit, "kernel", lambda: None)
+        xi, eta = np.random.default_rng(4).standard_normal((2, _CSV_BLOCK + 2))
+        for out, written in ((_text_over_bytes(), _written),
+                             (io.StringIO(), io.StringIO.getvalue)):
+            out.write("xi,eta\n")
+            _write_pairs(out, xi, eta)
+            assert written(out) == "xi,eta\n" + _per_row(xi, eta)
 
 
 @pytest.mark.usefixtures("needs_kernel")
@@ -279,9 +317,9 @@ class TestRowWriter:
         _CSV_BLOCK rows, then one more."""
         rng = np.random.default_rng(cols)
         block = rng.standard_cauchy((_CSV_BLOCK + 1, cols))
-        out = io.StringIO()
+        out = _text_over_bytes()
         _write_rows(out, [block[:_CSV_BLOCK], block[_CSV_BLOCK:]])
-        assert out.getvalue() == _per_value(block)
+        assert _written(out) == _per_value(block)
 
     def test_rejects_arguments_it_cannot_trust(self):
         lib = _orbit.kernel()
@@ -299,6 +337,31 @@ class TestRowWriter:
                 _orbit.write_rows(lib, block, bad_buf)
         block.setflags(write=False)  # the block may be read-only
         assert buf[:_orbit.write_rows(lib, block, buf)].tobytes() == b"1,1\n" * 3
+
+
+@pytest.mark.usefixtures("needs_kernel")
+class TestRowWriterReservation:
+    """The row writer stores whole 8-byte words past the bytes it counts,
+    but never past FIELD_BYTES per value: the bytes after an exact
+    reservation keep their value."""
+
+    # The longest stores: a sign, 16 digits before the point and a word
+    # stored again one byte on; a sign and "0.000" before 17 digits; a
+    # sign, 17 digits and a three-digit exponent.
+    _LONGEST = [-1234567890123456.8, -9999999999999998.0, -0.00012345678901234567,
+                -1.2345678901234567e-300, -1.7976931348623157e308]
+
+    @given(values=st.lists(st.one_of(_WRITER_VALUES, st.sampled_from(_LONGEST)),
+                           min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    @example(values=_LONGEST)
+    def test_stores_stay_in_the_reservation(self, values):
+        for block in (np.array(values).reshape(-1, 1), np.array([values])):
+            size = _orbit.FIELD_BYTES * block.size
+            buf = np.full(size + 64, 0xA5, np.uint8)
+            n = _orbit.write_rows(_orbit.kernel(), block, buf[:size])
+            assert buf[:n].tobytes().decode() == _per_value(block)
+            assert (buf[size:] == 0xA5).all()
 
 
 class TestGof:
@@ -639,6 +702,52 @@ class TestTopLevel:
         code, out, _ = _run(capsys, "gen", "--count", "3")
         assert code == EXIT_OK
         assert len(out.splitlines()) == 4
+
+
+class TestCachedParser:
+    """main builds its parser once per process (per --jobs default) and
+    looks each subcommand's function up when it runs."""
+
+    def test_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_gen_then_gof_give_the_bytes_of_separate_processes(self, capsys, tmp_path):
+        gen = ["gen", "--q", "2.5", "--count", "300"]
+        gof = ["gof", "--q", "2.5", "--n-null", "19", "--kind", "both"]
+        here, there = tmp_path / "here", tmp_path / "there"
+        for d in (here, there):
+            d.mkdir()
+        assert _run(capsys, *gen, "--out", str(here / "g.csv"))[0] == EXIT_OK
+        assert _run(capsys, *gof, "--in", str(here / "g.csv"),
+                    "--out", str(here / "r.json"))[0] == EXIT_OK
+        assert _run_process(*gen, "--out", str(there / "g.csv"))[0] == EXIT_OK
+        assert _run_process(*gof, "--in", str(there / "g.csv"),
+                            "--out", str(there / "r.json"))[0] == EXIT_OK
+        for name in ("g.csv", "r.json"):
+            assert (here / name).read_bytes() == (there / name).read_bytes()
+
+    def test_rebinding_a_command_after_a_first_call_is_honoured(self, capsys, monkeypatch):
+        assert _run(capsys, "gen", "--count", "2")[0] == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_gen", lambda args: seen.append(args.count) or 7)
+        assert main(["gen", "--count", "5"]) == 7
+        assert seen == [5]
+
+    def test_jobs_default_follows_the_affinity_at_each_call(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_table", lambda args: seen.append(args.jobs) or 0)
+        for cpus in ({0}, {0, 1, 2}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c,
+                                raising=False)
+            assert main(["table"]) == EXIT_OK
+        assert seen == [1, 3, 1]
+
+    def test_usage_error_leaves_the_next_call_alone(self, capsys):
+        argv = ("gen", "--q", "1.5", "--count", "4", "--v0", "0.3")
+        before = _run(capsys, *argv)
+        code, out, err = _run_expect_exit(capsys, "gen", "--count", "x", "--method", "nope")
+        assert (code, out, json.loads(err)["error"]) == (EXIT_USAGE, "", "usage")
+        assert _run(capsys, *argv) == before
 
 
 class TestOutput:
