@@ -52,6 +52,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 _FLOAT_FMT = "%.17g"
+# Every character a CSV row of _FLOAT_FMT values can hold.
+_CSV_CHARS = "0123456789+-.,einaf\n"
 # Rows per block that _write_rows formats: into one reused buffer of
 # _orbit.FIELD_BYTES per value by the compiled row writer, or with one %
 # call where the library cannot be built.  The bound keeps the buffer, and
@@ -139,9 +141,11 @@ def _format_rows(block: np.ndarray) -> str:
 def _byte_writer(fh: TextIO) -> Callable[[bytes], object]:
     """The write method of fh's binary layer, with fh flushed first so
     that the bytes follow the text already written; where fh has no binary
-    layer (io.StringIO), a write of the bytes to fh as ASCII text."""
+    layer (io.StringIO), or its encoding writes the characters of a CSV
+    row otherwise than ASCII does (UTF-16), a write of the bytes to fh as
+    ASCII text."""
     buffer = getattr(fh, "buffer", None)
-    if buffer is None:
+    if buffer is None or _CSV_CHARS.encode(fh.encoding) != _CSV_CHARS.encode("ascii"):
         return lambda data: fh.write(str(data, "ascii"))
     fh.flush()
     return buffer.write

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _orbit, distribution
 from .distribution import QSpec, make_spec
-from .generator import UniformStream, _run, derive_seed, init
+from .generator import GeneratorState, UniformStream, _run, derive_seed, init
 from .maps import (
     MapConfig,
     _check_count,
@@ -51,6 +51,7 @@ from .maps import (
     _fold_derivative,
     _g,
     _is_absorbed,
+    _is_real,
     _radial_params,
     _radial_steps,
     _z_edge,
@@ -473,8 +474,8 @@ class TrialTable:
 
 def _trial_start(
     spec: QSpec, cfg: MapConfig, master_seed: int, iq: int, trial: int
-) -> Tuple[float, float, int]:
-    """Derive (v0, z0, w0_sign) for one trial from its substream.
+) -> GeneratorState:
+    """One trial's orbit state, from (v0, z0, w0_sign) drawn off its substream.
 
     For q_int < 1, z0 is halved until maps._check_start passes it, that is
     until its first radial step no longer lands on the support edge or on
@@ -484,9 +485,7 @@ def _trial_start(
     z0 reaches 0 and ValueError is raised.
     """
     stream = UniformStream(derive_seed(master_seed, iq, trial))
-    u1 = stream.next_float()
-    u2 = stream.next_float()
-    u3 = stream.next_float()
+    u1, u2, u3 = stream.next_float(), stream.next_float(), stream.next_float()
     v0 = 0.05 + 0.9 * u1
     if spec.q_int < 1.0:
         z0 = (0.05 + 0.9 * u2) * _z_edge(spec.q_int)
@@ -499,15 +498,14 @@ def _trial_start(
                              % (spec.q_out, cfg.l, cfg.c))
     else:
         z0 = 0.05 + 0.9 * u2
-    w0_sign = 1 if u3 < 0.5 else -1
-    return v0, z0, w0_sign
+    return init(spec, cfg, v0=v0, z0=z0, w0_sign=1 if u3 < 0.5 else -1)
 
 
 def _table_row(
-    args: Tuple[float, MapConfig, List[Tuple[float, float, int]], int,
-                np.ndarray, np.ndarray]
+    args: Tuple[List[GeneratorState], int, np.ndarray, np.ndarray]
 ) -> TrialRow:
-    """One table row: each trial scored by _score, as gof_test scores.
+    """One table row from its trials' orbit states, which share a QSpec
+    and a map: each trial scored by _score, as gof_test scores.
 
     The trials are generated _orbit.LANES at a time, each group by one
     generator._run into one reused pair of (group, samples) arrays, so
@@ -515,31 +513,23 @@ def _table_row(
     bits generate gives it alone, and a row's memory does not grow with
     its trials.
     """
-    q_out, cfg, starts, samples, ks_null, ad_null = args
-    spec = make_spec(q_out)
-    group = min(len(starts), _orbit.LANES)
+    states, samples, ks_null, ad_null = args
+    spec = states[0].spec
+    group = min(len(states), _orbit.LANES)
     xi = np.empty((group, samples))
     eta = np.empty((group, samples))
     p_ks: List[float] = []
     p_ad: List[float] = []
-    for j in range(0, len(starts), group):
-        states = [init(spec, cfg, v0=v0, z0=z0, w0_sign=w0_sign)
-                  for v0, z0, w0_sign in starts[j:j + group]]
-        k = len(states)
-        kernel = _run(states, samples, xi[:k], eta[:k])
+    for j in range(0, len(states), group):
+        k = min(group, len(states) - j)
+        kernel = _run(states[j:j + k], samples, xi[:k], eta[:k])
         for trial_xi in xi[:k]:
-            ks, ad = _score(q_out, trial_xi)
+            ks, ad = _score(spec.q_out, trial_xi)
             p_ks.append(_p_value(ks_null, ks))
             p_ad.append(_p_value(ad_null, ad))
-    return TrialRow(
-        q_out=q_out,
-        nu=spec.nu,
-        p_ks_best=max(p_ks),
-        p_ad_best=max(p_ad),
-        p_ks=tuple(p_ks),
-        p_ad=tuple(p_ad),
-        kernel=kernel,
-    )
+    return TrialRow(q_out=spec.q_out, nu=spec.nu, p_ks_best=max(p_ks),
+                    p_ad_best=max(p_ad), p_ks=tuple(p_ks), p_ad=tuple(p_ad),
+                    kernel=kernel)
 
 
 def run_trial_table(
@@ -560,6 +550,12 @@ def run_trial_table(
     trial is scored as gof_test scores a sample.  Every argument (each of at
     least one q', both seeds in 0..2**64-1) is checked, and every trial's
     start derived, before the null is built or a worker starts.
+
+    The pool uses the interpreter's default start method.  Under spawn or
+    forkserver (forkserver is the Linux default from Python 3.14), a
+    script that calls this with jobs > 1 must do so under
+    ``if __name__ == "__main__":``: each worker imports the script again,
+    raises RuntimeError there, and the call fails with BrokenProcessPool.
     """
     _check_count("trials", trials, 1)
     _check_count("samples", samples, 1)
@@ -567,19 +563,14 @@ def run_trial_table(
     _check_count("jobs", jobs, 1)
     _check_count("master_seed", master_seed, 0, 2 ** 64 - 1)
     _check_count("null_seed", null_seed, 0, 2 ** 64 - 1)
-    q_out = [float(make_spec(q).q_out) for q in q_list]
-    _check_count("len(q_list)", len(q_out), 1)
-    starts = []
-    for iq, q in enumerate(q_out):
-        spec = make_spec(q)
-        starts.append([_trial_start(spec, cfg, master_seed, iq, trial)
-                       for trial in range(trials)])
+    # Each row's spec and q_out in double, whatever real type q_list holds.
+    specs = [make_spec(float(q) if _is_real(q) else q) for q in q_list]
+    _check_count("len(q_list)", len(specs), 1)
+    states = [[_trial_start(spec, cfg, master_seed, iq, trial)
+               for trial in range(trials)] for iq, spec in enumerate(specs)]
     # One null for every row, built here so pool workers do not rebuild it.
     ks_null, ad_null = _null_statistics(samples, n_null, null_seed)
-    tasks = [
-        (q, cfg, row_starts, samples, ks_null, ad_null)
-        for q, row_starts in zip(q_out, starts)
-    ]
+    tasks = [(row_states, samples, ks_null, ad_null) for row_states in states]
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -59,15 +59,15 @@ def _expect_count_error(capsys, out_path, flag, *argv):
     assert not Path(str(out_path) + ".meta.json").exists()
 
 
-def _text_over_bytes():
+def _text_over_bytes(encoding="ascii"):
     """A text stream with a binary layer, as stdout and open files have."""
-    return io.TextIOWrapper(io.BytesIO(), encoding="ascii", newline="\n")
+    return io.TextIOWrapper(io.BytesIO(), encoding=encoding, newline="\n")
 
 
 def _written(fh):
     """Everything written to a _text_over_bytes stream, as text."""
     fh.flush()
-    return fh.buffer.getvalue().decode("ascii")
+    return fh.buffer.getvalue().decode(fh.encoding)
 
 
 def _run_process(*argv):
@@ -267,16 +267,25 @@ class TestPairWriter:
     @pytest.mark.parametrize("compiled", [True, False])
     def test_bytes_follow_the_text_before_them(self, monkeypatch, compiled):
         """The rows go to the binary layer after the text written before
-        them, and to a stream with no binary layer (io.StringIO) as text;
-        the compiled writer and its fallback write the same."""
+        them, and as text to a stream with no binary layer (io.StringIO)
+        or one whose encoding writes them otherwise than ASCII does
+        (UTF-16, UTF-32); the compiled writer and its fallback write the
+        same."""
         if not compiled:
             monkeypatch.setattr(_orbit, "kernel", lambda: None)
         xi, eta = np.random.default_rng(4).standard_normal((2, _CSV_BLOCK + 2))
         for out, written in ((_text_over_bytes(), _written),
-                             (io.StringIO(), io.StringIO.getvalue)):
+                             (io.StringIO(), io.StringIO.getvalue),
+                             (_text_over_bytes("utf-16"), _written),
+                             (_text_over_bytes("utf-32"), _written)):
             out.write("xi,eta\n")
             _write_pairs(out, xi, eta)
             assert written(out) == "xi,eta\n" + _per_row(xi, eta)
+
+    @pytest.mark.parametrize("encoding", ["ascii", "utf-8", "latin-1"])
+    def test_ascii_compatible_encodings_get_bytes(self, encoding):
+        out = _text_over_bytes(encoding)
+        assert cli._byte_writer(out) == out.buffer.write
 
 
 @pytest.mark.usefixtures("needs_kernel")
@@ -459,6 +468,26 @@ class TestGof:
         code, _, err = _run_expect_exit(capsys, "gof", "--in", str(path))
         assert code == EXIT_DATA
 
+    def test_header_only_file_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("xi,eta\n")
+        code, _, err = _run_expect_exit(capsys, "gof", "--in", str(path))
+        assert code == EXIT_DATA
+        error = json.loads(err)
+        assert error["error"] == "data"
+        assert "contains no numeric samples" in error["message"]
+
+    def test_blank_lines_are_skipped(self, capsys, tmp_path):
+        """Blank lines, empty or white space, anywhere after the header
+        leave the report as it is without them."""
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text("xi\n0.25\n-1.5\n2.0\n")
+        blank.write_text("xi\n\n0.25\n  \n-1.5\n\t\n2.0\n\n")
+        reports = [_run(capsys, "gof", "--q", "1.5", "--in", str(path),
+                        "--n-null", "19") for path in (plain, blank)]
+        assert reports[0][0] == EXIT_OK
+        assert reports[1] == reports[0]
+
     def test_huge_sample_writes_no_warning(self, tmp_path):
         """A finite sample too large to square: the compact and the
         heavy-tailed q' both score it with nothing on stderr, without
@@ -503,13 +532,18 @@ class TestTable:
         assert code == EXIT_USAGE
         assert json.loads(err)["error"] == "domain"
 
-    @pytest.mark.parametrize("q_list", ["0.5,nan", "0.5,3.5"])
-    def test_bad_q_is_domain_error(self, capsys, q_list):
+    @pytest.mark.parametrize("q_list, message", [
+        ("0.5,nan", "q_out must be finite"), ("0.5,3.5", "q_out must be finite"),
+        ("0.5,abc", "bad --q-list"),
+    ], ids=["0.5,nan", "0.5,3.5", "0.5,abc"])
+    def test_bad_q_is_domain_error(self, capsys, q_list, message):
         code, _, err = _run_expect_exit(capsys, "table", "--q-list", q_list,
                                         "--trials", "1", "--count", "50",
                                         "--n-null", "99")
         assert code == EXIT_USAGE
-        assert json.loads(err)["error"] == "domain"
+        error = json.loads(err)
+        assert error["error"] == "domain"
+        assert message in error["message"]
 
     def test_fold_order_that_absorbs_every_start_is_domain_error(self, capsys):
         code, out, err = _run_expect_exit(capsys, "table", "--q-list", "0.5",

@@ -17,6 +17,7 @@ from qgauss.maps import (
     CirclePoint,
     MapConfig,
     chebyshev_pair,
+    _circle_step,
     _radial_steps,
     _u_floor,
     _z_edge,
@@ -124,6 +125,12 @@ class TestTriMap:
             d = (tri_map(l, eps, u + h) - tri_map(l, eps, u - h)) / (2.0 * h)
             assert abs(abs(d) - s) < 1e-4
 
+    @pytest.mark.parametrize("u", [-0.1, -5e-324, 1.0000000000000002, 1.5,
+                                   math.nan, math.inf, -math.inf])
+    def test_rejects_u_outside_unit_interval(self, u):
+        with pytest.raises(ValueError, match="u must lie in"):
+            tri_map(2, 5e-6, u)
+
 
 def _orbit_u(q_int, cfg, z0, n, burn=200):
     """Push the z orbit back to u-space through the conjugacy."""
@@ -141,6 +148,12 @@ class TestZMap:
         q_int = 0.5  # support edge sqrt(2/(1-q)) = 2
         with pytest.raises(ValueError):
             z_map(q_int, MapConfig(), 2.5)
+
+    @pytest.mark.parametrize("q_int", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_z(self, q_int, z):
+        with pytest.raises(ValueError, match="z must be finite and >= 0"):
+            z_map(q_int, MapConfig(), z)
 
     def test_output_nonnegative_finite(self):
         cfg = MapConfig()
@@ -414,6 +427,31 @@ class TestRadialStarts:
         assert len(set(zs)) > 1
 
 
+class TestCircleStarts:
+    @given(d=st.integers(2, 8),
+           v0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           w0_sign=st.sampled_from([1, -1]))
+    @example(d=8, v0=0.5, w0_sign=1)
+    @example(d=2, v0=1e-8, w0_sign=1)
+    @example(d=3, v0=1.0 - 1e-8, w0_sign=-1)
+    @settings(max_examples=60, deadline=None)
+    def test_accepted_start_never_reaches_a_short_cycle(self, d, v0, w0_sign):
+        """From init's circle point, 10**4 circle steps never reach the
+        fixed points (+-1, 0) and never come back to a state within 8
+        steps."""
+        state = init(make_spec(1.0), MapConfig(d=d), v0=v0, w0_sign=w0_sign)
+        w, v = state.w, state.v
+        ws, vs = [w], [v]
+        for _ in range(10 ** 4):
+            w, v = _circle_step(d, w, v)
+            ws.append(w)
+            vs.append(v)
+        ws, vs = np.array(ws), np.array(vs)
+        assert not np.any((np.abs(ws) == 1.0) & (vs == 0.0))
+        for k in range(1, 9):
+            assert not np.any((ws[k:] == ws[:-k]) & (vs[k:] == vs[:-k])), k
+
+
 class TestZMapDerivative:
     @pytest.mark.parametrize("q_int", [0.6, 1.0, 1.8])
     def test_matches_finite_difference(self, q_int):
@@ -439,6 +477,12 @@ class TestZMapDerivative:
         z_star = math.sqrt(2.0 * math.log(2.0))
         assert z_map_derivative(1.0, z_star - 0.2) < 0.0
         assert z_map_derivative(1.0, z_star + 0.2) > 0.0
+
+    @pytest.mark.parametrize("q_int", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("z", [0.0, -0.0, -1.0, -math.inf])
+    def test_rejects_z_at_or_below_zero(self, q_int, z):
+        with pytest.raises(ValueError, match="z must be finite and > 0"):
+            z_map_derivative(q_int, z)
 
     def test_rejects_kink_neighborhood(self):
         z_star = math.sqrt(2.0 * math.log(2.0))

@@ -18,7 +18,7 @@ from null_reference import (
 
 from qgauss import _orbit, stats
 from qgauss.distribution import cdf_array, cdf_array_direct
-from qgauss.generator import UniformStream, generate, init, make_spec
+from qgauss.generator import UniformStream, generate, make_spec
 from qgauss.maps import MapConfig, _radial_params, _z_edge
 from qgauss.stats import (
     _NULL_BLOCK,
@@ -397,9 +397,8 @@ class TestBoundedScores:
         for iq, q_out in enumerate(PROTOCOL_Q):
             spec = make_spec(q_out)
             for trial in range(5):
-                v0, z0, sign = stats._trial_start(spec, cfg, 20260839, iq, trial)
-                x = np.sort(generate(init(spec, cfg, v0=v0, z0=z0, w0_sign=sign),
-                                     10000).xi)
+                state = stats._trial_start(spec, cfg, 20260839, iq, trial)
+                x = np.sort(generate(state, 10000).xi)
                 ks, ad, n = _orbit.bounded_scores(
                     _orbit.kernel(), spec, x, _edf_steps(x.size), direct_kernels)
                 assert (ks, ad) == _both_statistics_numpy(cdf_array_direct(q_out, x))
@@ -806,8 +805,7 @@ class TestTrialTable:
             spec = make_spec(q)
             p_ks, p_ad = [], []
             for trial in range(trials):
-                v0, z0, w0_sign = stats._trial_start(spec, cfg, 7, iq, trial)
-                batch = generate(init(spec, cfg, v0=v0, z0=z0, w0_sign=w0_sign), samples)
+                batch = generate(stats._trial_start(spec, cfg, 7, iq, trial), samples)
                 ks, ad = stats._score(q, batch.xi)
                 p_ks.append(stats._p_value(ks_null, ks))
                 p_ad.append(stats._p_value(ad_null, ad))
@@ -886,6 +884,14 @@ class TestTrialTable:
             run_trial_table([0.5, bad_q], trials=1, samples=100, n_null=99,
                             jobs=2)
 
+    def test_real_q_gives_the_rows_of_its_float(self):
+        """A q' given as an int or a numpy float32 is made a float before
+        its spec, so its row, orbit included, is that of float(q')."""
+        kw = dict(trials=2, samples=200, n_null=19, master_seed=8)
+        rows = run_trial_table([1, np.float32(1.5)], **kw).rows
+        assert rows == run_trial_table([1.0, 1.5], **kw).rows
+        assert [type(row.q_out) for row in rows] == [float, float]
+
     def test_rejects_empty_grid_before_work(self, monkeypatch):
         """A q_list with no q' is rejected with the counts, before the null
         is built: a table of no rows is no table."""
@@ -908,9 +914,7 @@ class TestTrialTable:
         for iq, (q_out, row) in enumerate(zip(q_list, table.rows)):
             spec = make_spec(q_out)
             for trial in range(2):
-                v0, z0, w0_sign = stats._trial_start(spec, MapConfig(), 5, iq, trial)
-                state = init(spec, MapConfig(), v0=v0, z0=z0, w0_sign=w0_sign)
-                xi = generate(state, 1000).xi
+                xi = generate(stats._trial_start(spec, MapConfig(), 5, iq, trial), 1000).xi
                 x = np.sort(xi)
                 for kind, p in (("ks", row.p_ks[trial]), ("ad", row.p_ad[trial])):
                     assert p == gof_test(xi, q_out, kind=kind, n_null=99).p_value
