@@ -151,13 +151,16 @@ def _byte_writer(fh: TextIO) -> Callable[[bytes], object]:
     return buffer.write
 
 
-def _write_rows(fh: TextIO, blocks: Iterable[np.ndarray]) -> None:
-    """Write each 2-d float64 block, of at most _CSV_BLOCK rows, as CSV
-    rows of _FLOAT_FMT values to fh's binary layer: through the compiled
-    row writer into one reused buffer, or with _format_rows, encoded once,
-    where it cannot be built."""
+def _write_rows(fh: TextIO, blocks: Iterable[np.ndarray], header: str = "") -> None:
+    """Write the header line, if any, then each 2-d float64 block, of at
+    most _CSV_BLOCK rows, as CSV rows of _FLOAT_FMT values to fh's binary
+    layer: through the compiled row writer into one reused buffer, or with
+    _format_rows, encoded once, where it cannot be built.  The header goes
+    through the same writer as the rows, so every line of a byte stream
+    ends in LF, whatever newline its text layer translates to."""
     lib = _orbit.kernel()
     write = _byte_writer(fh)
+    write(header.encode("ascii"))
     buf = np.empty(0, np.uint8)
     for block in blocks:
         if lib is None:
@@ -170,10 +173,11 @@ def _write_rows(fh: TextIO, blocks: Iterable[np.ndarray]) -> None:
         write(memoryview(buf)[:n])
 
 
-def _write_pairs(fh: TextIO, xi: np.ndarray, eta: np.ndarray) -> None:
-    """One "xi,eta" row per pair, a block of _CSV_BLOCK rows at a time."""
+def _write_pairs(fh: TextIO, xi: np.ndarray, eta: np.ndarray, header: str = "") -> None:
+    """The header line, if any, then one "xi,eta" row per pair, a block
+    of _CSV_BLOCK rows at a time."""
     _write_rows(fh, (np.column_stack((xi[lo:lo + _CSV_BLOCK], eta[lo:lo + _CSV_BLOCK]))
-                     for lo in range(0, xi.size, _CSV_BLOCK)))
+                     for lo in range(0, xi.size, _CSV_BLOCK)), header)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -182,8 +186,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     batch = _smoke_batch(args)
     t1 = time.perf_counter()
     with _output(args.out) as fh:
-        fh.write("xi,eta\n")
-        _write_pairs(fh, batch.xi, batch.eta)
+        _write_pairs(fh, batch.xi, batch.eta, "xi,eta\n")
     t2 = time.perf_counter()
     if args.out != "-":
         _write_sidecar(args.out, {"command": "gen", **batch.metadata(),
@@ -194,11 +197,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _read_sample_csv(path: str) -> np.ndarray:
-    """First numeric column of a CSV, tolerating one header row."""
+    """First numeric column of a CSV, tolerating one header row.  The
+    file is read as UTF-8, and a byte order mark before its first line is
+    dropped, so that line's sample is kept; a file that is not UTF-8 is
+    unreadable."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError("cannot read %s: %s" % (path, exc)) from exc
     values: List[float] = []
     for ln, line in enumerate(lines):
@@ -355,8 +361,7 @@ def _row_blocks(rows: Iterator[Sequence[float]]) -> Iterator[np.ndarray]:
 def cmd_diag(args: argparse.Namespace) -> int:
     header, rows = _diag_rows(args)
     with _output(args.out) as fh:
-        fh.write(header + "\n")
-        _write_rows(fh, _row_blocks(rows))
+        _write_rows(fh, _row_blocks(rows), header + "\n")
     return EXIT_OK
 
 

@@ -282,6 +282,31 @@ class TestPairWriter:
             _write_pairs(out, xi, eta)
             assert written(out) == "xi,eta\n" + _per_row(xi, eta)
 
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--q", "1.5", "--count", "5"),
+        ("diag", "--what", "return_map", "--q", "1.5", "--count", "5"),
+    ], ids=["gen", "diag"])
+    def test_header_ends_as_the_rows_do(self, monkeypatch, capsys, compiled, argv):
+        """gen and diag write their header through the rows' writer, so
+        on stdout that translates "\\n" to "\\r\\n" the bytes path ends every
+        line in LF, and a text-only stream (io.StringIO, UTF-16) ends every
+        line in CRLF, as its text layer writes them."""
+        if not compiled:
+            monkeypatch.setattr(_orbit, "kernel", lambda: None)
+        text = _run(capsys, *argv)[1]
+        assert text.count("\n") == 6 and "\r" not in text
+        crlf = text.replace("\n", "\r\n")
+        for out, written, expected in (
+                (io.TextIOWrapper(io.BytesIO(), encoding="ascii", newline="\r\n"),
+                 _written, text),
+                (io.StringIO(newline="\r\n"), io.StringIO.getvalue, crlf),
+                (io.TextIOWrapper(io.BytesIO(), encoding="utf-16", newline="\r\n"),
+                 _written, crlf)):
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(list(argv)) == EXIT_OK
+            assert written(out) == expected
+
     @pytest.mark.parametrize("encoding", ["ascii", "utf-8", "latin-1"])
     def test_ascii_compatible_encodings_get_bytes(self, encoding):
         out = _text_over_bytes(encoding)
@@ -449,9 +474,33 @@ class TestGof:
         monkeypatch.setattr(_orbit, "kernel", lambda: None)
         assert outputs("numpy") == compiled
 
+    @pytest.mark.parametrize("header", [b"", b"xi,eta\n"], ids=["no-header", "header"])
+    def test_byte_order_mark_keeps_the_first_sample(self, capsys, tmp_path, header):
+        """A UTF-8 byte order mark before the first line is not part of
+        it: a headerless file keeps its first sample, and a header is
+        still skipped."""
+        rows = b"1.5,0\n2.5,0\n3.5,0\n"
+        reports = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "xi.csv"
+            path.write_bytes(bom + header + rows)
+            code, out, _ = _run(capsys, "gof", "--q", "1.5", "--in", str(path),
+                                "--kind", "ks", "--n-null", "9")
+            assert code == EXIT_OK
+            reports.append(out)
+        assert json.loads(reports[1])["results"][0]["n_samples"] == 3
+        assert reports[1] == reports[0]
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = _run_expect_exit(capsys, "gof", "--in",
                                         str(tmp_path / "nope.csv"))
+        assert code == EXIT_DATA
+        assert json.loads(err)["error"] == "data"
+
+    def test_file_that_is_not_utf8_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"xi\n1.5\n2.5\xff\n")
+        code, _, err = _run_expect_exit(capsys, "gof", "--in", str(path))
         assert code == EXIT_DATA
         assert json.loads(err)["error"] == "data"
 

@@ -1,9 +1,11 @@
 """Weighted EDF statistics, Monte-Carlo p-values, and the trial protocol."""
 
 import concurrent.futures
+import functools
 import io
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +39,10 @@ from qgauss.stats import (
     sup_weighted_statistic,
 )
 
+
+# The per-word null reference, computed once per (M, n_null, seed): the
+# paths and cases that share one spend the tier-1 time once.
+_reference = functools.lru_cache(maxsize=None)(reference_null_statistics)
 
 # A q' from each cdf branch: compact support, Gaussian, heavy tail.
 GOF_Q = [-1.0, 0.5, 1.0, 1.5, 2.9]
@@ -168,27 +174,31 @@ class TestNullStatistics:
         # 2**64 - 7 is the 64-bit word of -7; its id keeps the short signed name
         (1, 7, 3), (50, 99, 5), (317, 41, 2 ** 64 - 1),
         pytest.param(1000, 13, 2 ** 64 - 7, id="1000-13--7"),
-        # block edges: one row per block at and past _NULL_BLOCK words,
-        # n_null one below and one above a multiple of the rows per block,
-        # and at M = 1 one replicate past a whole block
-        (_NULL_BLOCK, 3, 11), (_NULL_BLOCK + 1, 3, 12),
-        (100, 2 * (_NULL_BLOCK // 100) - 1, 13),
-        (100, 2 * (_NULL_BLOCK // 100) + 1, 14),
-        (1, _NULL_BLOCK + 1, 15),
+        # the edges of a 2**13-word block, each now inside one block
+        (8192, 3, 11), (8193, 3, 12), (100, 161, 13), (100, 163, 14),
+        (1, 8193, 15),
     ])
     def test_matches_per_word_reference(self, M, n_null, seed):
         ks, ad = _null_statistics(M, n_null, seed)
-        ks_ref, ad_ref = reference_null_statistics(M, n_null, seed)
+        ks_ref, ad_ref = _reference(M, n_null, seed)
         assert ks.tobytes() == ks_ref.tobytes()
         assert ad.tobytes() == ad_ref.tobytes()
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
     @pytest.mark.parametrize("M, n_null, seed", [
-        (1, _NULL_BLOCK + 1, 2 ** 64 - 1), (2, 9, 3),
-        (_NULL_BLOCK, 3, 2 ** 64 - 1),
+        (1, 8193, 2 ** 64 - 1), (2, 9, 3), (8192, 3, 2 ** 64 - 1),
         # 2**64 - 3 is the 64-bit word of -3; its id keeps the short signed name
-        pytest.param(_NULL_BLOCK + 1, 3, 2 ** 64 - 3, id=f"{_NULL_BLOCK + 1}-3--3"),
+        pytest.param(8193, 3, 2 ** 64 - 3, id="8193-3--3"),
         (10 ** 4, 3, 2 ** 64 - 1),
+        # _NULL_BLOCK's edges, with ids that do not move with its size: one
+        # row per block at and past _NULL_BLOCK words, n_null one below and
+        # one above a multiple of the rows per block, and at M = 7 one
+        # replicate past a whole block
+        pytest.param(_NULL_BLOCK, 3, 21, id="block-3-21"),
+        pytest.param(_NULL_BLOCK + 1, 3, 22, id="block+1-3-22"),
+        pytest.param(100, 2 * (_NULL_BLOCK // 100) - 1, 23, id="100-2rows-1-23"),
+        pytest.param(100, 2 * (_NULL_BLOCK // 100) + 1, 24, id="100-2rows+1-24"),
+        pytest.param(7, _NULL_BLOCK // 7 + 1, 25, id="7-rows+1-25"),
     ])
     def test_both_paths_match_per_word_reference(self, monkeypatch, path, M, n_null, seed):
         """The compiled words and scores, and the numpy fallback, each give
@@ -200,7 +210,7 @@ class TestNullStatistics:
             pytest.skip("the compiled library cannot be built here")
         _null_statistics.cache_clear()
         ks, ad = _null_statistics(M, n_null, seed)
-        ks_ref, ad_ref = reference_null_statistics(M, n_null, seed)
+        ks_ref, ad_ref = _reference(M, n_null, seed)
         assert ks.tobytes() == ks_ref.tobytes()
         assert ad.tobytes() == ad_ref.tobytes()
         again = _null_statistics(M, n_null, seed)
@@ -231,6 +241,28 @@ class TestNullStatistics:
         again = _null_statistics(20, 5, 1000)
         assert again is not first
         assert again[0].tobytes() == first[0].tobytes()
+
+    def test_builds_one_block_at_a_time(self, needs_kernel):
+        """A cold build's traced peak, numpy's buffers included, stays
+        below 1.25 blocks, so no block is alive beside the next one; a
+        second build leaves the first memoized pair byte-identical and
+        read-only."""
+        M, seed = 1000, 0xB10C
+        _edf_steps(M)
+        _null_statistics.cache_clear()
+        tracemalloc.start()
+        try:
+            ks, ad = _null_statistics(M, 999, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * _NULL_BLOCK
+        before = ks.tobytes(), ad.tobytes()
+        _null_statistics(M, 999, seed + 1)
+        assert (ks.tobytes(), ad.tobytes()) == before
+        assert not ks.flags.writeable and not ad.flags.writeable
+        again = _null_statistics(M, 999, seed)
+        assert again[0] is ks and again[1] is ad
 
     def test_memoized_nulls_are_read_only(self):
         """Every caller shares the memoized arrays, so a write must fail
