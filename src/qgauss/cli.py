@@ -419,7 +419,7 @@ def _parser(jobs: int) -> _Parser:
     p.add_argument("--n-null", type=int, default=999, dest="n_null")
     p.add_argument("--null-seed", type=int, default=DEFAULT_NULL_SEED, dest="null_seed")
     p.add_argument("--jobs", type=int, default=jobs,
-                   help="worker processes, at most one per q' (default: the "
+                   help="worker threads, at most one per q' (default: the "
                    "usable CPU count, %(default)s; results independent of this)")
     p.add_argument("--out", default="-")
 

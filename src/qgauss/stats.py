@@ -468,9 +468,9 @@ class TrialTable:
 
     def metadata(self) -> Dict[str, object]:
         """JSON-ready record.  "kernel" names the orbit loop that generated
-        the rows: "c" or "python", or "c,python" if pool workers differed."""
+        the rows, "c" or "python": every row runs in this process."""
         return {
-            "kernel": ",".join(sorted({row.kernel for row in self.rows})),
+            "kernel": self.rows[0].kernel,
             "d": self.cfg.d,
             "l": self.cfg.l,
             "c": self.cfg.c,
@@ -513,7 +513,8 @@ def _trial_start(
 
 
 def _table_row(
-    args: Tuple[List[GeneratorState], int, np.ndarray, np.ndarray]
+    states: List[GeneratorState], samples: int, ks_null: np.ndarray,
+    ad_null: np.ndarray,
 ) -> TrialRow:
     """One table row from its trials' orbit states, which share a QSpec
     and a map: each trial scored by _score, as gof_test scores.
@@ -524,7 +525,6 @@ def _table_row(
     bits generate gives it alone, and a row's memory does not grow with
     its trials.
     """
-    states, samples, ks_null, ad_null = args
     spec = states[0].spec
     group = min(len(states), _orbit.LANES)
     xi = np.empty((group, samples))
@@ -556,17 +556,13 @@ def run_trial_table(
     """Best-of-trials p-value table over a deformation grid.
 
     Every (q, trial) cell seeds its own generator start from a substream of
-    master_seed, so results do not depend on jobs or evaluation order; rows
-    run in a pool of at most one worker per grid value when jobs > 1.  Each
-    trial is scored as gof_test scores a sample.  Every argument (each of at
-    least one q', both seeds in 0..2**64-1) is checked, and every trial's
-    start derived, before the null is built or a worker starts.
-
-    The pool uses the interpreter's default start method.  Under spawn or
-    forkserver (forkserver is the Linux default from Python 3.14), a
-    script that calls this with jobs > 1 must do so under
-    ``if __name__ == "__main__":``: each worker imports the script again,
-    raises RuntimeError there, and the call fails with BrokenProcessPool.
+    master_seed, so results do not depend on jobs or evaluation order.  With
+    jobs > 1 the rows run on a pool of at most one thread per grid value;
+    the compiled orbit and scorer (called through ctypes) and numpy's sort
+    release the GIL.  Each trial is scored as gof_test scores a sample.
+    Every argument (each of at least one q', both seeds in 0..2**64-1) is
+    checked, and every trial's start derived, before the null is built or a
+    worker starts.
     """
     _check_count("trials", trials, 1)
     _check_count("samples", samples, 1)
@@ -579,16 +575,18 @@ def run_trial_table(
     _check_count("len(q_list)", len(specs), 1)
     states = [[_trial_start(spec, cfg, master_seed, iq, trial)
                for trial in range(trials)] for iq, spec in enumerate(specs)]
-    # One null for every row, built here so pool workers do not rebuild it.
+    # One null for every row, built here so no two worker threads build it.
     ks_null, ad_null = _null_statistics(samples, n_null, null_seed)
-    tasks = [(row_states, samples, ks_null, ad_null) for row_states in states]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    row = functools.partial(_table_row, samples=samples, ks_null=ks_null,
+                            ad_null=ad_null)
+    workers = min(jobs, len(states))
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = list(pool.map(_table_row, tasks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(row, states))
     else:
-        rows = [_table_row(t) for t in tasks]
+        rows = list(map(row, states))
     return TrialTable(
         rows=tuple(rows),
         cfg=cfg,

@@ -51,7 +51,7 @@ def test_count_rule(monkeypatch, lo, call):
     accepted.  2**63 is the one value past the rule that is tried: a huge
     count that passed would allocate."""
     for module, name in ((generator, "np"), (stats, "np"), (stats, "_orbit"),
-                         (stats, "_null_statistics"), (concurrent.futures, "ProcessPoolExecutor")):
+                         (stats, "_null_statistics"), (concurrent.futures, "ThreadPoolExecutor")):
         monkeypatch.setattr(module, name, _Poison())
     for bad in (lo - 1, 1.5, None, True, False, 2 ** 63):
         with pytest.raises(ValueError):
@@ -90,7 +90,7 @@ def test_integer_rule(monkeypatch, bad, edge, call):
     worker is touched; the edge value is accepted."""
     for module, name in ((generator, "_orbit"), (stats, "_orbit"),
                          (stats, "_trial_start"), (stats, "_null_statistics"),
-                         (concurrent.futures, "ProcessPoolExecutor")):
+                         (concurrent.futures, "ThreadPoolExecutor")):
         monkeypatch.setattr(module, name, _Poison())
     for value in bad:
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 """What a fresh interpreter imports: scipy.special only once a cdf or
-quantile is evaluated, and the build and process-pool modules only where
+quantile is evaluated, and the build and thread-pool modules only where
 they are used.
 
 The generator, gbmm, the Lyapunov estimate, `qgauss gen` and the diag kinds

@@ -3,9 +3,15 @@
 import concurrent.futures
 import functools
 import io
+import json
 import math
+import os
 import signal
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -911,7 +917,7 @@ class TestTrialTable:
             raise AssertionError("work started before q' was checked")
 
         monkeypatch.setattr(stats, "_null_statistics", fail)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", fail)
         with pytest.raises(ValueError):
             run_trial_table([0.5, bad_q], trials=1, samples=100, n_null=99,
                             jobs=2)
@@ -962,29 +968,127 @@ class TestTrialTable:
             run_trial_table([1.0], trials=1, samples=100, n_null=99, jobs=jobs)
 
     def test_pool_has_at_most_one_worker_per_row(self, monkeypatch):
-        """A huge jobs asks the pool for one worker per grid value.  A
-        stand-in pool records the request and maps serially, so no process
-        starts."""
+        """A huge jobs asks the pool for one thread per grid value, which a
+        pool that records its request before it starts shows."""
         workers = []
 
-        class SerialPool:
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 workers.append(max_workers)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         kw = dict(trials=2, samples=300, n_null=99, master_seed=2)
         wide = run_trial_table([0.5, 1.5], jobs=10 ** 6, **kw)
         assert workers == [2]
         assert wide.rows == run_trial_table([0.5, 1.5], jobs=1, **kw).rows
+
+    def test_row_error_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        """An exception raised in one row on the pool is raised by
+        run_trial_table with its type and message, and every worker thread
+        has ended by then."""
+        class RowError(Exception):
+            pass
+
+        real = stats._run
+
+        def fail_at_one(states, n, xi, eta):
+            if states[0].spec.q_out == 1.0:
+                raise RowError("no orbit at q'=1")
+            return real(states, n, xi, eta)
+
+        monkeypatch.setattr(stats, "_run", fail_at_one)
+        before = threading.active_count()
+        with pytest.raises(RowError) as raised:
+            run_trial_table([0.5, 1.0, 1.5], trials=2, samples=300, n_null=19,
+                            jobs=2)
+        assert raised.type is RowError
+        assert str(raised.value) == "no orbit at q'=1"
+        assert threading.active_count() == before
+
+
+# A fresh interpreter whose first table runs on two worker threads, so the
+# rows' first calls of distribution._special and _direct_kernels (scipy's
+# import and the kernels' addresses) come from both threads at once; then
+# the same table with jobs=1.  Prints each table's CSV and p-values.
+_FRESH_TABLE = """
+import io, json, sys
+from qgauss import distribution
+from qgauss.maps import MapConfig
+from qgauss.stats import run_trial_table
+
+assert "scipy.special" not in sys.modules
+assert distribution._direct_kernels.cache_info().currsize == 0
+tables = []
+for jobs in (2, 1):
+    table = run_trial_table(%(q)r, cfg=MapConfig(d=6, c=6), trials=3,
+                            samples=2000, n_null=99, master_seed=5, jobs=jobs)
+    csv = io.StringIO()
+    table.to_csv(csv)
+    tables.append([csv.getvalue(), [[r.p_ks, r.p_ad] for r in table.rows]])
+print(json.dumps(tables))
+"""
+
+
+class TestThreadSafety:
+    Q = [-1.0, 0.5, 1.0, 1.5, 2.9]
+
+    def test_first_table_on_two_threads_gives_the_serial_bytes(self):
+        env = dict(os.environ)
+        src = str(Path(stats.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", _FRESH_TABLE % {"q": self.Q}],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        threaded, serial = json.loads(done.stdout)
+        assert threaded == serial
+        table = run_trial_table(self.Q, cfg=MapConfig(d=6, c=6), trials=3,
+                                samples=2000, n_null=99, master_seed=5)
+        csv = io.StringIO()
+        table.to_csv(csv)
+        assert serial[0] == csv.getvalue()
+
+    def test_compiled_calls_on_two_threads_give_their_serial_bits(self, direct_kernels):
+        """_orbit.orbit and _orbit.bounded_scores, which release the GIL,
+        run in two threads at once, over every cdf branch: scipy's scalar
+        betainc and ndtr are declared noexcept nogil in cython_special.
+        Each call gives the bits it gives alone."""
+        lib, cfg, n = _orbit.kernel(), MapConfig(), 10000
+        calls = []
+        for iq, q in enumerate(self.Q):
+            spec = make_spec(q)
+            state = stats._trial_start(spec, cfg, 3, iq, 0)
+            start = [(state.w, state.v, state.z)]
+            x = np.sort(generate(state, n).xi)
+
+            def orbit(spec=spec, start=start):
+                xi, eta = np.empty((1, n)), np.empty((1, n))
+                end = _orbit.orbit(lib, cfg.d, _radial_params(spec.q_int, cfg),
+                                   start, n, xi, eta)
+                return xi.tobytes(), eta.tobytes(), end
+
+            def scores(spec=spec, x=x):
+                return _orbit.bounded_scores(lib, spec, x, _edf_steps(n),
+                                             direct_kernels)
+
+            calls += [orbit, scores]
+        serial = [call() for call in calls]
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def run(i, order):
+            barrier.wait()
+            results[i] = [[calls[j]() for j in order] for _ in range(20)]
+
+        order = list(range(len(calls)))
+        threads = [threading.Thread(target=run, args=(0, order)),
+                   threading.Thread(target=run, args=(1, order[::-1]))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(r == serial for r in results[0])
+        assert all(r == serial[::-1] for r in results[1])
 
 
 class TestSensitivityOrdering:
