@@ -26,9 +26,9 @@ full evaluation; cdf_array_direct followed by _both_statistics is the
 path wherever the library or those kernels are missing, and the byte
 oracle.
 
-The trial-table driver reruns the generator from many seeded starts and
-keeps the best p-value per deformation parameter, which is the selection
-rule the acceptance tables use.
+The trial-table driver reruns the generator from many seeded starts,
+turns each row's statistics into p-values through _p_values, the one
+rule, and keeps the best per q', the acceptance tables' selection rule.
 """
 
 from __future__ import annotations
@@ -233,10 +233,10 @@ _NULL_CACHE_SIZE = 8
 # 5% faster in one sweep and up to 9% slower in the other, for twice the
 # memory.  With the compiled library a build's traced peak is about one
 # block (527 KB at M = 1000).  The numpy fallback's draw and scoring make
-# up to three temporaries of the block's size (traced peak about 2.0 MB),
-# whose pages go back to the system after every block, so its null builds
-# about 1.5 times slower than with 2**13-word blocks.
-_NULL_BLOCK = 2 ** 16
+# up to three temporaries of the block's size, whose pages went back to
+# the system after every 2**16-word block (about 73 000 faults, 0.28 s per
+# null at M = 10**4); in 2**13-word blocks they stay mapped (1, 0.19 s).
+_NULL_BLOCK, _NULL_BLOCK_NUMPY = 2 ** 16, 2 ** 13
 
 
 @functools.lru_cache(maxsize=_NULL_CACHE_SIZE)
@@ -248,18 +248,19 @@ def _null_statistics(
     Replicate j scores the sorted uniforms of the j-th take(M) from one
     UniformStream(seed) against the identity cdf, so the result is a pure
     function of (M, n_null, seed).  The replicates are built a block of
-    rows (up to _NULL_BLOCK words) at a time: one take(rows*M) gives the
-    same words as rows consecutive take(M) calls, each row is sorted on
-    its own, and _both_statistics gives every row the bits of its 1-d
-    call.  Each block is dropped before the next is drawn, so the build's
-    memory is one block and the two result arrays.  The most
-    recently used _NULL_CACHE_SIZE results are memoized and shared by every
-    caller, so the returned arrays are read-only.
+    rows (up to _NULL_BLOCK words, _NULL_BLOCK_NUMPY on the fallback) at
+    a time: one take(rows*M) gives the same words as rows consecutive
+    take(M) calls, each row is sorted on its own, and _both_statistics
+    gives every row the bits of its 1-d call.  Each block is dropped
+    before the next is drawn, so the build's memory is one block and the
+    two result arrays.  The most recently used _NULL_CACHE_SIZE results
+    are memoized and shared by every caller, so the returned arrays are
+    read-only.
     """
     stream = UniformStream(seed)
     ks = np.empty(n_null)
     ad = np.empty(n_null)
-    block = max(1, _NULL_BLOCK // M)
+    block = max(1, (_NULL_BLOCK_NUMPY if _orbit.kernel() is None else _NULL_BLOCK) // M)
     for j in range(0, n_null, block):
         rows = min(block, n_null - j)
         u = stream.take(rows * M).reshape(rows, M)
@@ -271,9 +272,12 @@ def _null_statistics(
     return ks, ad
 
 
-def _p_value(nulls: np.ndarray, stat: float) -> float:
-    """(1 + #{null >= stat})/(n_null + 1) over the null statistics nulls."""
-    return (1.0 + int(np.count_nonzero(nulls >= stat))) / (nulls.size + 1.0)
+def _p_values(nulls: np.ndarray, stats):
+    """(1 + #{null >= s})/(n_null + 1) for each s of stats: the one p-value
+    rule.  n_null - searchsorted(sort(nulls), s, "left") is the integer
+    count_nonzero(nulls >= s) gives, 0 for a NaN s, as nulls hold no NaN."""
+    n = nulls.size
+    return (1.0 + (n - np.searchsorted(np.sort(nulls), stats, "left"))) / (n + 1.0)
 
 
 def mc_p_value(
@@ -294,7 +298,7 @@ def mc_p_value(
     _check_count("seed", seed, 0, 2 ** 64 - 1)
     if not (math.isfinite(observed) and observed >= 0.0):
         raise ValueError("observed statistic must be finite and >= 0, got %r" % (observed,))
-    return _p_value(_null_statistics(M, n_null, seed)[i], observed)
+    return float(_p_values(_null_statistics(M, n_null, seed)[i], observed))
 
 
 def gof_test(
@@ -317,7 +321,7 @@ def gof_test(
     stat = _score(q_out, samples)[i]
     return GofResult(
         q_out=q_out, kind=kind, statistic=stat,
-        p_value=_p_value(_null_statistics(len(samples), n_null, seed)[i], stat),
+        p_value=float(_p_values(_null_statistics(len(samples), n_null, seed)[i], stat)),
         n_samples=len(samples), n_null=n_null,
     )
 
@@ -442,6 +446,8 @@ class TrialRow:
     p_ad_best: float
     p_ks: Tuple[float, ...]
     p_ad: Tuple[float, ...]
+    ks: Tuple[float, ...]  # the trials' statistics, whose p-values are p_ks
+    ad: Tuple[float, ...]  # and p_ad
     kernel: str  # the orbit loop that generated it, "c" or "python"
 
 
@@ -468,7 +474,8 @@ class TrialTable:
 
     def metadata(self) -> Dict[str, object]:
         """JSON-ready record.  "kernel" names the orbit loop that generated
-        the rows, "c" or "python": every row runs in this process."""
+        the rows ("c" or "python"); "rows" each row's q' and least (KS, AD)
+        statistics, whose p-values are the CSV's best."""
         return {
             "kernel": self.rows[0].kernel,
             "d": self.cfg.d,
@@ -480,6 +487,8 @@ class TrialTable:
             "n_null": self.n_null,
             "master_seed": self.master_seed,
             "null_seed": self.null_seed,
+            "rows": [{"q": row.q_out, "ks_best": min(row.ks), "ad_best": min(row.ad)}
+                     for row in self.rows],
         }
 
 
@@ -512,12 +521,10 @@ def _trial_start(
     return init(spec, cfg, v0=v0, z0=z0, w0_sign=1 if u3 < 0.5 else -1)
 
 
-def _table_row(
-    states: List[GeneratorState], samples: int, ks_null: np.ndarray,
-    ad_null: np.ndarray,
-) -> TrialRow:
-    """One table row from its trials' orbit states, which share a QSpec
-    and a map: each trial scored by _score, as gof_test scores.
+def _table_row(states: List[GeneratorState], samples: int) -> Tuple[np.ndarray, str]:
+    """One table row's trials from their orbit states, which share a QSpec
+    and a map: a (2, trials) array of their (KS, tail-weighted) statistics
+    under _score, as gof_test scores, and the orbit loop that ran them.
 
     The trials are generated _orbit.LANES at a time, each group by one
     generator._run into one reused pair of (group, samples) arrays, so
@@ -529,18 +536,13 @@ def _table_row(
     group = min(len(states), _orbit.LANES)
     xi = np.empty((group, samples))
     eta = np.empty((group, samples))
-    p_ks: List[float] = []
-    p_ad: List[float] = []
+    scores = np.empty((2, len(states)))
     for j in range(0, len(states), group):
         k = min(group, len(states) - j)
         kernel = _run(states[j:j + k], samples, xi[:k], eta[:k])
-        for trial_xi in xi[:k]:
-            ks, ad = _score(spec.q_out, trial_xi)
-            p_ks.append(_p_value(ks_null, ks))
-            p_ad.append(_p_value(ad_null, ad))
-    return TrialRow(q_out=spec.q_out, nu=spec.nu, p_ks_best=max(p_ks),
-                    p_ad_best=max(p_ad), p_ks=tuple(p_ks), p_ad=tuple(p_ad),
-                    kernel=kernel)
+        for i, trial_xi in enumerate(xi[:k], j):
+            scores[:, i] = _score(spec.q_out, trial_xi)
+    return scores, kernel
 
 
 def run_trial_table(
@@ -559,10 +561,11 @@ def run_trial_table(
     master_seed, so results do not depend on jobs or evaluation order.  With
     jobs > 1 the rows run on a pool of at most one thread per grid value;
     the compiled orbit and scorer (called through ctypes) and numpy's sort
-    release the GIL.  Each trial is scored as gof_test scores a sample.
-    Every argument (each of at least one q', both seeds in 0..2**64-1) is
-    checked, and every trial's start derived, before the null is built or a
-    worker starts.
+    release the GIL.  Each row returns its trials' statistics, scored as
+    gof_test scores a sample, and the table turns them into p-values
+    against one null through _p_values.  Every argument (each of at least
+    one q', both seeds in 0..2**64-1) is checked, and every trial's start
+    derived, before the null is built or a worker starts.
     """
     _check_count("trials", trials, 1)
     _check_count("samples", samples, 1)
@@ -575,20 +578,27 @@ def run_trial_table(
     _check_count("len(q_list)", len(specs), 1)
     states = [[_trial_start(spec, cfg, master_seed, iq, trial)
                for trial in range(trials)] for iq, spec in enumerate(specs)]
-    # One null for every row, built here so no two worker threads build it.
+    # One null for every row, built here so no two worker threads build it,
+    # and before the rows, which ran about 5% slower with it built after.
     ks_null, ad_null = _null_statistics(samples, n_null, null_seed)
-    row = functools.partial(_table_row, samples=samples, ks_null=ks_null,
-                            ad_null=ad_null)
+    row = functools.partial(_table_row, samples=samples)
     workers = min(jobs, len(states))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, states))
+            scored = list(pool.map(row, states))
     else:
-        rows = list(map(row, states))
+        scored = list(map(row, states))
+    ks, ad = np.stack([scores for scores, _ in scored], axis=1)
+    rows = tuple(
+        TrialRow(q_out=spec.q_out, nu=spec.nu, p_ks_best=max(p_ks), p_ad_best=max(p_ad),
+                 p_ks=tuple(p_ks), p_ad=tuple(p_ad), ks=tuple(k), ad=tuple(a), kernel=kernel)
+        for spec, p_ks, p_ad, k, a, (_, kernel) in zip(
+            specs, _p_values(ks_null, ks).tolist(), _p_values(ad_null, ad).tolist(),
+            ks.tolist(), ad.tolist(), scored))
     return TrialTable(
-        rows=tuple(rows),
+        rows=rows,
         cfg=cfg,
         trials=trials,
         samples=samples,

@@ -30,7 +30,7 @@ from qgauss.cli import (
     main,
 )
 from qgauss.maps import MapConfig, z_map
-from qgauss.stats import gof_test, run_trial_table
+from qgauss.stats import gof_test, mc_p_value, run_trial_table
 
 
 def _run(capsys, *argv):
@@ -566,6 +566,25 @@ class TestTable:
         assert meta["samples"] == 200
         assert meta["kernel"] in ("c", "python")
         assert meta["version"] == __version__
+
+    def test_sidecar_rows_give_the_best_p_values(self, capsys, tmp_path):
+        """The sidecar's rows hold, per q' in grid order, the least KS and
+        AD statistic of its trials; mc_p_value of each gives the CSV's best
+        p-value bit for bit."""
+        out_path = tmp_path / "t.csv"
+        code, _, _ = _run(capsys, "table", "--q-list", "1.5,-1,2.9", "--trials", "3",
+                          "--count", "300", "--n-null", "99", "--null-seed", "5",
+                          "--out", str(out_path))
+        assert code == EXIT_OK
+        meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+        lines = out_path.read_text().splitlines()[1:]
+        assert [row["q"] for row in meta["rows"]] == [1.5, -1.0, 2.9]
+        assert [sorted(row) for row in meta["rows"]] == [["ad_best", "ks_best", "q"]] * 3
+        for row, line in zip(meta["rows"], lines, strict=True):
+            q, _, p_ad_best, p_ks_best = line.split(",")
+            assert float(q) == row["q"]
+            assert mc_p_value(300, row["ks_best"], "ks", 99, 5).hex() == float(p_ks_best).hex()
+            assert mc_p_value(300, row["ad_best"], "ad", 99, 5).hex() == float(p_ad_best).hex()
 
     def test_empty_q_list_is_usage_error(self, capsys):
         code, _, err = _run_expect_exit(capsys, "table", "--q-list", ",",

@@ -577,6 +577,42 @@ class TestOrbitBuild:
         assert len(list(cache.glob("*.so"))) == 1
         assert _no_temp_files(cache)
 
+    def test_concurrent_first_builds_from_threads(self, tmp_path):
+        """Two threads of a fresh interpreter call kernel() first, at once,
+        into an empty cache: each gets a library whose orbit gives the
+        serial bits, and the cache ends with one library and no
+        temporary file."""
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        out = _fresh_python("""
+            import hashlib, threading
+            import numpy as np
+            from qgauss import MapConfig, _orbit, init, make_spec
+            from qgauss.maps import _radial_params
+            barrier = threading.Barrier(2)
+            libs = [None, None]
+            def first(k):
+                barrier.wait(timeout=60)
+                libs[k] = _orbit.kernel()
+            threads = [threading.Thread(target=first, args=(k,)) for k in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=100)
+            assert not any(t.is_alive() for t in threads)
+            cfg = MapConfig(d=6, c=6)
+            state = init(make_spec(1.5), cfg, v0=0.3, z0=0.6)
+            for lib in libs:
+                xi, eta = np.empty((1, 5000)), np.empty((1, 5000))
+                _orbit.orbit(lib, cfg.d, _radial_params(state.spec.q_int, cfg),
+                             [(state.w, state.v, state.z)], 5000, xi, eta)
+                print(hashlib.sha256(xi.tobytes() + eta.tobytes()).hexdigest())
+        """, tmp_path, os.environ["PATH"])
+        assert out == [_python_digest(1.5, MapConfig(d=6, c=6), 5000)] * 2
+        cache = tmp_path / "qgauss"
+        assert len(list(cache.glob("orbit-*.so"))) == 1
+        assert _no_temp_files(cache)
+
 
 class TestGbmm:
     def test_reduces_to_box_muller_at_q_one(self):

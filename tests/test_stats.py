@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats as spstats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from lyapunov_reference import reference_lyapunov
 from null_reference import (
@@ -37,6 +37,7 @@ from qgauss.stats import (
     _edf_steps,
     _lyapunov_python,
     _null_statistics,
+    _p_values,
     autocorrelation,
     gof_test,
     lyapunov,
@@ -173,6 +174,38 @@ class TestMcPValue:
             pvals.append(mc_p_value(100, stat, n_null=499))
         p = spstats.kstest(pvals, "uniform").pvalue
         assert p > 0.01
+
+
+def _count_rule(nulls, s):
+    """The p-value rule written as it reads: (1 + #{null >= s})/(n_null + 1)."""
+    return (1.0 + int(np.count_nonzero(nulls >= s))) / (nulls.size + 1.0)
+
+
+# Null values that tie and that sit at the ends of the double line.
+_TIED = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf])
+
+
+class TestPValues:
+    @settings(max_examples=300, deadline=None)
+    @given(nulls=st.lists(st.one_of(st.floats(allow_nan=False), _TIED), min_size=1,
+                          max_size=60),
+           extra=st.lists(st.floats(), max_size=8))
+    @example(nulls=[-1.7976931348623157e308, 1.7976931348623157e308], extra=[])
+    def test_p_values_follow_the_count_rule(self, nulls, extra):
+        """_p_values gives the bits of the literal count rule for every s:
+        each null value (ties included), the neighbours just below and
+        above the null's range, +-inf, NaN and arbitrary doubles; for an
+        array of statistics of any shape, and for one scalar."""
+        nulls = np.array(nulls)
+        below = math.nextafter(nulls.min(), -math.inf)
+        above = math.nextafter(nulls.max(), math.inf)
+        stats_ = np.array([*nulls, *extra, below, above, -math.inf, math.inf, math.nan])
+        expected = np.array([_count_rule(nulls, s) for s in stats_])
+        assert _p_values(nulls, stats_).tobytes() == expected.tobytes()
+        grid = np.stack([stats_, stats_[::-1]])
+        assert _p_values(nulls, grid).tobytes() == np.stack([expected, expected[::-1]]).tobytes()
+        for s, p in zip(stats_, expected):
+            assert float(_p_values(nulls, float(s))).hex() == p.hex()
 
 
 class TestNullStatistics:
@@ -833,23 +866,26 @@ class TestTrialTable:
 
     def test_lane_groups_keep_the_trials_bytes(self):
         """Trials that cross lane-group boundaries score as each trial
-        generated alone and scored by _score gives, in the CSV bytes and
-        every p-value, with one worker or two."""
+        generated alone and scored by _score gives, in the CSV bytes, every
+        statistic and every p-value under the literal count rule
+        (1 + #{null >= s})/(n_null + 1), with one worker or two."""
         q_list, cfg = [0.5, 1.0, 2.5], MapConfig(d=6, c=6)
         trials, samples, n_null = 2 * _orbit.LANES + 3, 500, 99
         rows = []
-        ks_null, ad_null = _null_statistics(samples, n_null, DEFAULT_NULL_SEED)
+        nulls = _null_statistics(samples, n_null, DEFAULT_NULL_SEED)
         for iq, q in enumerate(q_list):
             spec = make_spec(q)
-            p_ks, p_ad = [], []
+            scores = []
             for trial in range(trials):
                 batch = generate(stats._trial_start(spec, cfg, 7, iq, trial), samples)
-                ks, ad = stats._score(q, batch.xi)
-                p_ks.append(stats._p_value(ks_null, ks))
-                p_ad.append(stats._p_value(ad_null, ad))
+                scores.append(stats._score(q, batch.xi))
+            ks, ad = zip(*scores)
+            p_ks, p_ad = (
+                tuple((1.0 + int(np.count_nonzero(null >= s))) / (n_null + 1.0) for s in kind)
+                for null, kind in zip(nulls, (ks, ad)))
             rows.append(stats.TrialRow(q_out=q, nu=spec.nu, p_ks_best=max(p_ks),
-                                       p_ad_best=max(p_ad), p_ks=tuple(p_ks),
-                                       p_ad=tuple(p_ad), kernel=batch.kernel))
+                                       p_ad_best=max(p_ad), p_ks=p_ks, p_ad=p_ad,
+                                       ks=ks, ad=ad, kernel=batch.kernel))
         expected = stats.TrialTable(rows=tuple(rows), cfg=cfg, trials=trials,
                                     samples=samples, n_null=n_null, master_seed=7,
                                     null_seed=DEFAULT_NULL_SEED)
