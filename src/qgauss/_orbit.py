@@ -44,6 +44,7 @@ import functools
 import hashlib
 import os
 import stat
+import threading
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, get_type_hints
 
@@ -201,11 +202,21 @@ def build(directory: Path, cc: str = "cc") -> Optional[ctypes.CDLL]:
         return None
 
 
+# Held by every kernel() call, so threads that make the first call at once
+# run one build and get one library.
+_KERNEL_LOCK = threading.Lock()
+
+
 @functools.cache
+def _kernel() -> Optional[ctypes.CDLL]:
+    return build(cache_dir())
+
+
 def kernel() -> Optional[ctypes.CDLL]:
     """The compiled library for this process, built on the first call;
     None when it cannot be built or loaded here."""
-    return build(cache_dir())
+    with _KERNEL_LOCK:
+        return _kernel()
 
 
 def _check_array(name: str, a: np.ndarray, shape: Tuple[int, ...],
@@ -309,15 +320,18 @@ _GAUSSIAN, _COMPACT, _HEAVY = 0, 1, 2
 
 
 def bounded_scores(lib: ctypes.CDLL, spec, x: np.ndarray, steps: np.ndarray,
-                   kernels: Tuple[int, int]) -> Tuple[float, float, int]:
+                   kernels: Tuple[int, int],
+                   work: Optional[np.ndarray] = None) -> Tuple[float, float, int]:
     """(KS, tail-weighted) statistics of the sample x under
     distribution.cdf_array_direct for the family member spec (a
     distribution.QSpec), against the EDF steps of stats._edf_steps(M), in
     C, and the number of betainc or ndtr calls that took.  They have the
     bits scores gives the cdf values of x.  kernels is the pair of
     addresses distribution._direct_kernels returns.  x is scored in any
-    order; sorted, few of its values are evaluated.  Checks every argument
-    the C loop trusts."""
+    order; sorted, few of its values are evaluated.  work, of shape (2*M,),
+    is the loop's scratch; a caller that scores many samples of one size
+    passes one, and without it each call allocates its own.  Checks every
+    argument the C loop trusts."""
     if not (isinstance(x, np.ndarray) and x.ndim == 1):
         raise ValueError("x must be a 1-d array of samples")
     M = x.size
@@ -327,8 +341,10 @@ def bounded_scores(lib: ctypes.CDLL, spec, x: np.ndarray, steps: np.ndarray,
     betainc, ndtr = kernels
     _check_count("betainc", betainc, 1, 2 ** 64 - 1)
     _check_count("ndtr", ndtr, 1, 2 ** 64 - 1)
+    if work is None:
+        work = np.empty(2 * M)
+    _check_array("work", work, (2 * M,))
     branch = _GAUSSIAN if spec.gaussian else _COMPACT if spec.q_out < 1.0 else _HEAVY
-    work = np.empty(2 * M)
     out = np.empty(2)
     calls = lib.qgauss_bounded_scores(
         x.ctypes.data, M, branch, spec.k, spec.a, spec.half_width,

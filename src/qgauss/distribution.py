@@ -17,23 +17,51 @@ cancellation, and the scalar cdf/ccdf call it.  quantile inverts the family
 in closed form through the inverses scipy.special ships; for the
 Student-t members it inverts the same tail cdf_array evaluates.
 
-Importing this module does not import scipy.special: the generator, the
-Lyapunov estimate and the density need none of it, and it is most of the
-package's import time.  _special() imports it on the first cdf_array,
+Importing this module loads nothing of scipy.special: the generator, the
+Lyapunov estimate and the density need none of it.  _special() loads the
+six ufuncs the closed forms call (_UFUNCS) on the first cdf_array,
 cdf_array_direct or quantile call (so on the first cdf, ccdf, gof_test or
-table row), and every later call reuses that module.  Beside it,
+table row), and every later call reuses them.  Beside it,
 _direct_kernels() reads the C addresses of the scalar betainc and ndtr
 that cdf_array_direct's ufuncs evaluate from scipy.special.cython_special,
 on the first gof_test or table row, for the compiled scorer
 (stats._score).
+
+Neither runs scipy.special's package __init__, which imports about 300
+modules (its array-API backend layer among them), costs about 15 MB and
+was half of a one-shot `qgauss gof`.  _load_private loads the compiled
+modules scipy/special/_ufuncs.*.so and cython_special.*.so from their
+files with importlib while a stand-in for the package sits in
+sys.modules: their own imports (scipy.special._ufuncs_cxx and others,
+and scipy.special itself) need a parent package.  The stand-in leaves
+sys.modules right after, so a later `import scipy.special` runs the real
+package, which finds _ufuncs loaded and exports these very ufuncs.
+cython_special leaves sys.modules too once loaded, so a later import of
+it sets it as the real package's attribute (Cython gives back the module
+it made).  This relies on private modules of scipy, and on importlib's
+module lock (importlib._bootstrap); where any step raises, both fall back
+to importing the scipy.special package, which gives the same objects.
+
+The loads hold _LOAD_LOCK, so a thread whose first call comes during
+another's load waits for the loaded module.  A thread that imports
+scipy.special meanwhile never gets the stand-in: the load holds the
+import system's lock of that name, the stand-in is marked as
+initialising, so an import that finds it waits on that lock, and an
+attribute looked up on it afterwards comes from the real package.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
+import threading
+import types
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -63,12 +91,84 @@ _LOG_FAR = math.log(_Y_FAR)
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-@functools.cache
-def _special():
-    """scipy.special, imported on first use (see the module docstring)."""
-    import scipy.special
+# The scipy.special ufuncs the closed forms call, all in scipy.special._ufuncs.
+_UFUNCS = ("ndtr", "betainc", "erfc", "betaln", "ndtri", "betaincinv")
 
-    return scipy.special
+# Held while _special or _direct_kernels loads a module of scipy.special.
+_LOAD_LOCK = threading.Lock()
+
+
+def _package_stub(name: str, path: list) -> types.ModuleType:
+    """The stand-in for the package name, whose modules are in path.
+
+    Its spec is marked as initialising, so an import that finds it in
+    sys.modules waits on the package's module lock.  An attribute it lacks
+    is read from the real package once the stand-in has left sys.modules
+    (a thread that waited holds the stand-in), and is missing before.
+    """
+    stub = types.ModuleType(name)
+    stub.__path__ = path
+    stub.__spec__ = importlib.machinery.ModuleSpec(name, None, is_package=True)
+    stub.__spec__._initializing = True
+
+    def __getattr__(attr):
+        if sys.modules.get(name) is stub:
+            raise AttributeError("module %r has no attribute %r" % (name, attr))
+        return getattr(importlib.import_module(name), attr)
+
+    stub.__getattr__ = __getattr__
+    return stub
+
+
+def _load_private(name: str, keep: bool) -> types.ModuleType:
+    """The module scipy.special.<name>, loaded from its file under a
+    stand-in for the scipy.special package (see the module docstring), or
+    through the import system where that holds it or the package already.
+    With keep False it is left out of sys.modules.  Raises where scipy's
+    layout is not the one this expects."""
+    import scipy
+
+    package, full = "scipy.special", "scipy.special." + name
+    # Taken before the stand-in goes in, so a thread's import of the
+    # package that is under way ends first, and a later one waits.
+    with importlib._bootstrap._ModuleLockManager(package):
+        if full in sys.modules or package in sys.modules:
+            return importlib.import_module(full)
+        path = [os.path.join(os.path.dirname(scipy.__file__), "special")]
+        spec = importlib.machinery.PathFinder.find_spec(full, path)
+        if spec is None:
+            raise ImportError("no %s in %s" % (full, path[0]))
+        sys.modules[package] = _package_stub(package, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[full] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[full]
+                raise
+            if not keep:
+                del sys.modules[full]
+        finally:
+            del sys.modules[package]
+    return module
+
+
+def _scipy_special(name: str, keep: bool = True) -> types.ModuleType:
+    """scipy.special.<name> through _load_private, or, where that raises,
+    imported with its package (the fallback)."""
+    with _LOAD_LOCK:
+        try:
+            return _load_private(name, keep)
+        except Exception:
+            return importlib.import_module("scipy.special." + name)
+
+
+@functools.cache
+def _special() -> types.SimpleNamespace:
+    """The ufuncs of _UFUNCS, loaded on first use (see the module docstring)."""
+    ufuncs = _scipy_special("_ufuncs")
+    return types.SimpleNamespace(**{name: getattr(ufuncs, name) for name in _UFUNCS})
 
 
 # The scalar kernels of cdf_array_direct's betainc and ndtr ufuncs in
@@ -94,7 +194,7 @@ def _direct_kernels() -> Optional[Tuple[int, int]]:
     """
     try:
         _special()
-        from scipy.special import cython_special
+        cython_special = _scipy_special("cython_special", keep=False)
 
         get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
             ("PyCapsule_GetPointer", ctypes.pythonapi))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -170,7 +171,8 @@ def _sample(samples: Sequence[float]) -> np.ndarray:
     return x
 
 
-def _score(q_out: float, samples: Sequence[float]) -> Tuple[float, float]:
+def _score(q_out: float, samples: Sequence[float],
+           work: Optional[np.ndarray] = None) -> Tuple[float, float]:
     """(KS, tail-weighted) statistics of the checked, sorted samples through
     distribution.cdf_array_direct: the one scoring function of every verdict.
 
@@ -181,7 +183,8 @@ def _score(q_out: float, samples: Sequence[float]) -> Tuple[float, float]:
     evaluates only the blocks that can reach either running maximum:
     about 900 of 10**4 values in a table trial.  It gives the bits of
     _both_statistics over cdf_array_direct at every sample, which is the
-    path everywhere else and the byte oracle.
+    path everywhere else and the byte oracle.  work is that call's scratch
+    of 2*len(samples) doubles (see _orbit.bounded_scores).
     """
     x = np.sort(_sample(samples))
     spec = make_spec(q_out)
@@ -189,7 +192,7 @@ def _score(q_out: float, samples: Sequence[float]) -> Tuple[float, float]:
     kernels = None if lib is None else distribution._direct_kernels()
     if kernels is None:
         return _both_statistics(distribution.cdf_array_direct(q_out, x))
-    ks, ad, _ = _orbit.bounded_scores(lib, spec, x, _edf_steps(x.size), kernels)
+    ks, ad, _ = _orbit.bounded_scores(lib, spec, x, _edf_steps(x.size), kernels, work)
     return ks, ad
 
 
@@ -521,7 +524,8 @@ def _trial_start(
     return init(spec, cfg, v0=v0, z0=z0, w0_sign=1 if u3 < 0.5 else -1)
 
 
-def _table_row(states: List[GeneratorState], samples: int) -> Tuple[np.ndarray, str]:
+def _table_row(states: List[GeneratorState], samples: int,
+               scratch: threading.local) -> Tuple[np.ndarray, str]:
     """One table row's trials from their orbit states, which share a QSpec
     and a map: a (2, trials) array of their (KS, tail-weighted) statistics
     under _score, as gof_test scores, and the orbit loop that ran them.
@@ -530,18 +534,28 @@ def _table_row(states: List[GeneratorState], samples: int) -> Tuple[np.ndarray, 
     generator._run into one reused pair of (group, samples) arrays, so
     the compiled orbit steps the group in lockstep; every trial gets the
     bits generate gives it alone, and a row's memory does not grow with
-    its trials.
+    its trials.  Every trial is scored in one work array of 2*samples
+    doubles (_orbit.bounded_scores).  The three arrays are made once per
+    thread that runs the table's rows (scratch, run_trial_table's
+    threading.local) and reused by its later rows.  Made per row (the
+    work array per trial), their 160-640 KB at samples = 10**4 went back
+    to the system at each free and were faulted in again, about 200 pages
+    a row, wherever glibc's mmap and trim thresholds were still low.
     """
     spec = states[0].spec
-    group = min(len(states), _orbit.LANES)
-    xi = np.empty((group, samples))
-    eta = np.empty((group, samples))
+    arrays = getattr(scratch, "arrays", None)
+    if arrays is None:
+        group = min(len(states), _orbit.LANES)
+        arrays = scratch.arrays = (np.empty((group, samples)), np.empty((group, samples)),
+                                   np.empty(2 * samples))
+    xi, eta, work = arrays
+    group = xi.shape[0]
     scores = np.empty((2, len(states)))
     for j in range(0, len(states), group):
         k = min(group, len(states) - j)
         kernel = _run(states[j:j + k], samples, xi[:k], eta[:k])
         for i, trial_xi in enumerate(xi[:k], j):
-            scores[:, i] = _score(spec.q_out, trial_xi)
+            scores[:, i] = _score(spec.q_out, trial_xi, work)
     return scores, kernel
 
 
@@ -581,7 +595,7 @@ def run_trial_table(
     # One null for every row, built here so no two worker threads build it,
     # and before the rows, which ran about 5% slower with it built after.
     ks_null, ad_null = _null_statistics(samples, n_null, null_seed)
-    row = functools.partial(_table_row, samples=samples)
+    row = functools.partial(_table_row, samples=samples, scratch=threading.local())
     workers = min(jobs, len(states))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

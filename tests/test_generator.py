@@ -579,16 +579,22 @@ class TestOrbitBuild:
 
     def test_concurrent_first_builds_from_threads(self, tmp_path):
         """Two threads of a fresh interpreter call kernel() first, at once,
-        into an empty cache: each gets a library whose orbit gives the
-        serial bits, and the cache ends with one library and no
-        temporary file."""
+        into an empty cache: one compile runs, both get the same library,
+        whose orbit gives the serial bits, and the cache ends with one
+        library and no temporary file."""
         if shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         out = _fresh_python("""
-            import hashlib, threading
+            import hashlib, subprocess, threading
             import numpy as np
             from qgauss import MapConfig, _orbit, init, make_spec
             from qgauss.maps import _radial_params
+            compiles = []
+            run = subprocess.run
+            def counted(*args, **kwargs):
+                compiles.append(args)
+                return run(*args, **kwargs)
+            subprocess.run = counted
             barrier = threading.Barrier(2)
             libs = [None, None]
             def first(k):
@@ -600,6 +606,8 @@ class TestOrbitBuild:
             for t in threads:
                 t.join(timeout=100)
             assert not any(t.is_alive() for t in threads)
+            assert libs[0] is not None and libs[0] is libs[1]
+            assert len(compiles) == 1, compiles
             cfg = MapConfig(d=6, c=6)
             state = init(make_spec(1.5), cfg, v0=0.3, z0=0.6)
             for lib in libs:

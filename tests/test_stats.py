@@ -1044,8 +1044,9 @@ class TestTrialTable:
 
 
 # A fresh interpreter whose first table runs on two worker threads, so the
-# rows' first calls of distribution._special and _direct_kernels (scipy's
-# import and the kernels' addresses) come from both threads at once; then
+# rows' first calls of distribution._special and _direct_kernels (the load
+# of scipy's modules and the kernels' addresses) come from both threads at
+# once; then
 # the same table with jobs=1.  Prints each table's CSV and p-values.
 _FRESH_TABLE = """
 import io, json, sys
