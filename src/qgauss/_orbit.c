@@ -9,8 +9,9 @@
  * sorted values; the null's sort stays in numpy.  qgauss_bounded_scores
  * forms the same two statistics of one sample under
  * distribution.cdf_array_direct, stats._score's, from the cdf values of
- * only the samples that can hold a maximum; both add each value through
- * one edf_add.  qgauss_gbmm is generator.gbmm_generate's gbmm_sample loop,
+ * only the samples that can hold a maximum, each block of sorted samples
+ * bracketed by the values at its ends; both add each value through one
+ * edf_add.  qgauss_gbmm is generator.gbmm_generate's gbmm_sample loop,
  * and qgauss_write_rows formats rows of doubles as cli._format_rows does,
  * in "%.17g".  Every expression has the shape and evaluation order of the
  * Python or numpy code it replaces (generator._run_python,
@@ -434,9 +435,11 @@ typedef double (*ndtr_fn)(double, int);
 /* distribution.cdf_array_direct's branches. */
 enum { CDF_GAUSSIAN = 0, CDF_COMPACT = 1, CDF_HEAVY = 2 };
 
-/* Samples per top-level block, and the size at or below which a block that
- * may hold a maximum is evaluated whole. */
-enum { BLOCK = 64, LEAF = 4 };
+/* Samples per top-level block, and the size at or below which a part of
+ * an unordered block that may hold a maximum is evaluated whole.  Block b
+ * spans samples b*BLOCK to (b + 1)*BLOCK, both included, so neighbouring
+ * blocks share their end sample. */
+enum { BLOCK = 64, LEAF = 2 };
 
 /* How far a kernel value may fall as its argument grows: betainc(0.5, a,
  * t) on [0, 1] and ndtr on the reals are monotone to one ulp (the largest
@@ -450,12 +453,28 @@ struct direct {
     double a, half_width, w_lo, w_hi;
     betainc_fn betainc;
     ndtr_fn ndtr;
-    const double *t; /* each sample's kernel argument */
+    double *t;       /* each sample's kernel argument */
     double *v;       /* its kernel value, NaN until evaluated */
     struct edf_max m;
     int has_nan;
     int64_t calls;
 };
+
+static inline double sign_of(double x)
+{
+    return x > 0.0 ? 1.0 : x < 0.0 ? -1.0 : 0.0;
+}
+
+/* fmin and fmax without the libm call: the same wherever b is not NaN. */
+static inline double min2(double a, double b)
+{
+    return a < b ? a : b;
+}
+
+static inline double max2(double a, double b)
+{
+    return a > b ? a : b;
+}
 
 /* x on the compact support's edges, where cdf_array_direct sets F to 0
  * or 1 whatever the kernel gives. */
@@ -473,8 +492,7 @@ static inline double direct_cdf(const struct direct *d, int64_t i, double v)
         return v;
     if (direct_edge(d, x))
         return x < 0.0 ? 0.0 : 1.0;
-    double s = x > 0.0 ? 1.0 : x < 0.0 ? -1.0 : 0.0;
-    return 0.5 * (1.0 + s * v);
+    return 0.5 * (1.0 + sign_of(x) * v);
 }
 
 static inline void direct_add(struct direct *d, int64_t i, double v)
@@ -483,7 +501,42 @@ static inline void direct_add(struct direct *d, int64_t i, double v)
             d->w_lo, d->w_hi);
 }
 
-/* Sample i scored exactly: its kernel value, evaluated on first use. */
+/* Sample i's kernel argument t, formed as cdf_array_direct forms it, its
+ * value not yet evaluated, and on the edges its F scored; a NaN x has a
+ * NaN F, whatever t is.  Returns t with the sign of x, which ascends
+ * along a sorted sample unless rounding breaks its order. */
+static inline double direct_start(struct direct *d, double k, int64_t i)
+{
+    double x = d->x[i], y = k * x * x, t;
+    if (d->branch == CDF_GAUSSIAN) {
+        t = x;
+    } else if (d->branch == CDF_COMPACT) {
+        t = y > 1.0 ? 1.0 : y; /* y >= 0 */
+    } else {
+        t = min2(y / (1.0 + y), 1.0); /* fmin(y/(1 + y), 1), 1 for NaN too */
+    }
+    d->t[i] = t;
+    d->v[i] = NAN;
+    d->has_nan |= x != x;
+    if (direct_edge(d, x))
+        direct_add(d, i, 0.0);
+    return copysign(t, x);
+}
+
+/* The first sample at or above x = 0 of the ordered block [i0, i1] where
+ * x crosses 0 inside it and F takes the sign of x; else 0.  Past the
+ * samples with t = 0, x has the sign of the signed t, which ascends. */
+static int64_t direct_crossing(const struct direct *d, int64_t i0, int64_t i1)
+{
+    if (d->branch == CDF_GAUSSIAN || !(d->x[i0] < 0.0 && d->x[i1] >= 0.0))
+        return 0;
+    while (d->x[i0 + 1] < 0.0)
+        i0++;
+    return i0 + 1;
+}
+
+/* Sample i scored exactly: its kernel value, evaluated on first use.  On
+ * the edges the value only brackets others; F stays 0 or 1. */
 static double direct_value(struct direct *d, int64_t i)
 {
     double v = d->v[i];
@@ -496,6 +549,72 @@ static double direct_value(struct direct *d, int64_t i)
         direct_add(d, i, v);
     }
     return v;
+}
+
+/* Every sample of [i0, i1) off the edges and not yet scored given the
+ * kernel value v, that of the one argument they share. */
+static void direct_fill(struct direct *d, int64_t i0, int64_t i1, double v)
+{
+    for (int64_t i = i0; i < i1; i++) {
+        if (d->v[i] != d->v[i] && !direct_edge(d, d->x[i])) {
+            d->v[i] = v;
+            direct_add(d, i, v);
+        }
+    }
+}
+
+/* Whether a sample of [i0, i1) whose kernel value lies between v0 and v1,
+ * in either order, and whose sign of x lies in [s_lo, s_hi] may raise
+ * either maximum.  The bracket is widened by KERNEL_SLACK; rounding is
+ * monotone, so it bounds each F, each deviation and (with a relative
+ * 1e-12 for the rounding of w*(1 - w), its sqrt and the divide) each
+ * tail-weighted term.  Once a value is NaN both statistics are NaN, and
+ * nothing more is evaluated. */
+static int direct_open(const struct direct *d, int64_t i0, int64_t i1, double v0,
+                       double v1, double s_lo, double s_hi)
+{
+    if (d->has_nan)
+        return 0;
+    double in_lo = min2(v0, v1) - KERNEL_SLACK, in_hi = max2(v0, v1) + KERNEL_SLACK;
+    double f_lo = in_lo, f_hi = in_hi;
+    if (d->branch != CDF_GAUSSIAN) {
+        /* s*v over s in [s_lo, s_hi], v in [in_lo, in_hi]: the corners */
+        double c0 = s_lo * in_lo, c1 = s_lo * in_hi, c2 = s_hi * in_lo, c3 = s_hi * in_hi;
+        f_lo = 0.5 * (1.0 + min2(min2(c0, c1), min2(c2, c3)));
+        f_hi = 0.5 * (1.0 + max2(max2(c0, c1), max2(c2, c3)));
+    }
+    double a = d->steps[i1 - 1] - f_lo, b = f_hi - d->steps[d->M + i0];
+    double dev = max2(a, b);
+    double w0 = min2(max2(f_lo, d->w_lo), d->w_hi);
+    double w1 = min2(max2(f_hi, d->w_lo), d->w_hi);
+    double p = min2(w0 * (1.0 - w0), w1 * (1.0 - w1));
+    double tail = dev / sqrt(p) * (1.0 + 1e-12);
+    return !(dev <= d->m.mk && tail <= d->m.ma);
+}
+
+/* Scores the samples strictly between a and c that may raise either
+ * maximum, where t with the sign of x ascends over [a, c], and x stays
+ * on one side of 0 for the non-Gaussian branches (a sample with t = 0
+ * has F = 1/2 on either side).  The values at a and c are known and
+ * bracket every value between (direct_open); a and c may lie on the
+ * edges.  A part whose bound cannot pass the running maxima is dropped,
+ * and any other is split at its midpoint, the one new value the two
+ * halves need. */
+static void direct_refine(struct direct *d, int64_t a, int64_t c)
+{
+    if (c - a < 2)
+        return;
+    double va = d->v[a], vc = d->v[c];
+    if (d->t[a] == d->t[c]) {
+        direct_fill(d, a + 1, c, va); /* one argument between */
+        return;
+    }
+    if (!direct_open(d, a + 1, c, va, vc, sign_of(d->x[a]), sign_of(d->x[c])))
+        return;
+    int64_t mid = a + (c - a) / 2;
+    direct_value(d, mid);
+    direct_refine(d, a, mid);
+    direct_refine(d, mid, c);
 }
 
 /* The samples of [i0, i1) off the edges with the smallest and the largest
@@ -517,19 +636,14 @@ static void direct_extremes(const struct direct *d, int64_t i0, int64_t i1,
         x_lo = x < x_lo ? x : x_lo;
         x_hi = x > x_hi ? x : x_hi;
     }
-    *s_lo = x_lo > 0.0 ? 1.0 : x_lo < 0.0 ? -1.0 : 0.0;
-    *s_hi = x_hi > 0.0 ? 1.0 : x_hi < 0.0 ? -1.0 : 0.0;
+    *s_lo = sign_of(x_lo);
+    *s_hi = sign_of(x_hi);
 }
 
-/* Scores the samples of [i0, i1) that may raise either maximum.  The
- * kernel values at the block's extreme arguments bracket every other
- * value in it, widened by KERNEL_SLACK; rounding is monotone, so the
- * bracket bounds each F, each deviation and (with a relative 1e-12 for
- * the rounding of w*(1 - w), its sqrt and the divide) each tail-weighted
- * term.  A block whose bounds cannot pass the running maxima is dropped,
- * one of at most LEAF samples is evaluated whole, and any other is
- * halved. */
-static void direct_refine(struct direct *d, int64_t i0, int64_t i1)
+/* direct_refine over [i0, i1) where t breaks order: each part is
+ * bracketed by the values at its own smallest and largest argument, which
+ * a scan of the part finds, and is halved at its midpoint. */
+static void direct_refine_unordered(struct direct *d, int64_t i0, int64_t i1)
 {
     int64_t lo, hi;
     double s_lo, s_hi;
@@ -538,30 +652,10 @@ static void direct_refine(struct direct *d, int64_t i0, int64_t i1)
         return;
     double v_lo = direct_value(d, lo), v_hi = direct_value(d, hi);
     if (d->t[lo] == d->t[hi]) {
-        /* one argument: every value is v_lo */
-        for (int64_t i = i0; i < i1; i++) {
-            if (d->v[i] != d->v[i] && !direct_edge(d, d->x[i])) {
-                d->v[i] = v_lo;
-                direct_add(d, i, v_lo);
-            }
-        }
+        direct_fill(d, i0, i1, v_lo); /* one argument */
         return;
     }
-    double in_lo = v_lo - KERNEL_SLACK, in_hi = v_hi + KERNEL_SLACK;
-    double f_lo = in_lo, f_hi = in_hi;
-    if (d->branch != CDF_GAUSSIAN) {
-        /* s*v over s in [s_lo, s_hi], v in [in_lo, in_hi]: the corners */
-        double c0 = s_lo * in_lo, c1 = s_lo * in_hi, c2 = s_hi * in_lo, c3 = s_hi * in_hi;
-        f_lo = 0.5 * (1.0 + fmin(fmin(c0, c1), fmin(c2, c3)));
-        f_hi = 0.5 * (1.0 + fmax(fmax(c0, c1), fmax(c2, c3)));
-    }
-    double a = d->steps[i1 - 1] - f_lo, b = f_hi - d->steps[d->M + i0];
-    double dev = a > b ? a : b;
-    double w0 = fmin(fmax(f_lo, d->w_lo), d->w_hi);
-    double w1 = fmin(fmax(f_hi, d->w_lo), d->w_hi);
-    double p = fmin(w0 * (1.0 - w0), w1 * (1.0 - w1));
-    double tail = dev / sqrt(p) * (1.0 + 1e-12);
-    if (dev <= d->m.mk && tail <= d->m.ma)
+    if (!direct_open(d, i0, i1, v_lo, v_hi, s_lo, s_hi))
         return;
     if (i1 - i0 <= LEAF) {
         for (int64_t i = i0; i < i1; i++)
@@ -570,8 +664,8 @@ static void direct_refine(struct direct *d, int64_t i0, int64_t i1)
         return;
     }
     int64_t mid = i0 + (i1 - i0) / 2;
-    direct_refine(d, i0, mid);
-    direct_refine(d, mid, i1);
+    direct_refine_unordered(d, i0, mid);
+    direct_refine_unordered(d, mid, i1);
 }
 
 /* stats._score's two statistics, (KS, tail-weighted) into out[0] and
@@ -586,13 +680,24 @@ static void direct_refine(struct direct *d, int64_t i0, int64_t i1)
  * q' = 1 (CDF_COMPACT) y = k*x*x clipped to [0, 1]; above (CDF_HEAVY)
  * fmin(y/(1 + y), 1), and F = 0.5*(1 + sign(x)*betainc(0.5, a, t)), set
  * to 0 at x <= -half_width and 1 at x >= half_width below q' = 1.  The
- * kernels come from the caller as typed function pointers.  Every block
- * of BLOCK samples is first seeded with its two extreme arguments, so
- * both maxima start high, and then refined by direct_refine.  Returns the
- * number of kernel calls.  A NaN among the kernel values it evaluates
- * gives NaN for both, as qgauss_scores does, and a NaN bound never
- * prunes.  work holds 2*M doubles: each sample's argument and
- * kernel value.  The caller checks M >= 1, the branch and the shapes. */
+ * kernels come from the caller as typed function pointers.
+ *
+ * The loop that forms t notes, per block, whether t with the sign of x
+ * ascends, as it does along a sorted sample unless rounding breaks its
+ * order (y/(1 + y) does near y = 2**53, where it takes 1, 1 - 2**-53 and
+ * 1 - 2**-52 out of order).  F of a sample off the edges is monotone in
+ * that signed t, so an ordered block is bracketed by its end values once
+ * it is split where x crosses 0.  The values at every block's ends, each
+ * shared by two blocks, and on both sides of each crossing are evaluated
+ * first, so both maxima start high.  Then direct_refine bounds each
+ * ordered part from its end values alone, and a block that breaks order
+ * falls back to direct_refine_unordered.  No block is scanned twice.
+ * Returns the number of kernel calls.  A NaN x, or a NaN among the cdf
+ * values it evaluates, gives NaN for both, as qgauss_scores and
+ * cdf_array_direct do.  work holds 2*M + M/BLOCK + 1
+ * doubles: each sample's argument and kernel value, and each block's
+ * crossing (its first sample at or above x = 0, 0 for none, -1 where it
+ * breaks order).  The caller checks M >= 1, the branch and the shapes. */
 int64_t qgauss_bounded_scores(const double *x, int64_t M, int branch, double k,
                               double a, double half_width, const double *steps,
                               betainc_fn betainc, ndtr_fn ndtr,
@@ -604,30 +709,40 @@ int64_t qgauss_bounded_scores(const double *x, int64_t M, int branch, double k,
         .w_hi = 1.0 - 1.0 / (2.0 * (double)M), .betainc = betainc,
         .ndtr = ndtr, .t = work, .v = work + M,
     };
-    double *t = work;
-    for (int64_t i = 0; i < M; i++) {
-        double xi = x[i], y = k * xi * xi;
-        if (branch == CDF_GAUSSIAN)
-            t[i] = xi;
-        else if (branch == CDF_COMPACT)
-            t[i] = y > 1.0 ? 1.0 : y; /* y >= 0 */
-        else
-            t[i] = fmin(y / (1.0 + y), 1.0);
-        d.v[i] = NAN;
-        if (direct_edge(&d, xi))
-            direct_add(&d, i, 0.0);
+    double *cross = work + 2 * M;
+    const int64_t blocks = (M + BLOCK - 2) / BLOCK;
+    double s_prev = direct_start(&d, k, 0);
+    for (int64_t b = 0; b < blocks; b++) {
+        int64_t i0 = b * BLOCK, i1 = i0 + BLOCK < M - 1 ? i0 + BLOCK : M - 1;
+        int ordered = 1;
+        for (int64_t i = i0 + 1; i <= i1; i++) {
+            double s = direct_start(&d, k, i);
+            ordered &= s >= s_prev;
+            s_prev = s;
+        }
+        cross[b] = ordered ? (double)direct_crossing(&d, i0, i1) : -1.0;
     }
-    for (int64_t i0 = 0; i0 < M; i0 += BLOCK) {
-        int64_t lo, hi;
-        double s_lo, s_hi;
-        direct_extremes(&d, i0, i0 + BLOCK < M ? i0 + BLOCK : M, &lo, &hi, &s_lo, &s_hi);
-        if (lo >= 0) {
-            direct_value(&d, lo);
-            direct_value(&d, hi);
+    for (int64_t b = 0; b < blocks; b++) {
+        int64_t c = (int64_t)cross[b];
+        direct_value(&d, b * BLOCK);
+        if (c > 0) {
+            direct_value(&d, c - 1);
+            direct_value(&d, c);
         }
     }
-    for (int64_t i0 = 0; i0 < M; i0 += BLOCK)
-        direct_refine(&d, i0, i0 + BLOCK < M ? i0 + BLOCK : M);
+    direct_value(&d, M - 1);
+    for (int64_t b = 0; b < blocks; b++) {
+        int64_t i0 = b * BLOCK, i1 = i0 + BLOCK < M - 1 ? i0 + BLOCK : M - 1;
+        int64_t c = (int64_t)cross[b];
+        if (c < 0) {
+            direct_refine_unordered(&d, i0 + 1, i1);
+        } else if (c > 0) {
+            direct_refine(&d, i0, c - 1);
+            direct_refine(&d, c, i1);
+        } else {
+            direct_refine(&d, i0, i1);
+        }
+    }
     const double root_m = sqrt((double)M);
     out[0] = d.has_nan ? NAN : root_m * d.m.mk;
     out[1] = d.has_nan ? NAN : root_m * d.m.ma;

@@ -172,28 +172,29 @@ def _sample(samples: Sequence[float]) -> np.ndarray:
 
 
 def _score(q_out: float, samples: Sequence[float],
-           work: Optional[np.ndarray] = None) -> Tuple[float, float]:
+           work: Optional[np.ndarray] = None) -> Tuple[float, float, int]:
     """(KS, tail-weighted) statistics of the checked, sorted samples through
-    distribution.cdf_array_direct: the one scoring function of every verdict.
+    distribution.cdf_array_direct, and the number of cdf kernel calls they
+    took (0 on the full evaluation): the one scoring function of every
+    verdict.
 
     Both statistics are maxima, so only the samples that can hold one need
     an exact cdf value.  Where the compiled library and scipy's scalar
     kernels (distribution._direct_kernels) are both at hand, one C call
     (_orbit.bounded_scores) bounds the cdf over blocks of samples and
     evaluates only the blocks that can reach either running maximum:
-    about 900 of 10**4 values in a table trial.  It gives the bits of
+    about 450 of 10**4 values in a table trial.  It gives the bits of
     _both_statistics over cdf_array_direct at every sample, which is the
-    path everywhere else and the byte oracle.  work is that call's scratch
-    of 2*len(samples) doubles (see _orbit.bounded_scores).
+    path everywhere else and the byte oracle.  work is that call's scratch,
+    from _orbit.bounded_work(len(samples)).
     """
     x = np.sort(_sample(samples))
     spec = make_spec(q_out)
     lib = _orbit.kernel()
     kernels = None if lib is None else distribution._direct_kernels()
     if kernels is None:
-        return _both_statistics(distribution.cdf_array_direct(q_out, x))
-    ks, ad, _ = _orbit.bounded_scores(lib, spec, x, _edf_steps(x.size), kernels, work)
-    return ks, ad
+        return _both_statistics(distribution.cdf_array_direct(q_out, x)) + (0,)
+    return _orbit.bounded_scores(lib, spec, x, _edf_steps(x.size), kernels, work)
 
 
 def sup_weighted_statistic(
@@ -451,6 +452,7 @@ class TrialRow:
     p_ad: Tuple[float, ...]
     ks: Tuple[float, ...]  # the trials' statistics, whose p-values are p_ks
     ad: Tuple[float, ...]  # and p_ad
+    kernel_calls: Tuple[int, ...]  # the cdf kernel calls that scored each
     kernel: str  # the orbit loop that generated it, "c" or "python"
 
 
@@ -477,8 +479,10 @@ class TrialTable:
 
     def metadata(self) -> Dict[str, object]:
         """JSON-ready record.  "kernel" names the orbit loop that generated
-        the rows ("c" or "python"); "rows" each row's q' and least (KS, AD)
-        statistics, whose p-values are the CSV's best."""
+        the rows ("c" or "python"); "rows" each row's q', least (KS, AD)
+        statistics, whose p-values are the CSV's best, and the cdf kernel
+        calls that scored its trials (0 where the cdf was evaluated in
+        full)."""
         return {
             "kernel": self.rows[0].kernel,
             "d": self.cfg.d,
@@ -490,8 +494,8 @@ class TrialTable:
             "n_null": self.n_null,
             "master_seed": self.master_seed,
             "null_seed": self.null_seed,
-            "rows": [{"q": row.q_out, "ks_best": min(row.ks), "ad_best": min(row.ad)}
-                     for row in self.rows],
+            "rows": [{"q": row.q_out, "ks_best": min(row.ks), "ad_best": min(row.ad),
+                      "kernel_calls": sum(row.kernel_calls)} for row in self.rows],
         }
 
 
@@ -525,17 +529,18 @@ def _trial_start(
 
 
 def _table_row(states: List[GeneratorState], samples: int,
-               scratch: threading.local) -> Tuple[np.ndarray, str]:
+               scratch: threading.local) -> Tuple[np.ndarray, List[int], str]:
     """One table row's trials from their orbit states, which share a QSpec
     and a map: a (2, trials) array of their (KS, tail-weighted) statistics
-    under _score, as gof_test scores, and the orbit loop that ran them.
+    under _score, as gof_test scores, _score's kernel calls for each, and
+    the orbit loop that ran them.
 
     The trials are generated _orbit.LANES at a time, each group by one
     generator._run into one reused pair of (group, samples) arrays, so
     the compiled orbit steps the group in lockstep; every trial gets the
     bits generate gives it alone, and a row's memory does not grow with
-    its trials.  Every trial is scored in one work array of 2*samples
-    doubles (_orbit.bounded_scores).  The three arrays are made once per
+    its trials.  Every trial is scored in one work array
+    (_orbit.bounded_work).  The three arrays are made once per
     thread that runs the table's rows (scratch, run_trial_table's
     threading.local) and reused by its later rows.  Made per row (the
     work array per trial), their 160-640 KB at samples = 10**4 went back
@@ -547,16 +552,17 @@ def _table_row(states: List[GeneratorState], samples: int,
     if arrays is None:
         group = min(len(states), _orbit.LANES)
         arrays = scratch.arrays = (np.empty((group, samples)), np.empty((group, samples)),
-                                   np.empty(2 * samples))
+                                   _orbit.bounded_work(samples))
     xi, eta, work = arrays
     group = xi.shape[0]
-    scores = np.empty((2, len(states)))
+    scores, calls = np.empty((2, len(states))), []
     for j in range(0, len(states), group):
         k = min(group, len(states) - j)
         kernel = _run(states[j:j + k], samples, xi[:k], eta[:k])
         for i, trial_xi in enumerate(xi[:k], j):
-            scores[:, i] = _score(spec.q_out, trial_xi, work)
-    return scores, kernel
+            scores[0, i], scores[1, i], n = _score(spec.q_out, trial_xi, work)
+            calls.append(n)
+    return scores, calls, kernel
 
 
 def run_trial_table(
@@ -604,11 +610,12 @@ def run_trial_table(
             scored = list(pool.map(row, states))
     else:
         scored = list(map(row, states))
-    ks, ad = np.stack([scores for scores, _ in scored], axis=1)
+    ks, ad = np.stack([scores for scores, _, _ in scored], axis=1)
     rows = tuple(
         TrialRow(q_out=spec.q_out, nu=spec.nu, p_ks_best=max(p_ks), p_ad_best=max(p_ad),
-                 p_ks=tuple(p_ks), p_ad=tuple(p_ad), ks=tuple(k), ad=tuple(a), kernel=kernel)
-        for spec, p_ks, p_ad, k, a, (_, kernel) in zip(
+                 p_ks=tuple(p_ks), p_ad=tuple(p_ad), ks=tuple(k), ad=tuple(a),
+                 kernel_calls=tuple(calls), kernel=kernel)
+        for spec, p_ks, p_ad, k, a, (_, calls, kernel) in zip(
             specs, _p_values(ks_null, ks).tolist(), _p_values(ad_null, ad).tolist(),
             ks.tolist(), ad.tolist(), scored))
     return TrialTable(

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgauss
-from qgauss import __version__, _orbit, cli, stats
+from qgauss import __version__, _orbit, cli, distribution, stats
 from qgauss.cli import (
     _CSV_BLOCK,
     _FLOAT_FMT,
@@ -579,12 +579,38 @@ class TestTable:
         meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
         lines = out_path.read_text().splitlines()[1:]
         assert [row["q"] for row in meta["rows"]] == [1.5, -1.0, 2.9]
-        assert [sorted(row) for row in meta["rows"]] == [["ad_best", "ks_best", "q"]] * 3
+        assert [sorted(row) for row in meta["rows"]] == [
+            ["ad_best", "kernel_calls", "ks_best", "q"]] * 3
         for row, line in zip(meta["rows"], lines, strict=True):
             q, _, p_ad_best, p_ks_best = line.split(",")
             assert float(q) == row["q"]
             assert mc_p_value(300, row["ks_best"], "ks", 99, 5).hex() == float(p_ks_best).hex()
             assert mc_p_value(300, row["ad_best"], "ad", 99, 5).hex() == float(p_ad_best).hex()
+
+    def test_sidecar_kernel_calls_are_the_scorers(self, capsys, tmp_path):
+        """The sidecar's kernel_calls, summed over its rows, are the calls
+        _orbit.bounded_scores takes to score the same trials (0 where _score
+        evaluates the cdf in full)."""
+        out_path = tmp_path / "t.csv"
+        q_list, trials, count, seed = [1.5, -1.0, 2.9, 1.0], 3, 400, 11
+        code, _, _ = _run(capsys, "table", "--q-list", "1.5,-1,2.9,1", "--trials", str(trials),
+                          "--count", str(count), "--n-null", "19", "--seed", str(seed),
+                          "--d", "6", "--c", "6", "--out", str(out_path))
+        assert code == EXIT_OK
+        meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+        lib = _orbit.kernel()
+        kernels = None if lib is None else distribution._direct_kernels()
+        expected = 0
+        for iq, q in enumerate(q_list):
+            spec = distribution.make_spec(q)
+            for trial in range(trials):
+                state = stats._trial_start(spec, MapConfig(d=6, c=6), seed, iq, trial)
+                x = np.sort(qgauss.generate(state, count).xi)
+                if kernels is not None:
+                    expected += _orbit.bounded_scores(lib, spec, x, stats._edf_steps(count),
+                                                      kernels)[2]
+        assert sum(row["kernel_calls"] for row in meta["rows"]) == expected
+        assert (expected > 0) == (kernels is not None)
 
     def test_empty_q_list_is_usage_error(self, capsys):
         code, _, err = _run_expect_exit(capsys, "table", "--q-list", ",",

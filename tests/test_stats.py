@@ -3,6 +3,7 @@
 import concurrent.futures
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -422,6 +423,13 @@ def _direct_sample(q_out, M, seed, far, ties):
     return np.sort(x)
 
 
+def _heavy_argument(spec, x):
+    """cdf_array_direct's kernel argument above q' = 1: y/(1 + y) of
+    y = k*x*x, capped at 1."""
+    y = spec.k * x * x
+    return np.fmin(y / (1.0 + y), 1.0)
+
+
 @pytest.fixture
 def direct_kernels():
     """scipy's scalar betainc and ndtr addresses; skips where the compiled
@@ -454,18 +462,19 @@ class TestBoundedScores:
         with np.errstate(all="ignore"):
             expected = _both_statistics_numpy(cdf_array_direct(q_out, x))
             unsorted = _both_statistics_numpy(cdf_array_direct(q_out, shuffled))
-        assert stats._score(q_out, shuffled) == expected
+        assert stats._score(q_out, shuffled)[:2] == expected
         ks, ad, _ = _orbit.bounded_scores(_orbit.kernel(), make_spec(q_out), shuffled,
                                           _edf_steps(M), distribution._direct_kernels())
         assert (ks, ad) == unsorted
 
     def test_matches_the_oracle_on_protocol_trials_in_few_calls(self, direct_kernels):
-        """Five protocol trials per q' of table one: the bits of the oracle,
-        from at most 1000 kernel values per 10**4-sample trial on average
-        (all 2200 trials of both tables averaged 849)."""
-        cfg = MapConfig()
+        """Five protocol trials per q' of each table's map, (d, l, c) =
+        (8, 2, 1) and (6, 2, 6): the bits of the oracle, from at most 517
+        kernel values per 10**4-sample trial on average (these 110 trials
+        averaged 450, as did all 2200 trials of both tables)."""
         calls = []
-        for iq, q_out in enumerate(PROTOCOL_Q):
+        for cfg, (iq, q_out) in itertools.product(
+                (MapConfig(d=8, l=2, c=1), MapConfig(d=6, l=2, c=6)), enumerate(PROTOCOL_Q)):
             spec = make_spec(q_out)
             for trial in range(5):
                 state = stats._trial_start(spec, cfg, 20260839, iq, trial)
@@ -474,7 +483,65 @@ class TestBoundedScores:
                     _orbit.kernel(), spec, x, _edf_steps(x.size), direct_kernels)
                 assert (ks, ad) == _both_statistics_numpy(cdf_array_direct(q_out, x))
                 calls.append(n)
-        assert np.mean(calls) <= 1000
+        assert np.mean(calls) <= 517
+
+    @pytest.mark.parametrize("q_out", [2.6, 2.8, 2.9, 2.99])
+    def test_blocks_whose_argument_breaks_order_match_the_oracle(self, q_out, direct_kernels):
+        """Near y = k*x*x = 2**53, y/(1 + y) rounds to 1, 1 - 2**-53 or
+        1 - 2**-52 out of the order of x, so along a sorted block the
+        computed t descends (ascends below 0), and F with it, by up to 0.19
+        at q' = 2.9.  Each sample holds one value at t = 1 between values
+        at t < 1, as sample 1 or, mirrored below 0, sample M - 2, where it
+        holds both maxima; bracketed by its block's end values it would be
+        dropped.  Every result has the oracle's bits."""
+        spec = make_spec(q_out)
+        grid = math.sqrt(2.0 ** 53 / spec.k) * np.linspace(0.9, 1.6, 20001)
+        t = _heavy_argument(spec, grid)
+        peak = next(i for i in range(1, grid.size) if t[i] == 1.0 and t[i - 1] < 1.0)
+        after = next(j for j in range(peak + 1, grid.size) if t[j] < 1.0)
+        for M in (63, 64, 65, 128, 129, 4000):
+            up = np.concatenate([grid[[peak - 1, peak]], np.full(M - 2, grid[after])])
+            for x in (up, -up[::-1]):
+                signed = np.copysign(_heavy_argument(spec, x), x)
+                assert (np.diff(signed) < 0.0).any()  # t breaks the order of x
+                expected = _both_statistics_numpy(cdf_array_direct(q_out, x))
+                assert stats._score(q_out, x)[:2] == expected
+                assert _orbit.bounded_scores(_orbit.kernel(), spec, x, _edf_steps(M),
+                                             direct_kernels)[:2] == expected
+
+    @pytest.mark.parametrize("M", [63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("q_out", [-1.0, 0.0, 0.5, 1.0, 1.5, 2.9])
+    def test_blocks_across_zero_and_the_edges_match_the_oracle(self, q_out, M, direct_kernels):
+        """Sorted samples of M values from -1.08 to 1.32 times the support's
+        half-width L (3 where it is infinite), with -L, L, -0.0 and 0.0 among
+        them: one block crosses x = 0 off its ends, and below q' = 1
+        samples lie on and past both edges, at block ends and inside.
+        Every result has the oracle's bits."""
+        spec = make_spec(q_out)
+        L = spec.half_width if math.isfinite(spec.half_width) else 3.0
+        bulk = (np.arange(M - 4) - 0.45 * (M - 4)) * (2.4 * L / M)
+        x = np.sort(np.concatenate([bulk, [-L, L, -0.0, 0.0]]))
+        cross = int(np.searchsorted(x, 0.0))
+        assert 0 < cross and x[cross - 1] < 0.0 < x[-1]
+        if q_out < 1.0:
+            assert (x <= -L).sum() > 1 and (x >= L).sum() > 1
+        expected = _both_statistics_numpy(cdf_array_direct(q_out, x))
+        assert stats._score(q_out, x)[:2] == expected
+        assert _orbit.bounded_scores(_orbit.kernel(), spec, x, _edf_steps(M),
+                                     direct_kernels)[:2] == expected
+
+    @pytest.mark.parametrize("where", [0, 2, 3])
+    @pytest.mark.parametrize("q_out", [-1.0, 0.5, 1.0, 1.5, 2.9])
+    def test_nan_sample_gives_nan(self, q_out, where, direct_kernels):
+        """A NaN among the samples, which _score rejects, makes both
+        statistics NaN, as in the oracle, at every cdf branch."""
+        x = np.array([-1.0, 0.2, 0.7, 2.0])
+        x[where] = math.nan
+        with np.errstate(all="ignore"):
+            assert np.isnan(_both_statistics_numpy(cdf_array_direct(q_out, x))).all()
+        ks, ad, _ = _orbit.bounded_scores(_orbit.kernel(), make_spec(q_out), x,
+                                          _edf_steps(4), direct_kernels)
+        assert math.isnan(ks) and math.isnan(ad)
 
     def test_kernels_give_the_ufuncs_bits(self, direct_kernels):
         """betainc(0.5, a, t) at the a of every non-Gaussian q' above, over
@@ -879,13 +946,14 @@ class TestTrialTable:
             for trial in range(trials):
                 batch = generate(stats._trial_start(spec, cfg, 7, iq, trial), samples)
                 scores.append(stats._score(q, batch.xi))
-            ks, ad = zip(*scores)
+            ks, ad, calls = zip(*scores)
             p_ks, p_ad = (
                 tuple((1.0 + int(np.count_nonzero(null >= s))) / (n_null + 1.0) for s in kind)
                 for null, kind in zip(nulls, (ks, ad)))
             rows.append(stats.TrialRow(q_out=q, nu=spec.nu, p_ks_best=max(p_ks),
                                        p_ad_best=max(p_ad), p_ks=p_ks, p_ad=p_ad,
-                                       ks=ks, ad=ad, kernel=batch.kernel))
+                                       ks=ks, ad=ad, kernel_calls=calls,
+                                       kernel=batch.kernel))
         expected = stats.TrialTable(rows=tuple(rows), cfg=cfg, trials=trials,
                                     samples=samples, n_null=n_null, master_seed=7,
                                     null_seed=DEFAULT_NULL_SEED)
